@@ -40,12 +40,7 @@ from .engine import (
 from .graph import (
     CommGraph,
     GraphError,
-    PoorMixingWarning,
     gen_erdos_renyi,
-    graph_from_json,
-    graph_to_json,
-    mixing_matrix,
-    spectral_gap,
 )
 from .objectives import (
     BoxDomain,
@@ -65,18 +60,16 @@ from .privacy import (
     budget_check,
     calibrate_noise_schedule,
     lipschitz_step_sensitivity,
-    mean_step_sensitivity,
     noise_budget,
     noiseless_schedule,
     privacy_allowance,
-    small_epsilon_allowance,
 )
 from .experiments import (
     ExperimentConfig,
     SweepResult,
     SweepSpec,
     build_run_config,
-    default_experiment,
     preset_sweep,
+    single_run_seeds,
     sweep,
 )

@@ -29,19 +29,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import BoundInputs, empirical_vs_bound, mean_error_bound
+from .analysis import empirical_vs_bound, mean_error_bound
 from .audit import collect_samples, plant_point, tail_audit, worst_case_edit
 from .engine import RunConfig, run, run_gradient_phase
 from .experiments import (
     ExperimentConfig,
     SweepSpec,
+    bound_inputs,
     build_run_config,
     single_run_seeds,
     sweep,
     write_rows_csv,
     write_summary_json,
 )
-from .objectives import mean_objective_constants
 from .privacy import budget_check
 from .rng import derive_seed
 
@@ -282,20 +282,7 @@ def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
 
 def _cmd_bound(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     config = _single_config(resolved, args.seed)
-    base = _base_config(resolved)
-    x_star = config.minimizer()
-    spec = mean_objective_constants(config.datasets[0], config.domain)
-    inputs = BoundInputs(
-        s0=float(config.n_nodes * (x_star @ x_star)),  # iterates start at the origin
-        spec=spec,
-        beta=config.graph.beta,
-        budget=base.budget,
-        horizon=config.horizon,
-        dimension=config.domain.dimension,
-        x_star=x_star,
-        n_nodes=config.n_nodes,
-        noise_grad_bound=float(config.schedule.sensitivities[0] / (2 * config.schedule.step_sizes[0])),
-    )
+    inputs = bound_inputs(_base_config(resolved), config)
     n_runs = resolved["bound.n_runs"]
     runs = []
     for i in range(n_runs):

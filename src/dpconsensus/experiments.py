@@ -14,13 +14,14 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import engine
+from .analysis import BoundInputs
 from .graph import gen_erdos_renyi
 from .objectives import BoxDomain, gen_truncated_gaussian, mean_objective_constants
 from .privacy import PrivacyBudget, calibrate_noise_schedule
@@ -32,8 +33,8 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "SweepSpec",
+    "bound_inputs",
     "build_run_config",
-    "default_experiment",
     "preset_sweep",
     "single_run_seeds",
     "sweep",
@@ -94,6 +95,13 @@ class ExperimentConfig:
     def domain(self) -> BoxDomain:
         return BoxDomain(half_width=self.half_width, dimension=self.dimension)
 
+    @property
+    def noise_grad_bound(self) -> float:
+        """Gradient bound the noise schedule is calibrated with."""
+        if self.calibration_grad_bound is not None:
+            return self.calibration_grad_bound
+        return self.domain.diameter / 2.0  # per-round gap is at most eta * diameter
+
     def with_value(self, axis: str, value: float) -> "ExperimentConfig":
         field_name, _, _ = AXES[axis]
         if field_name in _INT_FIELDS:
@@ -107,7 +115,6 @@ class SweepSpec:
     axis: str
     values: tuple[float, ...]
     n_seeds: int = 20
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
@@ -117,30 +124,6 @@ class SweepSpec:
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
         object.__setattr__(self, "values", tuple(self.values))
-
-    def to_dict(self) -> dict:
-        return {
-            "base": asdict(self.base),
-            "axis": self.axis,
-            "values": list(self.values),
-            "n_seeds": self.n_seeds,
-            "output_path": self.output_path,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "SweepSpec":
-        return SweepSpec(
-            base=ExperimentConfig(**payload["base"]),
-            axis=payload["axis"],
-            values=tuple(payload["values"]),
-            n_seeds=int(payload["n_seeds"]),
-            output_path=payload.get("output_path"),
-        )
-
-
-def default_experiment() -> SweepSpec:
-    """The standard study: the gradient-round axis at the default config."""
-    return SweepSpec(base=ExperimentConfig(), axis="T", values=(10.0, 100.0, 1000.0))
 
 
 def preset_sweep(axis: str, base: ExperimentConfig | None = None, n_seeds: int = 20) -> SweepSpec:
@@ -175,13 +158,8 @@ def build_run_config(
         for i in range(base.n_nodes)
     )
     spec = mean_objective_constants(datasets[0], domain)
-    calibration = (
-        base.calibration_grad_bound
-        if base.calibration_grad_bound is not None
-        else domain.diameter / 2.0  # per-round gap is at most eta * diameter
-    )
     schedule = calibrate_noise_schedule(
-        base.horizon, base.budget, replace(spec, grad_bound=calibration)
+        base.horizon, base.budget, replace(spec, grad_bound=base.noise_grad_bound)
     )
     return engine.RunConfig(
         graph=graph,
@@ -193,6 +171,22 @@ def build_run_config(
         stage2_max_rounds=base.stage2_max_rounds,
         strict_first_broadcast=base.strict_first_broadcast,
         probe_nodes=(base.probe_node,),
+    )
+
+
+def bound_inputs(base: ExperimentConfig, config: engine.RunConfig) -> BoundInputs:
+    """Closed-form bound inputs for ``config`` as built from ``base``."""
+    x_star = config.minimizer()
+    return BoundInputs(
+        s0=float(config.n_nodes * (x_star @ x_star)),  # iterates start at the origin
+        spec=mean_objective_constants(config.datasets[0], config.domain),
+        beta=config.graph.beta,
+        budget=base.budget,
+        horizon=config.horizon,
+        dimension=config.domain.dimension,
+        x_star=x_star,
+        n_nodes=config.n_nodes,
+        noise_grad_bound=base.noise_grad_bound,
     )
 
 

@@ -10,7 +10,6 @@ connected.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,31 +19,17 @@ from .rng import derive_rng
 __all__ = [
     "CommGraph",
     "GraphError",
-    "PoorMixingWarning",
     "connected",
     "gen_erdos_renyi",
-    "graph_from_json",
-    "graph_to_json",
-    "laplacian_lambda_max",
-    "mixing_matrix",
-    "spectral_gap",
 ]
 
 # Entries of W this close to zero are snapped to exactly zero so sparsity
 # pattern checks are exact.
 _ZERO_CLAMP = 1e-15
 
-# Stream label for the power-iteration start vector (all-ones is the
-# Laplacian null vector, so a fixed pseudo-random start is used instead).
-_POWER_START_STREAM = 0x1A57
-
 
 class GraphError(ValueError):
     """Invalid topology or failed graph construction."""
-
-
-class PoorMixingWarning(UserWarning):
-    """Mixing matrix does not contract: disconnected or periodic weights."""
 
 
 @dataclass(frozen=True)
@@ -89,15 +74,6 @@ class CommGraph:
         if not 0.0 <= self.beta < 1.0:
             raise GraphError(f"beta must lie in [0, 1) for a connected graph, got {self.beta}")
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        i, j = np.nonzero(np.triu(self.adjacency, 1))
-        return list(zip(i.tolist(), j.tolist()))
-
-    @property
-    def neighbor_lists(self) -> list[np.ndarray]:
-        return [np.nonzero(self.adjacency[i])[0] for i in range(self.n_nodes)]
-
 
 def connected(adjacency: np.ndarray) -> bool:
     """Whether the graph has a single component (BFS from node 0)."""
@@ -112,16 +88,23 @@ def connected(adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _build_graph(adjacency: np.ndarray, seed: int) -> CommGraph:
-    weights = _laplacian_mixing(adjacency)
-    beta = spectral_gap(weights)
-    return CommGraph(
-        n_nodes=adjacency.shape[0],
-        adjacency=adjacency,
-        weights=weights,
-        beta=beta,
-        seed=seed,
-    )
+def _laplacian_mixing(adjacency: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mixing weights W = I - (2 / (3 * lambda_max(L))) * L and their beta.
+
+    One symmetric eigendecomposition of L = D - A gives both: W's spectrum
+    is 1 - scale * eig(L), where eig(L)[0] = 0 is the consensus direction,
+    so beta is the largest |1 - scale * lambda| over the other eigenvalues.
+    """
+    adj = adjacency.astype(float)
+    degrees = adj.sum(axis=1)
+    eigenvalues = np.linalg.eigvalsh(np.diag(degrees) - adj)
+    scale = 2.0 / (3.0 * eigenvalues[-1])
+    # W = I - scale * (D - A): diagonal 1 - scale*deg, off-diagonal +scale*A.
+    weights = scale * adj
+    np.fill_diagonal(weights, 1.0 - scale * degrees)
+    weights[np.abs(weights) < _ZERO_CLAMP] = 0.0
+    beta = float(np.max(np.abs(1.0 - scale * eigenvalues[1:])))
+    return weights, beta
 
 
 def gen_erdos_renyi(
@@ -147,102 +130,11 @@ def gen_erdos_renyi(
         upper = np.triu(rng.random((n, n)) < p_c, 1)
         adjacency = upper | upper.T
         if connected(adjacency):
-            return _build_graph(adjacency, seed)
+            weights, beta = _laplacian_mixing(adjacency)
+            return CommGraph(
+                n_nodes=n, adjacency=adjacency, weights=weights, beta=beta, seed=seed
+            )
     raise GraphError(
         f"no connected G({n}, {p_c}) sample in {max_attempts} attempts; "
         "edge probability is too small for this node count"
     )
-
-
-def laplacian_lambda_max(
-    adjacency: np.ndarray, rel_tol: float = 1e-10, max_iters: int = 10_000
-) -> float:
-    """Largest Laplacian eigenvalue by power iteration.
-
-    Uses a fixed pseudo-random start vector (the all-ones vector is the
-    Laplacian's null vector) and a Rayleigh quotient with residual-based
-    stopping at ``rel_tol``.  Falls back to a dense symmetric
-    eigendecomposition in the (pathological) event the iteration has not
-    certified convergence after ``max_iters`` steps.
-    """
-    degrees = adjacency.sum(axis=1).astype(float)
-    lap = np.diag(degrees) - adjacency.astype(float)
-    n = lap.shape[0]
-    v = derive_rng(_POWER_START_STREAM, n).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iters):
-        lv = lap @ v
-        lam = float(v @ lv)
-        residual = np.linalg.norm(lv - lam * v)
-        if residual <= rel_tol * max(lam, 1.0):
-            return lam
-        norm = np.linalg.norm(lv)
-        if norm == 0.0:  # start vector landed in the null space
-            v = derive_rng(_POWER_START_STREAM, n, 1).standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = lv / norm
-    return float(np.linalg.eigvalsh(lap)[-1])
-
-
-def _laplacian_mixing(adjacency: np.ndarray) -> np.ndarray:
-    degrees = adjacency.sum(axis=1).astype(float)
-    lam_max = laplacian_lambda_max(adjacency)
-    # W = I - scale * (D - A): diagonal 1 - scale*deg, off-diagonal +scale*A.
-    scale = 2.0 / (3.0 * lam_max)
-    weights = scale * adjacency.astype(float)
-    np.fill_diagonal(weights, 1.0 - scale * degrees)
-    weights[np.abs(weights) < _ZERO_CLAMP] = 0.0
-    return weights
-
-
-def mixing_matrix(graph: CommGraph) -> np.ndarray:
-    """Recompute W = I - (2 / (3 * lambda_max(L))) * L from the adjacency."""
-    if not connected(graph.adjacency):
-        raise GraphError("mixing matrix requires a connected graph")
-    return _laplacian_mixing(graph.adjacency)
-
-
-def spectral_gap(weights: np.ndarray, abs_tol: float = 1e-9) -> float:
-    """Second largest eigenvalue magnitude of a symmetric stochastic matrix.
-
-    Computed by dense symmetric eigendecomposition: the eigenvalue closest
-    to one is the stochastic (consensus) direction; the contraction rate is
-    the largest magnitude among the rest.  A result >= 1 - 1e-9 means the
-    weights do not mix (disconnected or periodic); a
-    :class:`PoorMixingWarning` is emitted and the value returned.
-    """
-    eigenvalues = np.linalg.eigvalsh(weights)
-    top = int(np.argmin(np.abs(eigenvalues - 1.0)))
-    rest = np.delete(eigenvalues, top)
-    beta = float(np.max(np.abs(rest))) if rest.size else 0.0
-    if beta >= 1.0 - abs_tol:
-        warnings.warn(
-            f"spectral gap {beta:.3e} >= 1 - 1e-9: disconnected or periodic weights",
-            PoorMixingWarning,
-            stacklevel=2,
-        )
-    return beta
-
-
-def graph_to_json(graph: CommGraph) -> dict:
-    """JSON-serializable topology: ``{n, edges, seed}``.
-
-    The mixing matrix is recomputed on load, never serialized, so stored
-    graphs cannot drift from the weight rule.
-    """
-    return {
-        "n": graph.n_nodes,
-        "edges": [[int(i), int(j)] for i, j in graph.edges],
-        "seed": int(graph.seed),
-    }
-
-
-def graph_from_json(payload: dict) -> CommGraph:
-    """Rebuild a graph (and recompute its weights) from :func:`graph_to_json`."""
-    n = int(payload["n"])
-    adjacency = np.zeros((n, n), dtype=bool)
-    for i, j in payload["edges"]:
-        adjacency[i, j] = adjacency[j, i] = True
-    return _build_graph(adjacency, int(payload["seed"]))

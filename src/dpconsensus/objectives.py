@@ -8,10 +8,8 @@ here lies strictly inside the cube.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +20,6 @@ __all__ = [
     "BoxDomain",
     "LocalDataset",
     "ObjectiveSpec",
-    "dataset_from_csv",
-    "dataset_to_csv",
     "gen_truncated_gaussian",
     "grand_mean",
     "mean_objective_constants",
@@ -204,17 +200,3 @@ def grand_mean(datasets: Sequence[LocalDataset]) -> np.ndarray:
     total = sum(d.points.sum(axis=0) for d in datasets)
     count = sum(d.n_points for d in datasets)
     return total / count
-
-
-def dataset_to_csv(data: LocalDataset, path: str | Path) -> None:
-    """One point per row, one column per coordinate."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in data.points:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def dataset_from_csv(path: str | Path, node_id: int = 0) -> LocalDataset:
-    with open(path, newline="") as fh:
-        points = np.array([[float(v) for v in row] for row in csv.reader(fh)])
-    return LocalDataset(points=points, node_id=node_id)

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .objectives import BoxDomain, ObjectiveSpec
+from .objectives import ObjectiveSpec
 
 __all__ = [
     "BudgetReport",
@@ -28,11 +28,9 @@ __all__ = [
     "budget_check",
     "calibrate_noise_schedule",
     "lipschitz_step_sensitivity",
-    "mean_step_sensitivity",
     "noise_budget",
     "noiseless_schedule",
     "privacy_allowance",
-    "small_epsilon_allowance",
 ]
 
 # Relative slack absorbing floating-point summation order in allowance
@@ -59,14 +57,6 @@ def privacy_allowance(budget: PrivacyBudget) -> float:
     return budget.epsilon**2 / (budget.epsilon + 2.0 * math.log(2.0 / budget.delta))
 
 
-def small_epsilon_allowance(budget: PrivacyBudget) -> float:
-    """Simplified allowance epsilon^2 / (2 log(2/delta)), valid as epsilon -> 0.
-
-    Diagnostic only; calibration always uses :func:`privacy_allowance`.
-    """
-    return budget.epsilon**2 / (2.0 * math.log(2.0 / budget.delta))
-
-
 def noise_budget(budget: PrivacyBudget, grad_bound: float) -> float:
     """Budget constant for the step-normalized spend sum_t eta_t^2 / M_t^2.
 
@@ -89,18 +79,6 @@ def lipschitz_step_sensitivity(step_size: float, grad_bound: float) -> float:
     if step_size < 0.0 or grad_bound < 0.0:
         raise ValueError("step_size and grad_bound must be nonnegative")
     return 2.0 * step_size * grad_bound
-
-
-def mean_step_sensitivity(step_size: float, domain: BoxDomain) -> float:
-    """Per-round sensitivity 2R*sqrt(p)*eta of the mean-estimation gradient.
-
-    A single-point change shifts the quadratic's gradient by exactly
-    d' - d, so the iterate gap is at most eta times the cube diameter:
-    tighter than the generic Lipschitz route whenever points are many.
-    """
-    if step_size < 0.0:
-        raise ValueError("step_size must be nonnegative")
-    return step_size * domain.diameter
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from dpconsensus.cli import main as cli_main
 from dpconsensus.engine import RunConfig, run, run_gradient_phase
 from dpconsensus.experiments import (
     ExperimentConfig,
+    bound_inputs,
     build_run_config,
     preset_sweep,
     single_run_seeds,
@@ -69,19 +70,7 @@ def _default_cell(horizon: int) -> tuple[RunConfig, BoundInputs]:
     base = ExperimentConfig(horizon=horizon)
     graph_seed, data_seed, _ = single_run_seeds(MASTER_SEED)
     config = build_run_config(base, graph_seed, data_seed, noise_seed=0)
-    x_star = config.minimizer()
-    inputs = BoundInputs(
-        s0=float(config.n_nodes * (x_star @ x_star)),  # iterates start at 0
-        spec=mean_objective_constants(config.datasets[0], config.domain),
-        beta=config.graph.beta,
-        budget=base.budget,
-        horizon=horizon,
-        dimension=config.domain.dimension,
-        x_star=x_star,
-        n_nodes=config.n_nodes,
-        noise_grad_bound=config.domain.diameter / 2.0,
-    )
-    return config, inputs
+    return config, bound_inputs(base, config)
 
 
 @pytest.fixture(scope="module")

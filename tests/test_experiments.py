@@ -1,4 +1,4 @@
-"""Sweep machinery: seed splitting, determinism, presets, serialization."""
+"""Sweep machinery: seed splitting, determinism, presets, bound inputs."""
 
 from dataclasses import replace
 
@@ -9,9 +9,9 @@ from dpconsensus.experiments import (
     AXES,
     ExperimentConfig,
     SweepSpec,
+    bound_inputs,
     build_run_config,
     cell_seeds,
-    default_experiment,
     preset_sweep,
     single_run_seeds,
     sweep,
@@ -22,7 +22,7 @@ TINY = ExperimentConfig(n_nodes=5, points_per_node=20, dimension=2, horizon=8)
 
 
 def test_default_experiment_values():
-    spec = default_experiment()
+    spec = preset_sweep("T")
     base = spec.base
     assert base.n_nodes == 10
     assert base.points_per_node == 100
@@ -33,11 +33,6 @@ def test_default_experiment_values():
     assert base.half_width == 1.0
     assert base.horizon == 1000
     assert spec.n_seeds == 20
-
-
-def test_spec_round_trips_through_serialization():
-    spec = default_experiment()
-    assert SweepSpec.from_dict(spec.to_dict()) == spec
 
 
 def test_spec_validation():
@@ -95,6 +90,19 @@ def test_build_run_config_uses_the_instance_sensitivity():
         2.0 * TINY.points_per_node * diameter * config.schedule.step_sizes,
         rtol=1e-12,
     )
+
+
+def test_bound_inputs_carry_the_calibration_gradient_bound():
+    config = build_run_config(TINY, *single_run_seeds(3))
+    inputs = bound_inputs(TINY, config)
+    assert inputs.noise_grad_bound == TINY.domain.diameter / 2.0
+    assert inputs.beta == config.graph.beta
+    assert inputs.horizon == TINY.horizon
+    assert np.array_equal(inputs.x_star, config.minimizer())
+    # The configured value is passed through, not rebuilt from the schedule.
+    base = ExperimentConfig(calibration_grad_bound=123.4)
+    inputs = bound_inputs(base, build_run_config(base, *single_run_seeds(3)))
+    assert inputs.noise_grad_bound == 123.4
 
 
 def test_with_value_coerces_integer_axes():

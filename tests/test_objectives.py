@@ -9,8 +9,6 @@ from dpconsensus.objectives import (
     BoxDomain,
     LocalDataset,
     ObjectiveSpec,
-    dataset_from_csv,
-    dataset_to_csv,
     gen_truncated_gaussian,
     grand_mean,
     mean_objective_constants,
@@ -159,15 +157,6 @@ def test_aggregate_gradient_vanishes_at_the_grand_mean():
     center = grand_mean(datasets)
     total = sum(mean_objective_grad(center, d) for d in datasets)
     assert np.linalg.norm(total) <= 1e-9
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    domain = BoxDomain(half_width=1.0, dimension=3)
-    data = gen_truncated_gaussian(40, domain, seed=5, node_id=2)
-    path = tmp_path / "points.csv"
-    dataset_to_csv(data, path)
-    loaded = dataset_from_csv(path, node_id=2)
-    assert np.array_equal(loaded.points, data.points)
 
 
 def test_replace_point_builds_a_neighbor():

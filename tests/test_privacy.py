@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from dpconsensus.objectives import BoxDomain, ObjectiveSpec
+from dpconsensus.objectives import ObjectiveSpec
 from dpconsensus.privacy import (
     NoiseSchedule,
     PrivacyBudget,
     budget_check,
     calibrate_noise_schedule,
     lipschitz_step_sensitivity,
-    mean_step_sensitivity,
     noise_budget,
     noiseless_schedule,
     privacy_allowance,
-    small_epsilon_allowance,
 )
 
 UNIT_SPEC = ObjectiveSpec(grad_bound=1.0, smoothness=1.0, strong_convexity=1.0, dimension=1)
@@ -60,10 +58,6 @@ def test_allowance_formulas():
     assert privacy_allowance(BUDGET_4) == pytest.approx(
         16.0 / (4.0 + 2.0 * math.log(2000.0)), rel=1e-12
     )
-    # The small-epsilon form drops epsilon from the denominator.
-    assert small_epsilon_allowance(BUDGET_4) == pytest.approx(
-        16.0 / (2.0 * math.log(2000.0)), rel=1e-12
-    )
 
 
 def test_budget_validation():
@@ -76,12 +70,6 @@ def test_budget_validation():
 def test_generic_sensitivity():
     assert lipschitz_step_sensitivity(0.5, 1.0) == 1.0
     assert lipschitz_step_sensitivity(0.0, 5.0) == 0.0
-
-
-def test_mean_estimation_sensitivity_is_step_times_diameter():
-    domain = BoxDomain(half_width=1.0, dimension=4)
-    eta = 0.25
-    assert mean_step_sensitivity(eta, domain) == pytest.approx(4.0 * eta, rel=1e-12)
 
 
 def test_calibrated_schedule_matches_closed_form():
