@@ -32,7 +32,6 @@ from .engine import (
     RunConfig,
     RunMetrics,
     SimState,
-    SimulationError,
     run,
     run_agreement_phase,
     run_gradient_phase,

@@ -8,10 +8,12 @@ quadratic part and a zero-mean noise part:
 
 where g(t) = x_k(t) - x'_k(t) is the gap between the edited node's iterate
 and its counterfactual under the single-point edit, and n_k(t) is the noise
-realization attached to x_k(t).  The audit runs the gradient phase twice
-under that coupling (identical noise, shared broadcasts: the counterfactual
-run consumes the factual run's messages when averaging) and evaluates both
-terms on the realized trajectories.
+realization attached to x_k(t).  Under that coupling (identical noise,
+shared broadcasts: the counterfactual run consumes the factual run's
+messages when averaging) only node k's local step differs, so the audit
+reuses the engine's gradient-round loop for the factual run, adds the
+counterfactual step of node k each round, and evaluates both terms on the
+stored gaps and noise after the loop.
 
 The deterministic part never exceeds half the configured sensitivity spend,
 the noise part has zero mean, and the total exceeds epsilon in magnitude
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import RunConfig, _gradient_round, _gradient_sums, broadcast_noise_scale
+from .engine import RunConfig, _gradient_rounds
 from .objectives import LocalDataset, project_box
 from .privacy import PrivacyBudget
 from .rng import derive_rng, derive_seed
@@ -98,57 +100,42 @@ def _validate_edit(config: RunConfig, edit: NeighborEdit) -> np.ndarray:
 
 
 def _coupled_run(
-    config: RunConfig, edit: NeighborEdit, noise_seed: int, collect_gaps: bool
-) -> tuple[PrivacyLossSample, np.ndarray | None]:
+    config: RunConfig, edit: NeighborEdit, noise_seed: int
+) -> tuple[PrivacyLossSample, np.ndarray]:
+    """Loss sample and per-round gap norms of one coupled pair of runs."""
     replacement = _validate_edit(config, edit)
-    k = edit.node_id
-    old_point = config.datasets[k].points[edit.point_index]
-    # grad'_k(z) = grad_k(z) + (old - new): the only difference between runs.
-    grad_shift = old_point - replacement
-
-    n, p = config.n_nodes, config.domain.dimension
-    weights = config.graph.weights
-    counts, sums = _gradient_sums(config.datasets)
     schedule = config.schedule
     if np.any(schedule.scales <= 0.0):
         raise ValueError("privacy-loss audit needs strictly positive noise scales")
+    k = edit.node_id
+    data = config.datasets[k]
+    count, total = float(data.n_points), data.points.sum(axis=0)
+    # grad'_k(z) = grad_k(z) + (old - new): the only difference between runs.
+    grad_shift = data.points[edit.point_index] - replacement
+
+    horizon, p = schedule.horizon, config.domain.dimension
+    # Row t holds node k's gap x_k(t) - x'_k(t) and the noise attached to
+    # x_k(t), which the round-(t+1) broadcast carries; x(0) = 0 in both runs.
+    gaps = np.zeros((horizon + 1, p))
+    noise_k = np.empty((horizon + 1, p))
     rng = derive_rng(noise_seed)
-
-    horizon = schedule.horizon
-    gaps = np.zeros(horizon) if collect_gaps else None
-    deterministic = 0.0
-    noise_term = 0.0
-
-    def account(iterate_index: int, gap: np.ndarray, noise_at_k: np.ndarray) -> None:
-        nonlocal deterministic, noise_term
-        scale = float(schedule.scales[iterate_index - 1])
-        gap_sq = float(gap @ gap)
-        deterministic += gap_sq / (2.0 * scale**2)
-        noise_term += float(noise_at_k @ gap) / scale**2
-        if gaps is not None:
-            gaps[iterate_index - 1] = math.sqrt(gap_sq)
-
-    x = np.zeros((n, p))
-    gap_prev = np.zeros(p)  # gap of x(0): both runs start at the origin
-    for t in range(1, horizon + 1):
-        scale = broadcast_noise_scale(schedule, t, config.strict_first_broadcast)
-        noise = rng.standard_normal((n, p)) * scale
-        if t >= 2:
-            # The round-t broadcast reveals x(t-1) under scale M_{t-1}.
-            account(t - 1, gap_prev, noise[k])
-        step = float(schedule.step_sizes[t - 1])
-        _, z, x = _gradient_round(x, noise, weights, config.domain, step, counts, sums)
+    rounds = zip(schedule.step_sizes, _gradient_rounds(config, rng))
+    for t, (step, (noise, z, x)) in enumerate(rounds, start=1):
+        noise_k[t - 1] = noise[k]
         # Counterfactual iterate of the edited node from the same consensus
         # point (both runs see identical broadcasts by the coupling).
-        grad_k = counts[k] * z[k] - sums[k]
-        x_alt = project_box(z[k] - step * (grad_k + grad_shift), config.domain)
-        gap_prev = x[k] - x_alt
+        x_alt = project_box(z[k] - step * (count * z[k] - total + grad_shift), config.domain)
+        gaps[t] = x[k] - x_alt
     # Terminal broadcast of x(T): the transcript being audited releases every
     # iterate under noise, so the final draw (scale M_T) is consumed here
     # even though the agreement phase would send x(T) exactly.
-    final_draw = rng.standard_normal((n, p)) * float(schedule.scales[horizon - 1])
-    account(horizon, gap_prev, final_draw[k])
-    return PrivacyLossSample(deterministic, noise_term), gaps
+    noise_k[horizon] = rng.standard_normal((config.n_nodes, p))[k] * schedule.scales[-1]
+
+    gap_sq = np.einsum("tp,tp->t", gaps[1:], gaps[1:])
+    variances = schedule.scales**2
+    deterministic = float(np.sum(gap_sq / (2.0 * variances)))
+    noise_term = float(np.sum(np.einsum("tp,tp->t", noise_k[1:], gaps[1:]) / variances))
+    return PrivacyLossSample(deterministic, noise_term), np.sqrt(gap_sq)
 
 
 def coupled_privacy_loss(
@@ -163,17 +150,14 @@ def coupled_privacy_loss(
     iterates: the final iterate's broadcast noise (scale M_T) is drawn even
     though the agreement phase that follows would send it exactly.
     """
-    sample, _ = _coupled_run(config, edit, noise_seed, collect_gaps=False)
-    return sample
+    return _coupled_run(config, edit, noise_seed)[0]
 
 
 def coupled_gap_trace(
     config: RunConfig, edit: NeighborEdit, noise_seed: int
 ) -> np.ndarray:
     """Per-round iterate gap norms ||x_k(t) - x'_k(t)|| of the coupled runs."""
-    _, gaps = _coupled_run(config, edit, noise_seed, collect_gaps=True)
-    assert gaps is not None
-    return gaps
+    return _coupled_run(config, edit, noise_seed)[1]
 
 
 def collect_samples(

@@ -33,10 +33,12 @@ from .analysis import empirical_vs_bound, mean_error_bound
 from .audit import collect_samples, plant_point, tail_audit, worst_case_edit
 from .engine import RunConfig, run, run_gradient_phase
 from .experiments import (
+    AXES,
     ExperimentConfig,
     SweepSpec,
     bound_inputs,
     build_run_config,
+    preset_sweep,
     single_run_seeds,
     sweep,
     write_rows_csv,
@@ -72,6 +74,12 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _axis(text: str) -> str:
+    if text not in AXES:
+        raise ValueError(f"unknown axis {text!r}; choose one of {sorted(AXES)}")
+    return text
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     values = tuple(float(v) for v in text.replace(",", " ").split())
     if not values:
@@ -79,7 +87,8 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-# dotted key -> (parser, default); defaults match ExperimentConfig.
+# dotted key -> (parser, default); defaults match ExperimentConfig.  A
+# ``sweep.values`` of None resolves to the preset grid of ``sweep.axis``.
 _DEFAULT_BASE = ExperimentConfig()
 _SCHEMA: dict[str, tuple[Callable, object]] = {
     "experiment.n_nodes": (int, _DEFAULT_BASE.n_nodes),
@@ -95,8 +104,8 @@ _SCHEMA: dict[str, tuple[Callable, object]] = {
     "privacy.calibration_grad_bound": (_optional_float, _DEFAULT_BASE.calibration_grad_bound),
     "stage2.rel_tol": (float, _DEFAULT_BASE.stage2_rel_tol),
     "stage2.max_rounds": (_optional_int, _DEFAULT_BASE.stage2_max_rounds),
-    "sweep.axis": (str, "T"),
-    "sweep.values": (_float_list, (10.0, 100.0, 1000.0)),
+    "sweep.axis": (_axis, "T"),
+    "sweep.values": (_float_list, None),
     "sweep.n_seeds": (int, 20),
     "audit.n_samples": (int, 10_000),
     "audit.node_id": (int, 0),
@@ -146,6 +155,8 @@ def resolve_config(
             resolved[key] = parse(value)
         except ValueError as exc:
             raise CliError(f"bad value for {key}: {exc}") from exc
+    if resolved["sweep.values"] is None:
+        resolved["sweep.values"] = preset_sweep(resolved["sweep.axis"]).values
     return resolved
 
 

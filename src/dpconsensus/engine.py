@@ -13,7 +13,10 @@ the round-(t+1) broadcast carries scale M_t; this is the pairing the budget
 accounting assumes (round-t sensitivity over M_t).  The round-1 broadcast
 carries x(0) = 0, which touches no data: by default it still gets scale-M_1
 noise for a uniform message shape, and ``strict_first_broadcast`` sends the
-literal zero instead.  Both choices spend the same budget.
+literal zero instead.  Both choices spend the same budget.  The round loop
+lives in one place, ``_gradient_rounds``, which the privacy-loss audit
+consumes too; each phase's metrics are computed once from its stored
+trajectory.
 
 Agreement phase (rounds t > T): exact broadcasts and pure consensus
 averaging without projection, until the per-node relative change drops
@@ -24,8 +27,8 @@ iterate unchanged and contracts the consensus deviation geometrically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -38,7 +41,6 @@ __all__ = [
     "RunConfig",
     "RunMetrics",
     "SimState",
-    "SimulationError",
     "run",
     "run_agreement_phase",
     "run_gradient_phase",
@@ -46,10 +48,6 @@ __all__ = [
 
 # Denominator floor in the relative-change stopping rule.
 _REL_CHANGE_FLOOR = 1e-12
-
-
-class SimulationError(RuntimeError):
-    """Non-finite iterates or an otherwise divergent configuration."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class RunConfig:
     stage2_rel_tol: float = 1e-9
     stage2_max_rounds: int | None = None
     strict_first_broadcast: bool = False
-    probe_nodes: tuple[int, ...] = (0,)
+    probe_node: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "datasets", tuple(self.datasets))
@@ -80,14 +78,12 @@ class RunConfig:
                 raise ValueError(f"dataset of node {data.node_id} leaves the domain box")
         if self.schedule.horizon < 1:
             raise ValueError("schedule horizon must be >= 1")
-        if self.stage2_rel_tol < 0.0:
-            raise ValueError("stage2_rel_tol must be nonnegative")
+        if not 0.0 <= self.stage2_rel_tol < 1.0:  # the round cap needs log(1/tol) > 0
+            raise ValueError(f"stage2_rel_tol must lie in [0, 1), got {self.stage2_rel_tol}")
         if self.stage2_max_rounds is not None and self.stage2_max_rounds < 1:
             raise ValueError("stage2_max_rounds must be >= 1 when given")
-        if not self.probe_nodes or any(
-            not 0 <= i < self.graph.n_nodes for i in self.probe_nodes
-        ):
-            raise ValueError("probe_nodes must name at least one valid node")
+        if not 0 <= self.probe_node < self.graph.n_nodes:
+            raise ValueError(f"probe_node {self.probe_node} is not a node of the graph")
 
     @property
     def n_nodes(self) -> int:
@@ -112,13 +108,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Network snapshot after a round: iterates, broadcasts, consensus points."""
+    """Network snapshot after round ``t``: the node iterates."""
 
     t: int
     x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    noise: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -126,6 +119,7 @@ class RunMetrics:
     """Per-round time series; parallel arrays, one entry per executed round.
 
     ``stage`` is 1 for gradient rounds and 2 for agreement rounds.
+    ``probe_error`` is the normalized squared error of node ``probe_node``.
     ``z_dev`` (consensus deviation of the post-projection averages) is NaN
     in stage 2; ``mean_drift`` (infinity-norm drift of the mean iterate
     from its stage-1 endpoint) and ``contraction_ratio`` (consensus
@@ -142,11 +136,11 @@ class RunMetrics:
     mean_iterate: np.ndarray
     mean_drift: np.ndarray
     contraction_ratio: np.ndarray
-    probe_nodes: tuple[int, ...]
+    probe_node: int
 
     @staticmethod
     def concat(first: "RunMetrics", second: "RunMetrics") -> "RunMetrics":
-        if first.probe_nodes != second.probe_nodes:
+        if first.probe_node != second.probe_node:
             raise ValueError("cannot concatenate metrics with different probes")
         return RunMetrics(
             stage=np.concatenate([first.stage, second.stage]),
@@ -162,7 +156,7 @@ class RunMetrics:
             contraction_ratio=np.concatenate(
                 [first.contraction_ratio, second.contraction_ratio]
             ),
-            probe_nodes=first.probe_nodes,
+            probe_node=first.probe_node,
         )
 
     def gradient_end_index(self) -> int:
@@ -178,8 +172,8 @@ class RunMetrics:
     def gradient_end_normalized_error(self) -> float:
         return float(self.normalized_error[self.gradient_end_index()])
 
-    def gradient_end_probe_error(self, probe: int = 0) -> float:
-        return float(self.probe_error[self.gradient_end_index(), probe])
+    def gradient_end_probe_error(self) -> float:
+        return float(self.probe_error[self.gradient_end_index()])
 
     @property
     def agreement_rounds(self) -> int:
@@ -193,52 +187,41 @@ class RunMetrics:
                 int(self.t[i]),
                 float(self.normalized_error[i]),
                 float(self.consensus_dev[i]),
-                float(self.probe_error[i, 0]),
+                float(self.probe_error[i]),
             )
 
 
-class _Recorder:
-    def __init__(self, probe_nodes: tuple[int, ...], x_star: np.ndarray) -> None:
-        self.probe_nodes = probe_nodes
-        self.x_star = x_star
-        self.x_star_sq = float(x_star @ x_star)
-        self.rows: list[tuple] = []
+def _deviation(points: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each round's deviation from its node average."""
+    centered = points - points.mean(axis=1, keepdims=True)
+    return np.sqrt(np.einsum("rnp,rnp->r", centered, centered))
 
-    def record(
-        self,
-        stage: int,
-        t: int,
-        x: np.ndarray,
-        z_dev: float = math.nan,
-        mean_drift: float = math.nan,
-        contraction_ratio: float = math.nan,
-    ) -> None:
-        x_bar = x.mean(axis=0)
-        err = x_bar - self.x_star
-        denom = max(self.x_star_sq, _REL_CHANGE_FLOOR)
-        normalized = float(err @ err) / denom
-        dev = float(np.linalg.norm(x - x_bar[None, :]))
-        probes = [
-            float(np.sum((x[i] - self.x_star) ** 2)) / denom for i in self.probe_nodes
-        ]
-        self.rows.append(
-            (stage, t, normalized, dev, z_dev, probes, x_bar, mean_drift, contraction_ratio)
-        )
 
-    def build(self) -> RunMetrics:
-        stages, ts, errs, devs, zdevs, probes, means, drifts, ratios = zip(*self.rows)
-        return RunMetrics(
-            stage=np.array(stages, dtype=int),
-            t=np.array(ts, dtype=int),
-            normalized_error=np.array(errs),
-            consensus_dev=np.array(devs),
-            z_dev=np.array(zdevs),
-            probe_error=np.array(probes),
-            mean_iterate=np.array(means),
-            mean_drift=np.array(drifts),
-            contraction_ratio=np.array(ratios),
-            probe_nodes=self.probe_nodes,
-        )
+def _metrics(config: RunConfig, stage: int, first_round: int, xs: np.ndarray) -> RunMetrics:
+    """Stage-independent metrics of iterates ``xs[i] = x(first_round + i)``.
+
+    ``z_dev``, ``mean_drift`` and ``contraction_ratio`` are left NaN for the
+    caller to fill in for its stage.
+    """
+    x_star = config.minimizer()
+    denom = max(float(x_star @ x_star), _REL_CHANGE_FLOOR)
+    x_bar = xs.mean(axis=1)
+    err = x_bar - x_star
+    probe = xs[:, config.probe_node] - x_star
+    rounds = xs.shape[0]
+    unset = np.full(rounds, math.nan)
+    return RunMetrics(
+        stage=np.full(rounds, stage),
+        t=np.arange(first_round, first_round + rounds),
+        normalized_error=np.einsum("rp,rp->r", err, err) / denom,
+        consensus_dev=_deviation(xs),
+        z_dev=unset,
+        probe_error=np.einsum("rp,rp->r", probe, probe) / denom,
+        mean_iterate=x_bar,
+        mean_drift=unset,
+        contraction_ratio=unset,
+        probe_node=config.probe_node,
+    )
 
 
 def broadcast_noise_scale(schedule: NoiseSchedule, round_index: int, strict_first: bool) -> float:
@@ -253,58 +236,42 @@ def broadcast_noise_scale(schedule: NoiseSchedule, round_index: int, strict_firs
     return float(schedule.scales[round_index - 2])
 
 
-def _gradient_sums(datasets: Sequence[LocalDataset]) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.array([d.n_points for d in datasets], dtype=float)
-    sums = np.stack([d.points.sum(axis=0) for d in datasets])
-    return counts, sums
+def _gradient_rounds(
+    config: RunConfig, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rounds 1..T of the noisy gradient phase; yields ``(noise, z, x)`` per round.
 
-
-def _gradient_round(
-    x_prev: np.ndarray,
-    noise: np.ndarray,
-    weights: np.ndarray,
-    domain: BoxDomain,
-    step_size: float,
-    counts: np.ndarray,
-    sums: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One synchronous round: returns (y, z, x)."""
-    y = x_prev + noise
-    z = project_box(weights @ y, domain)
-    grads = counts[:, None] * z - sums
-    x = project_box(z - step_size * grads, domain)
-    return y, z, x
+    ``noise`` is the scaled round-t broadcast noise (on x(t-1)), ``z`` the
+    projected consensus points and ``x`` the new iterates, all ``(n, p)``.
+    All nodes update synchronously from the previous round's broadcasts;
+    each round consumes exactly n_nodes * dimension standard normal draws
+    from ``rng``, node-major.
+    """
+    domain, schedule = config.domain, config.schedule
+    weights = config.graph.weights
+    counts = np.array([d.n_points for d in config.datasets], dtype=float)[:, None]
+    sums = np.stack([d.points.sum(axis=0) for d in config.datasets])
+    x = np.zeros((config.n_nodes, domain.dimension))
+    for t in range(1, config.horizon + 1):
+        scale = broadcast_noise_scale(schedule, t, config.strict_first_broadcast)
+        noise = rng.standard_normal(x.shape) * scale
+        z = project_box(weights @ (x + noise), domain)
+        x = project_box(z - float(schedule.step_sizes[t - 1]) * (counts * z - sums), domain)
+        yield noise, z, x
 
 
 def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
     """Execute rounds 1..T of the noisy gradient phase.
 
-    All nodes update synchronously from the previous round's broadcasts;
-    each round consumes exactly n_nodes * dimension standard normal draws
-    from the run's stream, node-major.  Deterministic given
-    ``config.noise_seed``.
+    Deterministic given ``config.noise_seed``; metrics are computed once
+    from the stored trajectory.
     """
-    n, p = config.n_nodes, config.domain.dimension
-    weights = config.graph.weights
-    counts, sums = _gradient_sums(config.datasets)
-    rng = derive_rng(config.noise_seed)
-    recorder = _Recorder(config.probe_nodes, config.minimizer())
-
-    x = np.zeros((n, p))
-    y = z = noise = x
-    for t in range(1, config.horizon + 1):
-        scale = broadcast_noise_scale(config.schedule, t, config.strict_first_broadcast)
-        noise = rng.standard_normal((n, p)) * scale
-        y, z, x = _gradient_round(
-            x, noise, weights, config.domain, float(config.schedule.step_sizes[t - 1]),
-            counts, sums,
-        )
-        if not np.isfinite(x).all():
-            raise SimulationError(f"non-finite iterate at gradient round {t}")
-        z_bar = z.mean(axis=0)
-        recorder.record(1, t, x, z_dev=float(np.linalg.norm(z - z_bar[None, :])))
-    state = SimState(t=config.horizon, x=x, y=y, z=z, noise=noise)
-    return state, recorder.build()
+    shape = (config.horizon, config.n_nodes, config.domain.dimension)
+    zs, xs = np.empty(shape), np.empty(shape)
+    for r, (_, z, x) in enumerate(_gradient_rounds(config, derive_rng(config.noise_seed))):
+        zs[r], xs[r] = z, x
+    metrics = replace(_metrics(config, 1, 1, xs), z_dev=_deviation(zs))
+    return SimState(t=config.horizon, x=x), metrics
 
 
 def run_agreement_phase(
@@ -317,35 +284,30 @@ def run_agreement_phase(
     below ``stage2_rel_tol``, or after the round cap.
     """
     weights = config.graph.weights
-    beta = config.graph.beta
-    recorder = _Recorder(config.probe_nodes, config.minimizer())
-    x = state.x
-    x_t_norm = float(np.linalg.norm(x))
-    mean_at_t = x.mean(axis=0)
     cap = config.agreement_round_cap()
-    t = state.t
-    for k in range(1, cap + 1):
-        t = state.t + k
-        y = x
-        x_next = weights @ y
+    # Rows are reserved in doubling chunks: the cap can exceed the rounds
+    # actually run by orders of magnitude.
+    xs = np.empty((min(cap, 256), *state.x.shape))
+    x, rounds = state.x, 0
+    while rounds < cap:
+        if rounds == len(xs):
+            xs = np.concatenate([xs, np.empty_like(xs)])
+        x_next = weights @ x
         node_changes = np.linalg.norm(x_next - x, axis=1)
         node_norms = np.maximum(np.linalg.norm(x, axis=1), _REL_CHANGE_FLOOR)
-        rel_change = float(np.max(node_changes / node_norms))
-        dev = float(np.linalg.norm(x_next - x_next.mean(axis=0)[None, :]))
-        geometric = beta**k * x_t_norm
-        ratio = dev / geometric if geometric > 0.0 else (0.0 if dev == 0.0 else math.inf)
-        recorder.record(
-            2,
-            t,
-            x_next,
-            mean_drift=float(np.max(np.abs(x_next.mean(axis=0) - mean_at_t))),
-            contraction_ratio=ratio,
-        )
-        x = x_next
-        if rel_change < config.stage2_rel_tol:
+        xs[rounds] = x = x_next
+        rounds += 1
+        if np.max(node_changes / node_norms) < config.stage2_rel_tol:
             break
-    final = SimState(t=t, x=x, y=x, z=x, noise=np.zeros_like(x))
-    return final, recorder.build()
+    metrics = _metrics(config, 2, state.t + 1, xs[:rounds])
+    dev = metrics.consensus_dev
+    geometric = config.graph.beta ** np.arange(1, rounds + 1) * float(np.linalg.norm(state.x))
+    ratio = np.divide(
+        dev, geometric, out=np.where(dev == 0.0, 0.0, math.inf), where=geometric > 0.0
+    )
+    drift = np.max(np.abs(metrics.mean_iterate - state.x.mean(axis=0)), axis=1)
+    final = SimState(t=state.t + rounds, x=x)
+    return final, replace(metrics, mean_drift=drift, contraction_ratio=ratio)
 
 
 def run(config: RunConfig) -> RunMetrics:

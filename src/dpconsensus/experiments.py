@@ -170,7 +170,7 @@ def build_run_config(
         stage2_rel_tol=base.stage2_rel_tol,
         stage2_max_rounds=base.stage2_max_rounds,
         strict_first_broadcast=base.strict_first_broadcast,
-        probe_nodes=(base.probe_node,),
+        probe_node=base.probe_node,
     )
 
 
@@ -271,7 +271,7 @@ def _run_cell(args: tuple[ExperimentConfig, str, float, int, int, int]) -> Sweep
         value=value,
         seed=seed_index,
         normalized_error=metrics.gradient_end_normalized_error(),
-        probe_error=metrics.gradient_end_probe_error(0),
+        probe_error=metrics.gradient_end_probe_error(),
         stage2_rounds=metrics.agreement_rounds,
         wall_ms=wall_ms,
     )

@@ -103,6 +103,8 @@ class NoiseSchedule:
             arr = getattr(self, name)
             if arr.shape != (t,):
                 raise ValueError(f"{name} must have length {t}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.step_sizes <= 0.0):
             raise ValueError("step sizes must be positive")
         if np.any(self.scales < 0.0):

@@ -16,7 +16,9 @@ from dpconsensus.audit import (
     tail_audit,
     worst_case_edit,
 )
+from dpconsensus.objectives import mean_objective_grad, project_box
 from dpconsensus.privacy import PrivacyBudget
+from dpconsensus.rng import derive_rng
 
 from test_engine import make_config
 
@@ -138,3 +140,60 @@ def test_plant_point_only_touches_the_target():
     assert np.array_equal(
         planted.datasets[1].points[mask], config.datasets[1].points[mask]
     )
+
+
+def reference_coupled_run(config, edit, noise_seed):
+    """The per-round audit loop, written out independently of the engine.
+
+    The round-t broadcast reveals x(t-1) under scale M_{t-1}, so the loss
+    term of iterate t is accounted one round later, with the round-(t+1)
+    noise; x(T) is accounted with one extra terminal draw at scale M_T.
+    """
+    k = edit.node_id
+    edited = edit.apply(config.datasets)[k]
+    schedule, domain = config.schedule, config.domain
+    n, p = config.n_nodes, domain.dimension
+    rng = derive_rng(noise_seed)
+    deterministic = noise_part = 0.0
+    gaps = []
+
+    def account(t, gap, noise_at_k):
+        nonlocal deterministic, noise_part
+        scale = float(schedule.scales[t - 1])  # M_t protects x(t)
+        deterministic += float(gap @ gap) / (2.0 * scale**2)
+        noise_part += float(noise_at_k @ gap) / scale**2
+        gaps.append(math.sqrt(float(gap @ gap)))
+
+    x = np.zeros((n, p))
+    gap = np.zeros(p)
+    for t in range(1, schedule.horizon + 1):
+        if t == 1:
+            scale = 0.0 if config.strict_first_broadcast else schedule.scales[0]
+        else:
+            scale = schedule.scales[t - 2]
+        noise = rng.standard_normal((n, p)) * scale
+        if t >= 2:
+            account(t - 1, gap, noise[k])
+        step = schedule.step_sizes[t - 1]
+        z = project_box(config.graph.weights @ (x + noise), domain)
+        grads = np.stack([mean_objective_grad(z[i], d) for i, d in enumerate(config.datasets)])
+        x = project_box(z - step * grads, domain)
+        x_alt = project_box(z[k] - step * mean_objective_grad(z[k], edited), domain)
+        gap = x[k] - x_alt
+    terminal = rng.standard_normal((n, p)) * schedule.scales[-1]
+    account(schedule.horizon, gap, terminal[k])
+    return PrivacyLossSample(deterministic, noise_part), np.array(gaps)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_coupled_run_matches_the_per_round_reference(audit_setup, strict):
+    config, edit = audit_setup
+    config = replace(config, strict_first_broadcast=strict)
+    for seed in (3, 17, 2024):
+        expected, expected_gaps = reference_coupled_run(config, edit, seed)
+        sample = coupled_privacy_loss(config, edit, seed)
+        assert sample.deterministic_part == pytest.approx(expected.deterministic_part, rel=1e-12)
+        assert sample.noise_part == pytest.approx(expected.noise_part, rel=1e-12)
+        gaps = coupled_gap_trace(config, edit, seed)
+        assert gaps.shape == (config.schedule.horizon,)
+        np.testing.assert_allclose(gaps, expected_gaps, rtol=1e-12, atol=0.0)

@@ -27,6 +27,7 @@ def test_resolve_defaults_match_the_standard_experiment():
     assert resolved["privacy.delta"] == 1e-3
     assert resolved["experiment.edge_prob"] == 0.6
     assert resolved["sweep.n_seeds"] == 20
+    assert resolved["sweep.values"] == (10.0, 100.0, 1000.0)  # the T axis grid
 
 
 def test_unknown_key_is_named():
@@ -157,3 +158,27 @@ def test_bound_command_compares_bound_and_simulation(tmp_path):
 def test_set_flag_requires_key_value(capsys):
     assert run_cli("run", "--set", "horizon") == 1
     assert "--set" in capsys.readouterr().err
+
+
+def test_sweep_defaults_to_the_preset_grid_of_its_axis(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", *TINY, "--axis", "epsilon", "--T", "5", "--set", "sweep.n_seeds=1",
+        "--output", str(out),
+    )
+    assert code == 0
+    grid = [0.5, 1.0, 2.0, 4.0, 8.0]
+    summary = json.loads(out.with_suffix(".summary.json").read_text())
+    assert summary["config"]["sweep.values"] == grid
+    assert sorted(float(v) for v in summary["per_value"]) == grid
+    lines = out.read_text().splitlines()
+    assert "# sweep.values = 0.5,1.0,2.0,4.0,8.0" in lines
+    rows = [line for line in lines if line.startswith("epsilon,")]
+    assert [float(row.split(",")[1]) for row in rows] == grid
+
+
+def test_unknown_sweep_axis_is_named(tmp_path, capsys):
+    code = run_cli("sweep", *TINY, "--axis", "bogus", "--output", str(tmp_path / "s.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sweep.axis" in err and "bogus" in err

@@ -9,6 +9,7 @@ import pytest
 from dpconsensus.engine import (
     RunConfig,
     SimState,
+    _gradient_rounds,
     broadcast_noise_scale,
     run,
     run_agreement_phase,
@@ -113,9 +114,12 @@ def test_identical_nodes_stay_identical_without_noise():
 
 def test_iterates_stay_in_the_box_under_heavy_noise():
     config = make_config(epsilon=0.5, horizon=40)  # large noise scales
-    state, _ = run_gradient_phase(config)
-    assert config.domain.contains(state.x)
-    assert config.domain.contains(state.z)
+    rounds = list(_gradient_rounds(config, derive_rng(config.noise_seed)))
+    assert len(rounds) == 40
+    assert max(np.abs(noise).max() for noise, _, _ in rounds) > config.domain.half_width
+    for _, z, x in rounds:
+        assert config.domain.contains(z)
+        assert config.domain.contains(x)
 
 
 def test_gradient_phase_is_deterministic():
@@ -178,18 +182,23 @@ def test_broadcast_noise_scales_shift_by_one_round():
 
 
 def test_strict_first_broadcast_only_changes_round_one_message():
+    # At T=1 the only broadcast is round 1's, so a strict run (exact zero
+    # message) lands where the noiseless schedule does; a noisy one does not.
     noisy = make_config(horizon=1)
     strict = replace(noisy, strict_first_broadcast=True)
+    noiseless = make_config(horizon=1, noiseless=True)
+    assert np.array_equal(noiseless.schedule.step_sizes, noisy.schedule.step_sizes)
     state_noisy, _ = run_gradient_phase(noisy)
     state_strict, _ = run_gradient_phase(strict)
-    assert np.array_equal(state_strict.y, np.zeros_like(state_strict.y))
-    assert np.any(state_noisy.y != 0.0)
+    state_noiseless, _ = run_gradient_phase(noiseless)
+    assert np.array_equal(state_strict.x, state_noiseless.x)
+    assert not np.array_equal(state_noisy.x, state_noiseless.x)
 
 
 def test_agreement_phase_fixed_point_when_already_agreed():
     config = make_config(horizon=2, noiseless=True)
     vector = np.full((config.n_nodes, config.domain.dimension), 0.25)
-    state = SimState(t=2, x=vector, y=vector, z=vector, noise=np.zeros_like(vector))
+    state = SimState(t=2, x=vector)
     final, metrics = run_agreement_phase(state, config)
     assert metrics.agreement_rounds == 1
     assert np.allclose(final.x, vector, atol=1e-14)
@@ -295,4 +304,53 @@ def test_config_validation():
             noise_seed=0,
         )
     with pytest.raises(ValueError, match="probe"):
-        replace(config, probe_nodes=(17,))
+        replace(config, probe_node=17)
+    for tol in (-1e-3, 1.0, 2.0):
+        with pytest.raises(ValueError, match="stage2_rel_tol"):
+            replace(config, stage2_rel_tol=tol)
+
+
+def test_metrics_match_the_per_round_formulas():
+    """Every RunMetrics column of a run equals the per-round formulas applied
+    to the iterates the round loop yields and to the agreement rounds that
+    follow them."""
+    config = make_config(horizon=30, probe_node=2)
+    metrics = run(config)
+    x_star = config.minimizer()
+    denom = max(float(x_star @ x_star), 1e-12)
+
+    def row(stage, t, x, z_dev=math.nan, mean_drift=math.nan, ratio=math.nan):
+        x_bar = x.mean(axis=0)
+        err = x_bar - x_star
+        dev = float(np.linalg.norm(x - x_bar[None, :]))
+        probe = float(np.sum((x[2] - x_star) ** 2)) / denom
+        return (stage, t, float(err @ err) / denom, dev, z_dev, probe, x_bar, mean_drift, ratio)
+
+    rows = []
+    rounds = _gradient_rounds(config, derive_rng(config.noise_seed))
+    for t, (_, z, x) in enumerate(rounds, start=1):
+        rows.append(row(1, t, x, z_dev=float(np.linalg.norm(z - z.mean(axis=0)[None, :]))))
+    mean_end, norm_end = x.mean(axis=0), float(np.linalg.norm(x))
+    for k in range(1, config.agreement_round_cap() + 1):
+        x_next = config.graph.weights @ x
+        norms = np.maximum(np.linalg.norm(x, axis=1), 1e-12)
+        rel_change = float(np.max(np.linalg.norm(x_next - x, axis=1) / norms))
+        dev = float(np.linalg.norm(x_next - x_next.mean(axis=0)[None, :]))
+        drift = float(np.max(np.abs(x_next.mean(axis=0) - mean_end)))
+        rows.append(
+            row(2, config.horizon + k, x_next, mean_drift=drift,
+                ratio=dev / (config.graph.beta**k * norm_end))
+        )
+        x = x_next
+        if rel_change < config.stage2_rel_tol:
+            break
+
+    names = (
+        "stage", "t", "normalized_error", "consensus_dev", "z_dev", "probe_error",
+        "mean_iterate", "mean_drift", "contraction_ratio",
+    )
+    assert metrics.agreement_rounds >= 2
+    for name, expected in zip(names, zip(*rows)):
+        actual, expected = getattr(metrics, name), np.array(expected)
+        np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0.0, err_msg=name)
+    assert metrics.probe_node == 2

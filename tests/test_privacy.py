@@ -110,15 +110,13 @@ def test_calibrated_schedule_always_passes_its_budget(horizon):
     assert report.utilization < 1.0
 
 
-def test_infinite_noise_spends_nothing():
-    schedule = NoiseSchedule(
-        horizon=3,
-        step_sizes=np.ones(3),
-        scales=np.full(3, np.inf),
-        sensitivities=np.ones(3),
-    )
-    report = budget_check(schedule, None, BUDGET_4)
-    assert report.passed and report.spent == 0.0
+@pytest.mark.parametrize("name", ["step_sizes", "scales", "sensitivities"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_schedule_rejects_non_finite_values(name, bad):
+    fields = {"step_sizes": np.ones(3), "scales": np.ones(3), "sensitivities": np.ones(3)}
+    fields[name] = np.array([1.0, bad, 1.0])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        NoiseSchedule(horizon=3, **fields)
 
 
 def test_halving_noise_scales_quadruples_the_spend():
