@@ -20,7 +20,6 @@ from .analysis import (
 from .audit import (
     AuditReport,
     NeighborEdit,
-    PrivacyLossSample,
     collect_samples,
     coupled_gap_trace,
     coupled_privacy_loss,

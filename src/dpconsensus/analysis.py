@@ -53,7 +53,6 @@ class BoundInputs:
     beta: float
     budget: PrivacyBudget | None
     horizon: int
-    dimension: int
     x_star: np.ndarray = field(repr=False)
     n_nodes: int = 1
     noise_grad_bound: float | None = None
@@ -65,8 +64,6 @@ class BoundInputs:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.dimension != self.spec.dimension:
-            raise ValueError("dimension does not match the objective spec")
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
 
@@ -111,13 +108,13 @@ def _constants(inputs: BoundInputs) -> dict[str, float]:
         kappa = noise_budget(inputs.budget, inputs.calibration_grad_bound)
         constants["trans"] = (
             2.0
-            * math.sqrt(2.0 * inputs.dimension)
+            * math.sqrt(2.0 * spec.dimension)
             * spec.grad_bound
             / math.sqrt(kappa)
             * (4.0 + 3.0 * mixing)
             * coeff_sq
         )
-        constants["floor"] = 2.0 * inputs.dimension / kappa * coeff_sq
+        constants["floor"] = 2.0 * spec.dimension / kappa * coeff_sq
     return constants
 
 
@@ -178,9 +175,11 @@ def empirical_vs_bound(
 
     The bound holds in expectation, so the comparison needs enough
     independent-seed runs for the average to be representative; fewer than
-    ``min_runs`` is an error.  ``bound`` overrides the freshly evaluated
-    bound (e.g. a mutated one).
+    ``min_runs``, or none at all, is an error.  ``bound`` overrides the
+    freshly evaluated bound (e.g. a mutated one).
     """
+    if not runs:
+        raise ValueError("need at least one run, got none")
     if len(runs) < min_runs:
         raise ValueError(f"need at least {min_runs} runs, got {len(runs)}")
     errors = [

@@ -36,7 +36,6 @@ from .rng import derive_rng, derive_seed
 __all__ = [
     "AuditReport",
     "NeighborEdit",
-    "PrivacyLossSample",
     "collect_samples",
     "coupled_gap_trace",
     "coupled_privacy_loss",
@@ -66,18 +65,6 @@ class NeighborEdit:
 
 
 @dataclass(frozen=True)
-class PrivacyLossSample:
-    """One realized privacy-loss value, split into its two terms."""
-
-    deterministic_part: float
-    noise_part: float
-
-    @property
-    def total(self) -> float:
-        return self.deterministic_part + self.noise_part
-
-
-@dataclass(frozen=True)
 class AuditReport:
     n_samples: int
     exceed_rate: float
@@ -101,8 +88,9 @@ def _validate_edit(config: RunConfig, edit: NeighborEdit) -> np.ndarray:
 
 def _coupled_run(
     config: RunConfig, edit: NeighborEdit, noise_seed: int
-) -> tuple[PrivacyLossSample, np.ndarray]:
-    """Loss sample and per-round gap norms of one coupled pair of runs."""
+) -> tuple[float, float, np.ndarray]:
+    """Loss terms (deterministic, noise) and per-round gap norms of one
+    coupled pair of runs."""
     replacement = _validate_edit(config, edit)
     schedule = config.schedule
     if np.any(schedule.scales <= 0.0):
@@ -135,13 +123,14 @@ def _coupled_run(
     variances = schedule.scales**2
     deterministic = float(np.sum(gap_sq / (2.0 * variances)))
     noise_term = float(np.sum(np.einsum("tp,tp->t", noise_k[1:], gaps[1:]) / variances))
-    return PrivacyLossSample(deterministic, noise_term), np.sqrt(gap_sq)
+    return deterministic, noise_term, np.sqrt(gap_sq)
 
 
 def coupled_privacy_loss(
     config: RunConfig, edit: NeighborEdit, noise_seed: int
-) -> PrivacyLossSample:
-    """Privacy loss of one coupled pair of runs under a single-point edit.
+) -> tuple[float, float]:
+    """Privacy loss (deterministic part, noise part) of one coupled pair of
+    runs under a single-point edit; the loss is their sum.
 
     Both runs share one noise realization and one message transcript (the
     counterfactual run consumes the factual run's broadcasts when forming
@@ -150,41 +139,48 @@ def coupled_privacy_loss(
     iterates: the final iterate's broadcast noise (scale M_T) is drawn even
     though the agreement phase that follows would send it exactly.
     """
-    return _coupled_run(config, edit, noise_seed)[0]
+    return _coupled_run(config, edit, noise_seed)[:2]
 
 
 def coupled_gap_trace(
     config: RunConfig, edit: NeighborEdit, noise_seed: int
 ) -> np.ndarray:
     """Per-round iterate gap norms ||x_k(t) - x'_k(t)|| of the coupled runs."""
-    return _coupled_run(config, edit, noise_seed)[1]
+    return _coupled_run(config, edit, noise_seed)[2]
 
 
 def collect_samples(
     config: RunConfig, edit: NeighborEdit, n_samples: int, master_seed: int
-) -> list[PrivacyLossSample]:
-    """Independent coupled-run samples, one isolated noise stream each."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent coupled-run samples, one isolated noise stream each.
+
+    Returns the deterministic parts and the noise parts as two arrays of
+    length ``n_samples``; their sum is the privacy loss of each sample.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    return [
-        coupled_privacy_loss(config, edit, derive_seed(master_seed, _AUDIT_STREAM, i))
-        for i in range(n_samples)
-    ]
+    deterministic, noise = zip(
+        *(
+            coupled_privacy_loss(config, edit, derive_seed(master_seed, _AUDIT_STREAM, i))
+            for i in range(n_samples)
+        )
+    )
+    return np.array(deterministic), np.array(noise)
 
 
-def tail_audit(samples: list[PrivacyLossSample], budget: PrivacyBudget) -> AuditReport:
+def tail_audit(totals: np.ndarray, budget: PrivacyBudget) -> AuditReport:
     """Check that |loss| >= epsilon is as rare as the budget promises.
 
-    ``exceed_rate`` is the fraction of samples with |total| >= epsilon.  The
-    pass bound is delta plus a two-sigma binomial slack
-    2 * sqrt(delta (1 - delta) / n): at delta = 1e-3 and 1e4 samples the
-    target sits at the Monte Carlo resolution limit, so a hard <= delta cut
-    would flake on sampling noise alone.
+    ``totals`` holds one privacy-loss value per sample.  ``exceed_rate`` is
+    the fraction of samples with |total| >= epsilon.  The pass bound is
+    delta plus a two-sigma binomial slack 2 * sqrt(delta (1 - delta) / n):
+    at delta = 1e-3 and 1e4 samples the target sits at the Monte Carlo
+    resolution limit, so a hard <= delta cut would flake on sampling noise
+    alone.
     """
-    n = len(samples)
+    n = totals.size
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for a meaningful tail audit, got {n}")
-    totals = np.array([s.total for s in samples])
     exceed_rate = float(np.mean(np.abs(totals) >= budget.epsilon))
     slack = 2.0 * math.sqrt(budget.delta * (1.0 - budget.delta) / n)
     bound = budget.delta + slack
@@ -206,11 +202,10 @@ def worst_case_edit(config: RunConfig, node_id: int = 0, point_index: int = 0) -
     return NeighborEdit(node_id=node_id, point_index=point_index, replacement=replacement)
 
 
-def plant_point(
-    config: RunConfig, node_id: int = 0, point_index: int = 0, corner_sign: float = -1.0
-) -> RunConfig:
-    """Pin one dataset point to a cube corner (worst-case audit instance)."""
-    r = config.domain.half_width
-    corner = np.full(config.domain.dimension, corner_sign * r)
-    datasets = NeighborEdit(node_id, point_index, corner).apply(config.datasets)
-    return replace(config, datasets=datasets)
+def plant_point(config: RunConfig, node_id: int = 0, point_index: int = 0) -> RunConfig:
+    """Pin one dataset point to the all-negative cube corner (worst-case
+    audit instance)."""
+    corner = np.full(config.domain.dimension, -config.domain.half_width)
+    edit = NeighborEdit(node_id, point_index, corner)
+    _validate_edit(config, edit)
+    return replace(config, datasets=edit.apply(config.datasets))

@@ -26,8 +26,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import __version__
 from .analysis import empirical_vs_bound, mean_error_bound
 from .audit import collect_samples, plant_point, tail_audit, worst_case_edit
@@ -219,10 +217,8 @@ def _cmd_run(args: argparse.Namespace, resolved: dict[str, object]) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace, resolved: dict[str, object]) -> int:
-    base = _base_config(resolved)
-    config = _single_config(resolved, args.seed)
-    schedule = config.schedule
-    report = budget_check(schedule, None, base.budget)
+    schedule = _single_config(resolved, args.seed).schedule
+    report = budget_check(schedule, _base_config(resolved).budget)
     out = Path(args.output or "schedule.csv")
     with open(out, "w", newline="") as fh:
         for line in _header_lines("schedule", resolved, args.seed):
@@ -265,11 +261,8 @@ def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     config = _single_config(resolved, args.seed)
     config = plant_point(config, resolved["audit.node_id"], resolved["audit.point_index"])
     edit = worst_case_edit(config, resolved["audit.node_id"], resolved["audit.point_index"])
-    samples = collect_samples(config, edit, resolved["audit.n_samples"], args.seed)
-    report = tail_audit(samples, base.budget)
-    alpha = config.schedule.alpha
-    dets = np.array([s.deterministic_part for s in samples])
-    noises = np.array([s.noise_part for s in samples])
+    dets, noises = collect_samples(config, edit, resolved["audit.n_samples"], args.seed)
+    report = tail_audit(dets + noises, base.budget)
     payload = {
         "config": _json_config(resolved),
         "master_seed": args.seed,
@@ -277,7 +270,7 @@ def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
         "exceed_rate": report.exceed_rate,
         "bound": report.bound,
         "pass": report.passed,
-        "alpha": alpha,
+        "alpha": config.schedule.alpha,
         "max_deterministic_part": float(dets.max()),
         "noise_part_mean": float(noises.mean()),
         "noise_part_stddev": float(noises.std()),
@@ -395,3 +388,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

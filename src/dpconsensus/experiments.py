@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -105,6 +104,8 @@ class ExperimentConfig:
     def with_value(self, axis: str, value: float) -> "ExperimentConfig":
         field_name, _, _ = AXES[axis]
         if field_name in _INT_FIELDS:
+            if not float(value).is_integer():
+                raise ValueError(f"axis {axis} needs integer values, got {value!r}")
             value = int(value)
         return replace(self, **{field_name: value})
 
@@ -124,9 +125,11 @@ class SweepSpec:
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
         object.__setattr__(self, "values", tuple(self.values))
+        for value in self.values:  # reject a bad grid before any cell runs
+            self.base.with_value(self.axis, value)
 
 
-def preset_sweep(axis: str, base: ExperimentConfig | None = None, n_seeds: int = 20) -> SweepSpec:
+def preset_sweep(axis: str) -> SweepSpec:
     """Canonical value grid for each study axis.
 
     The connectivity sweep runs at 50 gradient rounds: the topology effect
@@ -134,7 +137,6 @@ def preset_sweep(axis: str, base: ExperimentConfig | None = None, n_seeds: int =
     which at 1000 rounds has decayed to about one percent of the privacy
     floor and is invisible; at 50 rounds it dominates.
     """
-    base = base if base is not None else ExperimentConfig()
     values: dict[str, tuple[float, ...]] = {
         "T": (10.0, 100.0, 1000.0),
         "epsilon": (0.5, 1.0, 2.0, 4.0, 8.0),
@@ -142,9 +144,8 @@ def preset_sweep(axis: str, base: ExperimentConfig | None = None, n_seeds: int =
         "p_c": (0.1, 0.3, 0.6, 1.0),
         "points_per_node": (25.0, 50.0, 100.0, 200.0),
     }
-    if axis == "p_c":
-        base = replace(base, horizon=50)
-    return SweepSpec(base=base, axis=axis, values=values[axis], n_seeds=n_seeds)
+    base = ExperimentConfig(horizon=50) if axis == "p_c" else ExperimentConfig()
+    return SweepSpec(base=base, axis=axis, values=values[axis])
 
 
 def build_run_config(
@@ -183,7 +184,6 @@ def bound_inputs(base: ExperimentConfig, config: engine.RunConfig) -> BoundInput
         beta=config.graph.beta,
         budget=base.budget,
         horizon=config.horizon,
-        dimension=config.domain.dimension,
         x_star=x_star,
         n_nodes=config.n_nodes,
         noise_grad_bound=base.noise_grad_bound,
@@ -228,7 +228,6 @@ class SweepRow:
     normalized_error: float
     probe_error: float
     stage2_rounds: int
-    wall_ms: float
 
 
 @dataclass(frozen=True)
@@ -262,10 +261,7 @@ def _run_cell(args: tuple[ExperimentConfig, str, float, int, int, int]) -> Sweep
     base, axis, value, seed_index, master_seed, value_index = args
     cell_config = base.with_value(axis, value)
     graph_seed, data_seed, noise_seed = cell_seeds(master_seed, axis, value_index, seed_index)
-    config = build_run_config(cell_config, graph_seed, data_seed, noise_seed)
-    started = time.perf_counter()
-    metrics = engine.run(config)
-    wall_ms = (time.perf_counter() - started) * 1e3
+    metrics = engine.run(build_run_config(cell_config, graph_seed, data_seed, noise_seed))
     return SweepRow(
         axis=axis,
         value=value,
@@ -273,7 +269,6 @@ def _run_cell(args: tuple[ExperimentConfig, str, float, int, int, int]) -> Sweep
         normalized_error=metrics.gradient_end_normalized_error(),
         probe_error=metrics.gradient_end_probe_error(),
         stage2_rounds=metrics.agreement_rounds,
-        wall_ms=wall_ms,
     )
 
 
@@ -293,15 +288,12 @@ def sweep(spec: SweepSpec, master_seed: int, jobs: int = 1) -> SweepResult:
 
 
 def write_rows_csv(
-    result: SweepResult,
-    path: str | Path,
-    header_lines: Sequence[str] = (),
-    include_timings: bool = False,
+    result: SweepResult, path: str | Path, header_lines: Sequence[str] = ()
 ) -> None:
     """Result table as CSV, preceded by '#' comment header lines.
 
-    Wall-clock timings are blanked unless ``include_timings`` is set, so
-    that identical (spec, master seed) pairs produce byte-identical files.
+    The ``wall_ms`` column is always blank, so that identical (spec, master
+    seed) pairs produce byte-identical files.
     """
     with open(path, "w", newline="") as fh:
         for line in header_lines:
@@ -319,7 +311,7 @@ def write_rows_csv(
                     repr(row.normalized_error),
                     repr(row.probe_error),
                     row.stage2_rounds,
-                    repr(row.wall_ms) if include_timings else "",
+                    "",
                 ]
             )
 

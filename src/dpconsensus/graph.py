@@ -41,14 +41,12 @@ class CommGraph:
         adjacency: symmetric boolean matrix, zero diagonal.
         weights: doubly stochastic mixing matrix (Laplacian rule).
         beta: second largest eigenvalue magnitude of ``weights``.
-        seed: seed the topology was sampled from.
     """
 
     n_nodes: int
     adjacency: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     beta: float
-    seed: int
 
     def __post_init__(self) -> None:
         adj = self.adjacency
@@ -131,9 +129,7 @@ def gen_erdos_renyi(
         adjacency = upper | upper.T
         if connected(adjacency):
             weights, beta = _laplacian_mixing(adjacency)
-            return CommGraph(
-                n_nodes=n, adjacency=adjacency, weights=weights, beta=beta, seed=seed
-            )
+            return CommGraph(n_nodes=n, adjacency=adjacency, weights=weights, beta=beta)
     raise GraphError(
         f"no connected G({n}, {p_c}) sample in {max_attempts} attempts; "
         "edge probability is too small for this node count"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -69,14 +69,17 @@ def noise_budget(budget: PrivacyBudget, grad_bound: float) -> float:
     return privacy_allowance(budget) / (4.0 * grad_bound**2)
 
 
-def lipschitz_step_sensitivity(step_size: float, grad_bound: float) -> float:
+def lipschitz_step_sensitivity(
+    step_size: float | np.ndarray, grad_bound: float
+) -> float | np.ndarray:
     """Bound 2 * eta * G on one round's iterate gap between neighboring runs.
 
     Conditioned on identical incoming messages, neighboring runs differ only
     through one node's gradient, and the projection is nonexpansive, so the
-    gap is at most the step size times twice the gradient bound.
+    gap is at most the step size times twice the gradient bound.  An array
+    of step sizes gives the bound of each round.
     """
-    if step_size < 0.0 or grad_bound < 0.0:
+    if np.any(np.asarray(step_size) < 0.0) or grad_bound < 0.0:
         raise ValueError("step_size and grad_bound must be nonnegative")
     return 2.0 * step_size * grad_bound
 
@@ -170,16 +173,13 @@ def calibrate_noise_schedule(
     t = np.arange(1, horizon + 1, dtype=float)
     step_sizes = coeff / t
     variances = (2.0 / kappa) * coeff**2 * math.sqrt(horizon) / t**1.5
-    sensitivities = np.array(
-        [lipschitz_step_sensitivity(eta, spec.grad_bound) for eta in step_sizes]
-    )
     schedule = NoiseSchedule(
         horizon=horizon,
         step_sizes=step_sizes,
         scales=np.sqrt(variances),
-        sensitivities=sensitivities,
+        sensitivities=lipschitz_step_sensitivity(step_sizes, spec.grad_bound),
     )
-    report = budget_check(schedule, sensitivities, budget)
+    report = budget_check(schedule, budget)
     if not report.passed:  # impossible by construction
         raise AssertionError(
             f"calibrated schedule violates its own budget: {report}"
@@ -198,33 +198,18 @@ def noiseless_schedule(horizon: int, spec: ObjectiveSpec) -> NoiseSchedule:
         horizon=horizon,
         step_sizes=step_sizes,
         scales=np.zeros(horizon),
-        sensitivities=np.array(
-            [lipschitz_step_sensitivity(eta, spec.grad_bound) for eta in step_sizes]
-        ),
+        sensitivities=lipschitz_step_sensitivity(step_sizes, spec.grad_bound),
     )
 
 
-def budget_check(
-    schedule: NoiseSchedule,
-    sensitivities: Sequence[float] | np.ndarray | None,
-    budget: PrivacyBudget,
-) -> BudgetReport:
-    """Verify sum_t Delta(t)^2 / M_t^2 against the aggregate allowance.
+def budget_check(schedule: NoiseSchedule, budget: PrivacyBudget) -> BudgetReport:
+    """Verify the schedule's spend sum_t Delta(t)^2 / M_t^2 (its ``alpha``)
+    against the aggregate allowance.
 
-    Passing ``None`` for ``sensitivities`` uses the schedule's configured
-    bounds.  The comparison carries a 1e-12 relative slack to absorb
-    floating-point summation order.
+    The comparison carries a 1e-12 relative slack to absorb floating-point
+    summation order.
     """
-    deltas = (
-        schedule.sensitivities
-        if sensitivities is None
-        else np.asarray(sensitivities, dtype=float)
-    )
-    if deltas.shape != (schedule.horizon,):
-        raise ValueError(
-            f"need one sensitivity per round, got {deltas.shape} for horizon {schedule.horizon}"
-        )
-    spent = float(np.sum(_spends(deltas, schedule.scales)))
+    spent = schedule.alpha
     allowance = privacy_allowance(budget)
     return BudgetReport(
         passed=spent <= allowance * (1.0 + _BUDGET_SLACK),

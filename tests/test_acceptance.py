@@ -96,7 +96,7 @@ def test_criterion_1_budget_holds_across_grid():
             for delta in (1e-3, 1e-6):
                 budget = PrivacyBudget(epsilon, delta)
                 schedule = calibrate_noise_schedule(horizon, budget, UNIT_SPEC)
-                report = budget_check(schedule, None, budget)
+                report = budget_check(schedule, budget)
                 assert report.passed, (horizon, epsilon, delta)
                 assert report.spent <= report.allowance * (1.0 + FP_SLACK)
                 worst = max(worst, report.utilization)
@@ -113,7 +113,7 @@ def test_criterion_1_utilization_envelope():
     for horizon in (1, 10, 100, 1000):
         budget = PrivacyBudget(4.0, 1e-3)
         schedule = calibrate_noise_schedule(horizon, budget, UNIT_SPEC)
-        utilization = budget_check(schedule, None, budget).utilization
+        utilization = budget_check(schedule, budget).utilization
         root = math.sqrt(horizon)
         lower = max(0.5, (math.sqrt(horizon + 1) - 1.0) / root)
         upper = 1.0 - 1.0 / (2.0 * root)
@@ -251,14 +251,12 @@ def test_criterion_7_privacy_loss_audit():
     config, _ = _default_cell(100)
     config = plant_point(config)
     edit = worst_case_edit(config)
-    samples = collect_samples(config, edit, 10_000, master_seed=MASTER_SEED)
+    dets, noises = collect_samples(config, edit, 10_000, master_seed=MASTER_SEED)
     half_alpha = config.schedule.alpha / 2.0
-    dets = np.array([s.deterministic_part for s in samples])
-    noises = np.array([s.noise_part for s in samples])
     det_ok = bool(np.all(dets <= half_alpha * (1.0 + FP_SLACK)))
     stderr = noises.std() / math.sqrt(noises.size)
     centered = abs(noises.mean()) <= 3.0 * stderr
-    report = tail_audit(samples, PrivacyBudget(4.0, 1e-3))
+    report = tail_audit(dets + noises, PrivacyBudget(4.0, 1e-3))
     passed = det_ok and centered and report.passed
     _report(
         "7",

@@ -29,7 +29,6 @@ def make_inputs(**kwargs) -> BoundInputs:
         beta=1 / 3,
         budget=PrivacyBudget(epsilon=1.0, delta=1e-3),
         horizon=100,
-        dimension=4,
         x_star=np.zeros(4),
         n_nodes=10,
     )
@@ -106,9 +105,7 @@ def test_total_monotone_in_budget_gradient_bound_and_dimension():
     dims = (2, 4, 8)
     totals = [
         mean_error_bound(
-            make_inputs(
-                spec=replace(UNIT_SPEC, dimension=p), dimension=p, x_star=np.zeros(p)
-            )
+            make_inputs(spec=replace(UNIT_SPEC, dimension=p), x_star=np.zeros(p))
         ).total
         for p in dims
     ]
@@ -162,7 +159,6 @@ def test_zero_noise_runs_stay_below_the_noiseless_bound():
         beta=config.graph.beta,
         budget=None,  # drops the noise terms
         horizon=60,
-        dimension=3,
         x_star=x_star,
         n_nodes=config.n_nodes,
     )
@@ -185,7 +181,6 @@ def test_comparison_detects_violations():
         beta=config.graph.beta,
         budget=PrivacyBudget(4.0, 1e-3),
         horizon=40,
-        dimension=3,
         x_star=x_star,
         n_nodes=config.n_nodes,
     )
@@ -203,11 +198,16 @@ def test_comparison_detects_violations():
 def test_comparison_requires_enough_runs():
     config = make_config(n_nodes=4, points=10, dimension=2, horizon=5)
     runs = [run_gradient_phase(config)[1]]
-    inputs = make_inputs(
-        spec=replace(UNIT_SPEC, dimension=2), dimension=2, x_star=np.zeros(2)
-    )
+    inputs = make_inputs(spec=replace(UNIT_SPEC, dimension=2), x_star=np.zeros(2))
     with pytest.raises(ValueError, match="runs"):
         empirical_vs_bound(runs, inputs)
+
+
+def test_comparison_rejects_an_empty_run_list():
+    inputs = make_inputs()
+    for min_runs in (0, 1, 50):
+        with pytest.raises(ValueError, match="at least one run"):
+            empirical_vs_bound([], inputs, min_runs=min_runs)
 
 
 def test_inputs_validation():
@@ -215,5 +215,3 @@ def test_inputs_validation():
         make_inputs(beta=1.0)
     with pytest.raises(ValueError):
         make_inputs(s0=-1.0)
-    with pytest.raises(ValueError):
-        make_inputs(dimension=3)  # spec says 4

@@ -1,9 +1,14 @@
 """Command-line interface: dispatch, overrides, output contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dpconsensus
 from dpconsensus.cli import CliError, main, resolve_config
 
 # Small setting shared by the CLI tests; keys exercise every section.
@@ -182,3 +187,51 @@ def test_unknown_sweep_axis_is_named(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "sweep.axis" in err and "bogus" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("audit.node_id", "5", "edit node_id 5 out of range"),  # TINY has 5 nodes
+        ("audit.node_id", "-1", "edit node_id -1 out of range"),
+        ("audit.point_index", "20", "edit point_index 20 out of range"),  # 20 points
+    ],
+)
+def test_out_of_range_audit_indices_fail_by_name(tmp_path, capsys, key, value, message):
+    out = tmp_path / "audit.json"
+    code = run_cli(
+        "audit", *TINY, "--samples", "1000", "--set", f"{key}={value}", "--output", str(out)
+    )
+    assert code == 2
+    assert f"failure: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bound_with_zero_runs_fails_without_writing(tmp_path, capsys):
+    out = tmp_path / "bound.json"
+    code = run_cli("bound", *TINY, "--set", "bound.n_runs=0", "--output", str(out))
+    assert code == 2
+    assert "at least one run" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_integral_horizon_values_fail_by_name(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", *TINY, "--axis", "T", "--set", "sweep.values=2.7,5", "--output", str(out)
+    )
+    assert code == 2
+    assert "axis T needs integer values, got 2.7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_module_entry_point_prints_the_version():
+    src = str(Path(dpconsensus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "dpconsensus.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == dpconsensus.__version__ == "0.1.0"

@@ -39,7 +39,6 @@ def single_node_graph() -> CommGraph:
         adjacency=np.zeros((1, 1), dtype=bool),
         weights=np.ones((1, 1)),
         beta=0.0,
-        seed=0,
     )
 
 

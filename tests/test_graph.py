@@ -107,9 +107,7 @@ def test_commgraph_rejects_asymmetric_adjacency():
     adjacency = np.zeros((3, 3), dtype=bool)
     adjacency[0, 1] = True  # missing the mirror edge
     with pytest.raises(GraphError):
-        CommGraph(
-            n_nodes=3, adjacency=adjacency, weights=np.eye(3), beta=0.5, seed=0
-        )
+        CommGraph(n_nodes=3, adjacency=adjacency, weights=np.eye(3), beta=0.5)
 
 
 def test_commgraph_rejects_disconnected_adjacency():
@@ -117,6 +115,4 @@ def test_commgraph_rejects_disconnected_adjacency():
     adjacency[0, 1] = adjacency[1, 0] = True
     adjacency[2, 3] = adjacency[3, 2] = True
     with pytest.raises(GraphError, match="connected"):
-        CommGraph(
-            n_nodes=4, adjacency=adjacency, weights=np.eye(4), beta=0.5, seed=0
-        )
+        CommGraph(n_nodes=4, adjacency=adjacency, weights=np.eye(4), beta=0.5)
