@@ -10,10 +10,11 @@ where g(t) = x_k(t) - x'_k(t) is the gap between the edited node's iterate
 and its counterfactual under the single-point edit, and n_k(t) is the noise
 realization attached to x_k(t).  Under that coupling (identical noise,
 shared broadcasts: the counterfactual run consumes the factual run's
-messages when averaging) only node k's local step differs, so the audit
-reuses the engine's gradient-round loop for the factual run, adds the
-counterfactual step of node k each round, and evaluates both terms on the
-stored gaps and noise after the loop.
+messages when averaging) only node k's local step differs.  The audit takes
+the factual run's trajectory from the engine, whose noise rows are already
+paired with the iterates they protect (x(T)'s row included), computes node
+k's counterfactual steps for all rounds at once from its consensus points,
+and evaluates both terms on the resulting gaps.
 
 The deterministic part never exceeds half the configured sensitivity spend,
 the noise part has zero mean, and the total exceeds epsilon in magnitude
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import RunConfig, _gradient_rounds
+from .engine import RunConfig, _gradient_trajectory
 from .objectives import LocalDataset, project_box
 from .privacy import PrivacyBudget
 from .rng import derive_rng, derive_seed
@@ -46,6 +47,8 @@ __all__ = [
 
 # Stream label separating audit sample streams from everything else.
 _AUDIT_STREAM = 0xA0D17
+
+_MIN_TAIL_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -101,28 +104,19 @@ def _coupled_run(
     # grad'_k(z) = grad_k(z) + (old - new): the only difference between runs.
     grad_shift = data.points[edit.point_index] - replacement
 
-    horizon, p = schedule.horizon, config.domain.dimension
-    # Row t holds node k's gap x_k(t) - x'_k(t) and the noise attached to
-    # x_k(t), which the round-(t+1) broadcast carries; x(0) = 0 in both runs.
-    gaps = np.zeros((horizon + 1, p))
-    noise_k = np.empty((horizon + 1, p))
-    rng = derive_rng(noise_seed)
-    rounds = zip(schedule.step_sizes, _gradient_rounds(config, rng))
-    for t, (step, (noise, z, x)) in enumerate(rounds, start=1):
-        noise_k[t - 1] = noise[k]
-        # Counterfactual iterate of the edited node from the same consensus
-        # point (both runs see identical broadcasts by the coupling).
-        x_alt = project_box(z[k] - step * (count * z[k] - total + grad_shift), config.domain)
-        gaps[t] = x[k] - x_alt
-    # Terminal broadcast of x(T): the transcript being audited releases every
-    # iterate under noise, so the final draw (scale M_T) is consumed here
-    # even though the agreement phase would send x(T) exactly.
-    noise_k[horizon] = rng.standard_normal((config.n_nodes, p))[k] * schedule.scales[-1]
+    noise, z, x = _gradient_trajectory(config, derive_rng(noise_seed))
+    # Counterfactual iterates of the edited node from the same consensus
+    # points (both runs see identical broadcasts by the coupling); x(0) = 0
+    # in both runs, so row t-1 holds the gap x_k(t) - x'_k(t).
+    z_k = z[:, k]
+    steps = schedule.step_sizes[:, None]
+    x_alt = project_box(z_k - steps * (count * z_k - total + grad_shift), config.domain)
+    gaps = x[:, k] - x_alt
 
-    gap_sq = np.einsum("tp,tp->t", gaps[1:], gaps[1:])
+    gap_sq = np.einsum("tp,tp->t", gaps, gaps)
     variances = schedule.scales**2
     deterministic = float(np.sum(gap_sq / (2.0 * variances)))
-    noise_term = float(np.sum(np.einsum("tp,tp->t", noise_k[1:], gaps[1:]) / variances))
+    noise_term = float(np.sum(np.einsum("tp,tp->t", noise[1:, k], gaps) / variances))
     return deterministic, noise_term, np.sqrt(gap_sq)
 
 
@@ -168,6 +162,13 @@ def collect_samples(
     return np.array(deterministic), np.array(noise)
 
 
+def _require_tail_samples(n: int) -> None:
+    if n < _MIN_TAIL_SAMPLES:
+        raise ValueError(
+            f"need at least {_MIN_TAIL_SAMPLES} samples for a meaningful tail audit, got {n}"
+        )
+
+
 def tail_audit(totals: np.ndarray, budget: PrivacyBudget) -> AuditReport:
     """Check that |loss| >= epsilon is as rare as the budget promises.
 
@@ -179,8 +180,7 @@ def tail_audit(totals: np.ndarray, budget: PrivacyBudget) -> AuditReport:
     alone.
     """
     n = totals.size
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples for a meaningful tail audit, got {n}")
+    _require_tail_samples(n)
     exceed_rate = float(np.mean(np.abs(totals) >= budget.epsilon))
     slack = 2.0 * math.sqrt(budget.delta * (1.0 - budget.delta) / n)
     bound = budget.delta + slack

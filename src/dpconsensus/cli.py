@@ -28,7 +28,9 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .analysis import empirical_vs_bound, mean_error_bound
-from .audit import collect_samples, plant_point, tail_audit, worst_case_edit
+from .audit import (
+    _require_tail_samples, collect_samples, plant_point, tail_audit, worst_case_edit
+)
 from .engine import RunConfig, run, run_gradient_phase
 from .experiments import (
     AXES,
@@ -257,6 +259,7 @@ def _cmd_sweep(args: argparse.Namespace, resolved: dict[str, object]) -> int:
 def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     if args.samples is not None:
         resolved = dict(resolved, **{"audit.n_samples": args.samples})
+    _require_tail_samples(resolved["audit.n_samples"])
     base = _base_config(resolved)
     config = _single_config(resolved, args.seed)
     config = plant_point(config, resolved["audit.node_id"], resolved["audit.point_index"])

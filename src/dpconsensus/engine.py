@@ -8,15 +8,15 @@ weights, projects onto the box, and takes a projected local gradient step:
     z_i(t) = proj(sum_j w_ij y_j(t))    (consensus)
     x_i(t) = proj(z_i(t) - eta_t grad_i(z_i(t)))
 
-The noise protecting iterate x_i(t) has scale ``schedule.scales[t-1]``, so
-the round-(t+1) broadcast carries scale M_t; this is the pairing the budget
+The noise protecting iterate x_i(t) has scale M_t = ``schedule.scales[t-1]``
+and rides on the round-(t+1) broadcast; this is the pairing the budget
 accounting assumes (round-t sensitivity over M_t).  The round-1 broadcast
 carries x(0) = 0, which touches no data: by default it still gets scale-M_1
 noise for a uniform message shape, and ``strict_first_broadcast`` sends the
-literal zero instead.  Both choices spend the same budget.  The round loop
-lives in one place, ``_gradient_rounds``, which the privacy-loss audit
-consumes too; each phase's metrics are computed once from its stored
-trajectory.
+literal zero instead.  Both choices spend the same budget.  The pairing and
+the round loop live in one place, ``_gradient_trajectory``, which returns
+the whole phase as arrays and which the privacy-loss audit consumes too;
+each phase's metrics are computed once from those arrays.
 
 Agreement phase (rounds t > T): exact broadcasts and pure consensus
 averaging without projection, until the per-node relative change drops
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -224,40 +223,33 @@ def _metrics(config: RunConfig, stage: int, first_round: int, xs: np.ndarray) ->
     )
 
 
-def broadcast_noise_scale(schedule: NoiseSchedule, round_index: int, strict_first: bool) -> float:
-    """Noise scale of the round-``round_index`` broadcast (1-based).
-
-    The broadcast of round r carries iterate x(r-1), protected with scale
-    M_{r-1}; round 1 carries the data-free x(0) with scale M_1, or exactly
-    zero under the strict flag.
-    """
-    if round_index == 1:
-        return 0.0 if strict_first else float(schedule.scales[0])
-    return float(schedule.scales[round_index - 2])
-
-
-def _gradient_rounds(
+def _gradient_trajectory(
     config: RunConfig, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Rounds 1..T of the noisy gradient phase; yields ``(noise, z, x)`` per round.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rounds 1..T of the noisy gradient phase as arrays ``(noise, z, x)``.
 
-    ``noise`` is the scaled round-t broadcast noise (on x(t-1)), ``z`` the
-    projected consensus points and ``x`` the new iterates, all ``(n, p)``.
-    All nodes update synchronously from the previous round's broadcasts;
-    each round consumes exactly n_nodes * dimension standard normal draws
-    from ``rng``, node-major.
+    ``noise[t]`` (shape ``(T+1, n, p)``) is the noise attached to iterate
+    x(t), which the round-(t+1) broadcast carries: row 0 has scale M_1, or
+    is exactly zero under ``strict_first_broadcast``, and row t >= 1 has
+    scale M_t.  No gradient round sends x(T), so only the audit reads the
+    last row.  ``z[t-1]`` and ``x[t-1]`` (shape ``(T, n, p)``) are round t's
+    projected consensus points and new iterates.  The noise is one draw of
+    (T+1) * n * p standard normals, round-major then node-major.
     """
     domain, schedule = config.domain, config.schedule
+    first = 0.0 if config.strict_first_broadcast else schedule.scales[0]
+    scales = np.concatenate([[first], schedule.scales])
+    nodes = (config.n_nodes, domain.dimension)
+    noise = rng.standard_normal((config.horizon + 1, *nodes)) * scales[:, None, None]
     weights = config.graph.weights
     counts = np.array([d.n_points for d in config.datasets], dtype=float)[:, None]
     sums = np.stack([d.points.sum(axis=0) for d in config.datasets])
-    x = np.zeros((config.n_nodes, domain.dimension))
-    for t in range(1, config.horizon + 1):
-        scale = broadcast_noise_scale(schedule, t, config.strict_first_broadcast)
-        noise = rng.standard_normal(x.shape) * scale
-        z = project_box(weights @ (x + noise), domain)
-        x = project_box(z - float(schedule.step_sizes[t - 1]) * (counts * z - sums), domain)
-        yield noise, z, x
+    z, x = np.empty((config.horizon, *nodes)), np.empty((config.horizon, *nodes))
+    previous = np.zeros(nodes)
+    for r, step in enumerate(schedule.step_sizes):
+        z[r] = project_box(weights @ (previous + noise[r]), domain)
+        x[r] = previous = project_box(z[r] - float(step) * (counts * z[r] - sums), domain)
+    return noise, z, x
 
 
 def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
@@ -266,12 +258,9 @@ def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
     Deterministic given ``config.noise_seed``; metrics are computed once
     from the stored trajectory.
     """
-    shape = (config.horizon, config.n_nodes, config.domain.dimension)
-    zs, xs = np.empty(shape), np.empty(shape)
-    for r, (_, z, x) in enumerate(_gradient_rounds(config, derive_rng(config.noise_seed))):
-        zs[r], xs[r] = z, x
-    metrics = replace(_metrics(config, 1, 1, xs), z_dev=_deviation(zs))
-    return SimState(t=config.horizon, x=x), metrics
+    _, z, x = _gradient_trajectory(config, derive_rng(config.noise_seed))
+    metrics = replace(_metrics(config, 1, 1, x), z_dev=_deviation(z))
+    return SimState(t=config.horizon, x=x[-1]), metrics
 
 
 def run_agreement_phase(

@@ -274,6 +274,8 @@ def _run_cell(args: tuple[ExperimentConfig, str, float, int, int, int]) -> Sweep
 
 def sweep(spec: SweepSpec, master_seed: int, jobs: int = 1) -> SweepResult:
     """Run every (value, seed) cell; rows in deterministic cell order."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [
         (spec.base, spec.axis, value, seed_index, master_seed, value_index)
         for value_index, value in enumerate(spec.values)

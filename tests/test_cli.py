@@ -225,6 +225,30 @@ def test_non_integral_horizon_values_fail_by_name(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_audit_rejects_too_few_samples_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        pytest.fail("collect_samples ran for a sample count the tail audit rejects")
+
+    monkeypatch.setattr("dpconsensus.cli.collect_samples", no_sampling)
+    out = tmp_path / "audit.json"
+    code = run_cli("audit", *TINY, "--samples", "999", "--output", str(out))
+    assert code == 2
+    assert "failure: need at least 1000 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_a_non_positive_worker_count(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", *TINY, "--set", "sweep.values=4", "--set", "sweep.n_seeds=1",
+        "--jobs", jobs, "--output", str(out),
+    )
+    assert code == 2
+    assert f"failure: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point_prints_the_version():
     src = str(Path(dpconsensus.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -9,8 +9,7 @@ import pytest
 from dpconsensus.engine import (
     RunConfig,
     SimState,
-    _gradient_rounds,
-    broadcast_noise_scale,
+    _gradient_trajectory,
     run,
     run_agreement_phase,
     run_gradient_phase,
@@ -113,12 +112,12 @@ def test_identical_nodes_stay_identical_without_noise():
 
 def test_iterates_stay_in_the_box_under_heavy_noise():
     config = make_config(epsilon=0.5, horizon=40)  # large noise scales
-    rounds = list(_gradient_rounds(config, derive_rng(config.noise_seed)))
-    assert len(rounds) == 40
-    assert max(np.abs(noise).max() for noise, _, _ in rounds) > config.domain.half_width
-    for _, z, x in rounds:
-        assert config.domain.contains(z)
-        assert config.domain.contains(x)
+    noise, z, x = _gradient_trajectory(config, derive_rng(config.noise_seed))
+    assert z.shape == x.shape == (40, config.n_nodes, config.domain.dimension)
+    assert np.abs(noise[:-1]).max() > config.domain.half_width  # broadcast noise
+    for z_t, x_t in zip(z, x):
+        assert config.domain.contains(z_t)
+        assert config.domain.contains(x_t)
 
 
 def test_gradient_phase_is_deterministic():
@@ -161,7 +160,8 @@ def test_noise_stream_is_node_major_per_round():
     rng = derive_rng(config.noise_seed)
     x = np.zeros((n, p))
     for t in range(1, 4):
-        scale = broadcast_noise_scale(config.schedule, t, False)
+        # The round-t broadcast carries x(t-1) under M_{t-1}; x(0) under M_1.
+        scale = config.schedule.scales[max(t - 2, 0)]
         noise = rng.standard_normal((n, p)) * scale
         z = project_box(config.graph.weights @ (x + noise), config.domain)
         grads = np.stack(
@@ -171,13 +171,27 @@ def test_noise_stream_is_node_major_per_round():
     assert np.array_equal(state.x, x)
 
 
-def test_broadcast_noise_scales_shift_by_one_round():
-    config = make_config(horizon=5)
-    scales = config.schedule.scales
-    assert broadcast_noise_scale(config.schedule, 1, False) == scales[0]
-    assert broadcast_noise_scale(config.schedule, 1, True) == 0.0
-    for r in range(2, 6):
-        assert broadcast_noise_scale(config.schedule, r, False) == scales[r - 2]
+def test_noise_rows_pair_each_iterate_with_its_scale():
+    """Replaying the stream as T+1 per-round draws gives every noise row:
+    row t protects x(t) with M_t, and row 0 (the data-free x(0)) gets M_1,
+    or exactly zero under the strict first broadcast."""
+    horizon = 5
+    for strict in (False, True):
+        config = make_config(horizon=horizon, strict_first_broadcast=strict)
+        n, p = config.n_nodes, config.domain.dimension
+        scales = config.schedule.scales
+        kernel_rng, replay = derive_rng(config.noise_seed), derive_rng(config.noise_seed)
+        noise, _, _ = _gradient_trajectory(config, kernel_rng)
+        draws = [replay.standard_normal((n, p)) for _ in range(horizon + 1)]
+        assert noise.shape == (horizon + 1, n, p)
+        if strict:
+            assert np.all(noise[0] == 0.0)
+        else:
+            assert np.array_equal(noise[0], draws[0] * scales[0])
+        for t in range(1, horizon + 1):  # up to row T, which protects x(T) with M_T
+            assert np.array_equal(noise[t], draws[t] * scales[t - 1])
+        # The kernel consumes exactly the replayed draws, no more.
+        assert kernel_rng.standard_normal() == replay.standard_normal()
 
 
 def test_strict_first_broadcast_only_changes_round_one_message():
@@ -269,9 +283,8 @@ def test_consensus_deviation_obeys_the_mixing_bound_on_average():
     )
     mean_dev = devs.mean(axis=0)
     stderr = devs.std(axis=0) / math.sqrt(n_seeds)
-    scales = np.array(
-        [broadcast_noise_scale(config.schedule, r, False) for r in range(1, horizon + 1)]
-    )
+    # Noise scale of each round's broadcast: x(0) under M_1, then x(r-1) under M_{r-1}.
+    scales = np.concatenate([config.schedule.scales[:1], config.schedule.scales[:-1]])
     for t in range(1, horizon + 1):
         expected_noise_norm = math.sqrt(n * p) * scales[t - 1]
         tail = sum(
@@ -311,8 +324,8 @@ def test_config_validation():
 
 def test_metrics_match_the_per_round_formulas():
     """Every RunMetrics column of a run equals the per-round formulas applied
-    to the iterates the round loop yields and to the agreement rounds that
-    follow them."""
+    to the iterates the gradient kernel returns and to the agreement rounds
+    that follow them."""
     config = make_config(horizon=30, probe_node=2)
     metrics = run(config)
     x_star = config.minimizer()
@@ -326,8 +339,8 @@ def test_metrics_match_the_per_round_formulas():
         return (stage, t, float(err @ err) / denom, dev, z_dev, probe, x_bar, mean_drift, ratio)
 
     rows = []
-    rounds = _gradient_rounds(config, derive_rng(config.noise_seed))
-    for t, (_, z, x) in enumerate(rounds, start=1):
+    _, zs, xs = _gradient_trajectory(config, derive_rng(config.noise_seed))
+    for t, (z, x) in enumerate(zip(zs, xs), start=1):
         rows.append(row(1, t, x, z_dev=float(np.linalg.norm(z - z.mean(axis=0)[None, :]))))
     mean_end, norm_end = x.mean(axis=0), float(np.linalg.norm(x))
     for k in range(1, config.agreement_round_cap() + 1):

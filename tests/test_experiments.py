@@ -159,6 +159,13 @@ def test_rows_csv_is_byte_stable(tmp_path):
     assert text.splitlines()[2].endswith(",")
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_a_non_positive_worker_count(jobs):
+    spec = SweepSpec(base=TINY, axis="T", values=(4.0,), n_seeds=1)
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        sweep(spec, master_seed=1, jobs=jobs)
+
+
 def test_parallel_sweep_matches_sequential():
     spec = SweepSpec(base=TINY, axis="p_c", values=(0.6, 1.0), n_seeds=2)
     sequential = sweep(spec, master_seed=33, jobs=1)
