@@ -10,10 +10,11 @@ Commands::
 
 Configuration is an INI file of ``[section] key = value`` entries; every
 key can also be overridden on the command line with repeated
-``--set section.key=value`` flags.  Outputs are a pure function of the
+``--set section.key=value`` flags.  Both apply on top of the defaults of
+``preset_sweep(sweep.axis)``.  Outputs are a pure function of the
 resolved configuration and ``--seed``; CSV files start with ``#`` comment
 lines recording both, JSON files embed them under ``config`` and
-``master_seed``.
+``master_seed``.  This module owns both file formats.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .analysis import empirical_vs_bound, mean_error_bound
@@ -41,8 +42,6 @@ from .experiments import (
     preset_sweep,
     single_run_seeds,
     sweep,
-    write_rows_csv,
-    write_summary_json,
 )
 from .privacy import budget_check
 from .rng import derive_seed
@@ -87,36 +86,64 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-# dotted key -> (parser, default); defaults match ExperimentConfig.  A
-# ``sweep.values`` of None resolves to the preset grid of ``sweep.axis``.
-_DEFAULT_BASE = ExperimentConfig()
-_SCHEMA: dict[str, tuple[Callable, object]] = {
-    "experiment.n_nodes": (int, _DEFAULT_BASE.n_nodes),
-    "experiment.points_per_node": (int, _DEFAULT_BASE.points_per_node),
-    "experiment.edge_prob": (float, _DEFAULT_BASE.edge_prob),
-    "experiment.dimension": (int, _DEFAULT_BASE.dimension),
-    "experiment.half_width": (float, _DEFAULT_BASE.half_width),
-    "experiment.horizon": (int, _DEFAULT_BASE.horizon),
-    "experiment.probe_node": (int, _DEFAULT_BASE.probe_node),
-    "experiment.strict_first_broadcast": (_bool, _DEFAULT_BASE.strict_first_broadcast),
-    "privacy.epsilon": (float, _DEFAULT_BASE.epsilon),
-    "privacy.delta": (float, _DEFAULT_BASE.delta),
-    "privacy.calibration_grad_bound": (_optional_float, _DEFAULT_BASE.calibration_grad_bound),
-    "stage2.rel_tol": (float, _DEFAULT_BASE.stage2_rel_tol),
-    "stage2.max_rounds": (_optional_int, _DEFAULT_BASE.stage2_max_rounds),
-    "sweep.axis": (_axis, "T"),
+# dotted key -> (parser, ExperimentConfig field)
+_FIELDS: dict[str, tuple[Callable, str]] = {
+    "experiment.n_nodes": (int, "n_nodes"),
+    "experiment.points_per_node": (int, "points_per_node"),
+    "experiment.edge_prob": (float, "edge_prob"),
+    "experiment.dimension": (int, "dimension"),
+    "experiment.half_width": (float, "half_width"),
+    "experiment.horizon": (int, "horizon"),
+    "experiment.probe_node": (int, "probe_node"),
+    "experiment.strict_first_broadcast": (_bool, "strict_first_broadcast"),
+    "privacy.epsilon": (float, "epsilon"),
+    "privacy.delta": (float, "delta"),
+    "privacy.calibration_grad_bound": (_optional_float, "calibration_grad_bound"),
+    "stage2.rel_tol": (float, "stage2_rel_tol"),
+    "stage2.max_rounds": (_optional_int, "stage2_max_rounds"),
+}
+# dotted key -> (parser, default) for the other keys; _defaults fills in
+# the None ones, like those of _FIELDS, from preset_sweep(sweep.axis).
+_OTHER: dict[str, tuple[Callable, object]] = {
+    "sweep.axis": (_axis, None),
     "sweep.values": (_float_list, None),
-    "sweep.n_seeds": (int, 20),
+    "sweep.n_seeds": (int, None),
     "audit.n_samples": (int, 10_000),
     "audit.node_id": (int, 0),
     "audit.point_index": (int, 0),
     "bound.n_runs": (int, 50),
 }
+_PARSERS = {key: parse for key, (parse, _) in (_FIELDS | _OTHER).items()}
+_DEFAULT_AXIS = "T"
+
+# command-line flag -> (configuration key, commands that take it)
+_SHORTHANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "T": ("experiment.horizon", ("schedule", "sweep", "audit", "bound")),
+    "epsilon": ("privacy.epsilon", ("schedule", "sweep", "audit", "bound")),
+    "delta": ("privacy.delta", ("schedule", "sweep", "audit", "bound")),
+    "axis": ("sweep.axis", ("sweep",)),
+    "samples": ("audit.n_samples", ("audit",)),
+}
+
+
+def _defaults(axis: str) -> dict[str, object]:
+    """Every key's default: the experiment and sweep keys from the preset of ``axis``."""
+    preset = preset_sweep(axis)
+    return {
+        **{key: getattr(preset.base, name) for key, (_, name) in _FIELDS.items()},
+        **{key: default for key, (_, default) in _OTHER.items()},
+        "sweep.axis": axis,
+        "sweep.values": preset.values,
+        "sweep.n_seeds": preset.n_seeds,
+    }
 
 
 def _schema_help() -> str:
-    lines = ["configuration keys (INI sections; override with --set KEY=VALUE):"]
-    for key, (_, default) in _SCHEMA.items():
+    lines = [
+        "configuration keys (INI sections; override with --set KEY=VALUE); the experiment,",
+        "privacy, stage2 and sweep defaults come from preset_sweep(sweep.axis), here T:",
+    ]
+    for key, default in _defaults(_DEFAULT_AXIS).items():
         shown = ",".join(repr(v) for v in default) if isinstance(default, tuple) else default
         lines.append(f"  {key} = {shown}")
     return "\n".join(lines)
@@ -137,45 +164,41 @@ def _load_config_file(path: str) -> dict[str, str]:
 def resolve_config(
     config_path: str | None, overrides: Sequence[str]
 ) -> dict[str, object]:
-    """Defaults, then the config file, then ``--set`` overrides."""
-    resolved = {key: default for key, (_, default) in _SCHEMA.items()}
-    raw: dict[str, str] = {}
-    if config_path:
-        raw.update(_load_config_file(config_path))
+    """The preset of ``sweep.axis``, then the config file, then ``--set`` overrides."""
+    raw = _load_config_file(config_path) if config_path else {}
     for item in overrides:
         if "=" not in item:
             raise CliError(f"--set expects section.key=value, got {item!r}")
         key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
+    given: dict[str, object] = {}
     for key, value in raw.items():
-        if key not in _SCHEMA:
+        if key not in _PARSERS:
             raise CliError(f"unknown configuration key: {key}")
-        parse, _ = _SCHEMA[key]
         try:
-            resolved[key] = parse(value)
+            given[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise CliError(f"bad value for {key}: {exc}") from exc
-    if resolved["sweep.values"] is None:
-        resolved["sweep.values"] = preset_sweep(resolved["sweep.axis"]).values
-    return resolved
+    return {**_defaults(given.get("sweep.axis", _DEFAULT_AXIS)), **given}
 
 
 def _base_config(resolved: dict[str, object]) -> ExperimentConfig:
-    return ExperimentConfig(
-        n_nodes=resolved["experiment.n_nodes"],
-        points_per_node=resolved["experiment.points_per_node"],
-        edge_prob=resolved["experiment.edge_prob"],
-        dimension=resolved["experiment.dimension"],
-        half_width=resolved["experiment.half_width"],
-        horizon=resolved["experiment.horizon"],
-        epsilon=resolved["privacy.epsilon"],
-        delta=resolved["privacy.delta"],
-        stage2_rel_tol=resolved["stage2.rel_tol"],
-        stage2_max_rounds=resolved["stage2.max_rounds"],
-        probe_node=resolved["experiment.probe_node"],
-        strict_first_broadcast=resolved["experiment.strict_first_broadcast"],
-        calibration_grad_bound=resolved["privacy.calibration_grad_bound"],
-    )
+    return ExperimentConfig(**{name: resolved[key] for key, (_, name) in _FIELDS.items()})
+
+
+def _write_csv(
+    path: Path, header: Sequence[str], columns: str, rows: Iterable[Sequence]
+) -> None:
+    """``# `` header lines, the column names, then one comma-joined line per row.
+
+    Every line ends in a bare newline.  Cells are written with ``str``,
+    which gives a numpy float64 the same shortest round-tripping text that
+    ``repr`` gives a Python float.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in header)
+        fh.write(f"{columns}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _header_lines(command: str, resolved: dict[str, object], seed: int) -> list[str]:
@@ -188,14 +211,10 @@ def _header_lines(command: str, resolved: dict[str, object], seed: int) -> list[
     return lines
 
 
-def _json_config(resolved: dict[str, object]) -> dict:
-    return {
-        key: (list(value) if isinstance(value, tuple) else value)
-        for key, value in sorted(resolved.items())
-    }
-
-
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, resolved: dict[str, object], seed: int, payload: dict) -> None:
+    """``payload`` with the resolved configuration and master seed."""
+    config = {key: list(v) if isinstance(v, tuple) else v for key, v in resolved.items()}
+    payload = {"config": config, "master_seed": seed, **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -208,12 +227,15 @@ def _cmd_run(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     config = _single_config(resolved, args.seed)
     metrics = run(config)
     out = Path(args.output or "run.csv")
-    with open(out, "w", newline="") as fh:
-        for line in _header_lines("run", resolved, args.seed):
-            fh.write(f"# {line}\n")
-        fh.write("stage,t,normalized_error,consensus_dev,probe_error\n")
-        for stage, t, err, dev, probe in metrics.rows():
-            fh.write(f"{stage},{t},{err!r},{dev!r},{probe!r}\n")
+    _write_csv(
+        out,
+        _header_lines("run", resolved, args.seed),
+        "stage,t,normalized_error,consensus_dev,probe_error",
+        zip(
+            metrics.stage, metrics.t, metrics.normalized_error,
+            metrics.consensus_dev, metrics.probe_error,
+        ),
+    )
     print(f"run: wrote {metrics.t.size} rounds to {out}")
     return 0
 
@@ -222,16 +244,19 @@ def _cmd_schedule(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     schedule = _single_config(resolved, args.seed).schedule
     report = budget_check(schedule, _base_config(resolved).budget)
     out = Path(args.output or "schedule.csv")
-    with open(out, "w", newline="") as fh:
-        for line in _header_lines("schedule", resolved, args.seed):
-            fh.write(f"# {line}\n")
-        fh.write(
-            f"# budget_check pass={report.passed} spent={report.spent!r} "
-            f"allowance={report.allowance!r}\n"
-        )
-        fh.write("t,step_size,noise_scale,sensitivity,spend\n")
-        for t, eta, scale, sens, spend in schedule.rows():
-            fh.write(f"{t},{eta!r},{scale!r},{sens!r},{spend!r}\n")
+    _write_csv(
+        out,
+        [
+            *_header_lines("schedule", resolved, args.seed),
+            f"budget_check pass={report.passed} spent={report.spent!r} "
+            f"allowance={report.allowance!r}",
+        ],
+        "t,step_size,noise_scale,sensitivity,spend",
+        zip(
+            range(1, schedule.horizon + 1), schedule.step_sizes, schedule.scales,
+            schedule.sensitivities, schedule.spends,
+        ),
+    )
     print(
         f"budget_check: pass={report.passed} spent={report.spent:.6g} "
         f"allowance={report.allowance:.6g}"
@@ -249,16 +274,19 @@ def _cmd_sweep(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     )
     result = sweep(spec, args.seed, jobs=args.jobs)
     out = Path(args.output or "sweep.csv")
-    write_rows_csv(result, out, _header_lines("sweep", resolved, args.seed))
+    _write_csv(
+        out,
+        _header_lines("sweep", resolved, args.seed),
+        "axis,value,seed,normalized_error,probe_error,stage2_rounds,wall_ms",
+        (astuple(row) + ("",) for row in result.rows),  # wall_ms is always blank
+    )
     summary_path = out.with_suffix(".summary.json")
-    write_summary_json(result, summary_path, _json_config(resolved))
+    _write_json(summary_path, resolved, args.seed, result.summary())
     print(f"sweep: wrote {len(result.rows)} rows to {out} and summary to {summary_path}")
     return 0
 
 
 def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
-    if args.samples is not None:
-        resolved = dict(resolved, **{"audit.n_samples": args.samples})
     _require_tail_samples(resolved["audit.n_samples"])
     base = _base_config(resolved)
     config = _single_config(resolved, args.seed)
@@ -267,8 +295,6 @@ def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     dets, noises = collect_samples(config, edit, resolved["audit.n_samples"], args.seed)
     report = tail_audit(dets + noises, base.budget)
     payload = {
-        "config": _json_config(resolved),
-        "master_seed": args.seed,
         "n_samples": report.n_samples,
         "exceed_rate": report.exceed_rate,
         "bound": report.bound,
@@ -279,7 +305,7 @@ def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
         "noise_part_stddev": float(noises.std()),
     }
     out = Path(args.output or "audit.json")
-    _write_json(out, payload)
+    _write_json(out, resolved, args.seed, payload)
     print(
         f"audit: exceed_rate={report.exceed_rate!r} bound={report.bound:.6g} "
         f"pass={report.passed} ({out})"
@@ -299,15 +325,13 @@ def _cmd_bound(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     report = mean_error_bound(inputs)
     comparison = empirical_vs_bound(runs, inputs, min_runs=min(n_runs, 50))
     payload = {
-        "config": _json_config(resolved),
-        "master_seed": args.seed,
         "terms": report.terms,
         "constants": report.constants,
         "total": report.total,
         **comparison.to_dict(),
     }
     out = Path(args.output or "bound.json")
-    _write_json(out, payload)
+    _write_json(out, resolved, args.seed, payload)
     print(
         f"bound: total={report.total:.6g} empirical={comparison.empirical_mean:.6g} "
         f"pass={comparison.passed} ({out})"
@@ -342,17 +366,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a configuration key (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", parents=[common], help="single simulation")
-    schedule_parser = sub.add_parser("schedule", parents=[common], help="noise schedule table")
-    sweep_parser = sub.add_parser("sweep", parents=[common], help="axis sweep")
-    audit_parser = sub.add_parser("audit", parents=[common], help="privacy-loss audit")
-    bound_parser = sub.add_parser("bound", parents=[common], help="error bound vs simulation")
-    for p in (schedule_parser, sweep_parser, audit_parser, bound_parser):
-        p.add_argument("--T", type=int, help="shorthand for experiment.horizon")
-        p.add_argument("--epsilon", type=float, help="shorthand for privacy.epsilon")
-        p.add_argument("--delta", type=float, help="shorthand for privacy.delta")
-    sweep_parser.add_argument("--axis", help="shorthand for sweep.axis")
-    audit_parser.add_argument("--samples", type=int, help="shorthand for audit.n_samples")
+    commands = {
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, text in (
+            ("run", "single simulation"),
+            ("schedule", "noise schedule table"),
+            ("sweep", "axis sweep"),
+            ("audit", "privacy-loss audit"),
+            ("bound", "error bound vs simulation"),
+        )
+    }
+    for flag, (key, names) in _SHORTHANDS.items():
+        for name in names:
+            commands[name].add_argument(f"--{flag}", help=f"shorthand for {key}")
     return parser
 
 
@@ -369,17 +395,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = list(args.overrides)
-        for flag, key in (
-            ("T", "experiment.horizon"),
-            ("epsilon", "privacy.epsilon"),
-            ("delta", "privacy.delta"),
-            ("axis", "sweep.axis"),
-        ):
-            value = getattr(args, flag, None)
-            if value is not None:
-                overrides.append(f"{key}={value}")
-        resolved = resolve_config(args.config, overrides)
+        shorthands = [
+            f"{key}={getattr(args, flag)}"
+            for flag, (key, _) in _SHORTHANDS.items()
+            if getattr(args, flag, None) is not None
+        ]
+        resolved = resolve_config(args.config, [*args.overrides, *shorthands])
         return _COMMANDS[args.command](args, resolved)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,17 +178,6 @@ class RunMetrics:
     def agreement_rounds(self) -> int:
         return int(np.sum(self.stage == 2))
 
-    def rows(self):
-        """(stage, t, normalized_error, consensus_dev, probe_error) rows."""
-        for i in range(self.t.size):
-            yield (
-                int(self.stage[i]),
-                int(self.t[i]),
-                float(self.normalized_error[i]),
-                float(self.consensus_dev[i]),
-                float(self.probe_error[i]),
-            )
-
 
 def _deviation(points: np.ndarray) -> np.ndarray:
     """Frobenius norm of each round's deviation from its node average."""

@@ -10,12 +10,8 @@ axis-value x seed order regardless of completion order.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +33,6 @@ __all__ = [
     "preset_sweep",
     "single_run_seeds",
     "sweep",
-    "write_rows_csv",
-    "write_summary_json",
 ]
 
 # Stream labels for the seed-splitting scheme.
@@ -287,41 +281,3 @@ def sweep(spec: SweepSpec, master_seed: int, jobs: int = 1) -> SweepResult:
     else:
         rows = [_run_cell(task) for task in tasks]
     return SweepResult(spec=spec, master_seed=master_seed, rows=tuple(rows))
-
-
-def write_rows_csv(
-    result: SweepResult, path: str | Path, header_lines: Sequence[str] = ()
-) -> None:
-    """Result table as CSV, preceded by '#' comment header lines.
-
-    The ``wall_ms`` column is always blank, so that identical (spec, master
-    seed) pairs produce byte-identical files.
-    """
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["axis", "value", "seed", "normalized_error", "probe_error", "stage2_rounds", "wall_ms"]
-        )
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.axis,
-                    repr(row.value),
-                    row.seed,
-                    repr(row.normalized_error),
-                    repr(row.probe_error),
-                    row.stage2_rounds,
-                    "",
-                ]
-            )
-
-
-def write_summary_json(result: SweepResult, path: str | Path, config_payload: dict) -> None:
-    payload = {
-        "config": config_payload,
-        "master_seed": result.master_seed,
-        **result.summary(),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -37,8 +37,8 @@ class BoxDomain:
     dimension: int
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0.0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -46,8 +45,8 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -64,8 +63,8 @@ def noise_budget(budget: PrivacyBudget, grad_bound: float) -> float:
     divided by the squared worst-case per-step sensitivity factor 2G.
     Increasing in epsilon and delta, decreasing in the gradient bound.
     """
-    if grad_bound <= 0.0:
-        raise ValueError(f"grad_bound must be positive, got {grad_bound}")
+    if not (math.isfinite(grad_bound) and grad_bound > 0.0):
+        raise ValueError(f"grad_bound must be finite and positive, got {grad_bound}")
     return privacy_allowance(budget) / (4.0 * grad_bound**2)
 
 
@@ -116,31 +115,19 @@ class NoiseSchedule:
             raise ValueError("sensitivities must be nonnegative")
 
     @property
+    def spends(self) -> np.ndarray:
+        """Per-round spend Delta_t^2 / M_t^2 of the configured bounds; zero
+        noise spends infinity unless the sensitivity is zero too."""
+        out = np.zeros(self.horizon)
+        noisy = self.scales > 0.0
+        out[noisy] = (self.sensitivities[noisy] / self.scales[noisy]) ** 2
+        out[~noisy & (self.sensitivities > 0.0)] = np.inf
+        return out
+
+    @property
     def alpha(self) -> float:
         """Realized spend sum_t Delta(t)^2 / M_t^2 of the configured bounds."""
-        return float(np.sum(_spends(self.sensitivities, self.scales)))
-
-    def rows(self) -> Iterator[tuple[int, float, float, float, float]]:
-        """(t, step_size, scale, sensitivity, spend_t) per round, 1-based."""
-        spends = _spends(self.sensitivities, self.scales)
-        for t in range(self.horizon):
-            yield (
-                t + 1,
-                float(self.step_sizes[t]),
-                float(self.scales[t]),
-                float(self.sensitivities[t]),
-                float(spends[t]),
-            )
-
-
-def _spends(sensitivities: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Per-round spend Delta_t^2 / M_t^2; zero noise spends infinity unless
-    the sensitivity is zero too."""
-    out = np.zeros_like(sensitivities, dtype=float)
-    noisy = scales > 0.0
-    out[noisy] = (sensitivities[noisy] / scales[noisy]) ** 2
-    out[~noisy & (sensitivities > 0.0)] = np.inf
-    return out
+        return float(np.sum(self.spends))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,100 @@ def test_run_outputs_are_byte_identical(tmp_path, capsys):
     assert any(line.startswith("2,") for line in lines)  # agreement rounds present
 
 
+def test_rows_csv_is_byte_stable(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (a, b):
+        assert run_cli(
+            "sweep", *TINY, "--set", "sweep.values=4", "--set", "sweep.n_seeds=2",
+            "--seed", "9", "--output", str(out),
+        ) == 0
+    assert a.read_bytes() == b.read_bytes()
+    lines = a.read_text().splitlines()
+    assert lines[0] == f"# dpconsensus {dpconsensus.__version__} sweep"
+    body = [line for line in lines if not line.startswith("#")]
+    assert body[0] == "axis,value,seed,normalized_error,probe_error,stage2_rounds,wall_ms"
+    # The wall_ms column is always blank so files stay reproducible.
+    assert len(body) == 3 and all(row.endswith(",") for row in body[1:])
+
+
+# Float columns of each CSV the CLI writes.
+CSV_FLOAT_COLUMNS = {
+    "run": ("normalized_error", "consensus_dev", "probe_error"),
+    "schedule": ("step_size", "noise_scale", "sensitivity", "spend"),
+    "sweep": ("value", "normalized_error", "probe_error"),
+}
+
+
+def test_csv_lines_end_in_newline_and_floats_round_trip(tmp_path):
+    commands = {
+        "run": ["run", *TINY],
+        "schedule": ["schedule", "--T", "20"],
+        "sweep": ["sweep", *TINY, "--set", "sweep.values=4,8", "--set", "sweep.n_seeds=2"],
+    }
+    for command, argv in commands.items():
+        out = tmp_path / f"{command}.csv"
+        assert run_cli(*argv, "--output", str(out)) == 0
+        raw = out.read_bytes()
+        assert b"\r" not in raw, command
+        body = [line for line in raw.decode().split("\n")[:-1] if not line.startswith("#")]
+        columns = body[0].split(",")
+        floats = [columns.index(name) for name in CSV_FLOAT_COLUMNS[command]]
+        for line in body[1:]:
+            cells = line.split(",")
+            assert len(cells) == len(columns), (command, line)
+            for i in floats:
+                assert repr(float(cells[i])) == cells[i], (command, columns[i], cells[i])
+
+
+def test_sweep_defaults_come_from_the_preset_of_its_axis(tmp_path):
+    # No horizon is given: the connectivity preset runs 50 rounds, the T
+    # preset's base keeps the standard 1000.
+    small = [
+        "--set", "experiment.n_nodes=5", "--set", "experiment.points_per_node=20",
+        "--set", "experiment.dimension=2", "--set", "sweep.n_seeds=1",
+    ]
+    for axis, values, horizon in (("p_c", "1.0", 50), ("T", "4", 1000)):
+        out = tmp_path / f"{axis}.csv"
+        code = run_cli(
+            "sweep", *small, "--axis", axis, "--set", f"sweep.values={values}",
+            "--output", str(out),
+        )
+        assert code == 0
+        assert f"# experiment.horizon = {horizon}" in out.read_text().splitlines()
+        summary = json.loads(out.with_suffix(".summary.json").read_text())
+        assert summary["config"]["experiment.horizon"] == horizon
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["schedule", "--T", "ten"], "experiment.horizon"),
+        (["sweep", "--epsilon", "big"], "privacy.epsilon"),
+        (["bound", "--delta", "small"], "privacy.delta"),
+        (["audit", "--samples", "many"], "audit.n_samples"),
+    ],
+)
+def test_bad_shorthand_value_names_its_key(capsys, argv, key):
+    assert run_cli(*argv) == 1
+    assert f"bad value for {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("privacy.epsilon=nan", "epsilon must be finite and positive, got nan"),
+        ("privacy.epsilon=inf", "epsilon must be finite and positive, got inf"),
+        ("privacy.calibration_grad_bound=nan", "grad_bound must be finite and positive, got nan"),
+    ],
+)
+def test_non_finite_inputs_fail_by_name(tmp_path, capsys, setting, message):
+    out = tmp_path / "schedule.csv"
+    code = run_cli("schedule", "--T", "5", "--set", setting, "--output", str(out))
+    assert code == 2
+    assert f"failure: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_seed_changes_the_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli("run", *TINY, "--seed", "1", "--output", str(a))

@@ -1,5 +1,7 @@
 """Projection, the mean-estimation objective, and its data generator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,13 @@ def test_projection_lands_inside_and_stays(coords, half_width):
 def test_projection_rejects_non_finite():
     with pytest.raises(ValueError):
         project_box(np.array([np.nan, 0.0]), UNIT_BOX_2D)
+
+
+@pytest.mark.parametrize("half_width", [math.nan, math.inf, 0.0])
+def test_box_rejects_a_non_finite_or_non_positive_half_width_by_name(half_width):
+    # A nan half-width would make gen_truncated_gaussian reject every draw forever.
+    with pytest.raises(ValueError, match=f"half_width must be finite and positive, got {half_width}"):
+        BoxDomain(half_width=half_width, dimension=2)
 
 
 def test_gradient_vanishes_at_the_local_mean():

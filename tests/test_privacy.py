@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from dpconsensus.cli import main
+from dpconsensus.experiments import ExperimentConfig, build_run_config, single_run_seeds
 from dpconsensus.objectives import ObjectiveSpec
 from dpconsensus.privacy import (
     NoiseSchedule,
@@ -65,6 +67,18 @@ def test_budget_validation():
         PrivacyBudget(epsilon=0.0, delta=1e-3)
     with pytest.raises(ValueError):
         PrivacyBudget(epsilon=1.0, delta=1.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_budget_rejects_a_non_finite_epsilon_by_name(epsilon):
+    with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {epsilon}"):
+        PrivacyBudget(epsilon=epsilon, delta=1e-3)
+
+
+@pytest.mark.parametrize("grad_bound", [math.nan, math.inf])
+def test_noise_budget_rejects_a_non_finite_grad_bound_by_name(grad_bound):
+    with pytest.raises(ValueError, match=f"grad_bound must be finite and positive, got {grad_bound}"):
+        noise_budget(BUDGET_4, grad_bound)
 
 
 def test_generic_sensitivity():
@@ -152,12 +166,20 @@ def test_alpha_is_the_configured_spend():
     assert schedule.alpha == pytest.approx(manual, rel=1e-12)
 
 
-def test_schedule_rows_are_one_based():
+def test_schedule_rows_are_one_based(tmp_path):
     schedule = calibrate_noise_schedule(3, BUDGET_4, UNIT_SPEC)
-    rows = list(schedule.rows())
-    assert [r[0] for r in rows] == [1, 2, 3]
-    assert rows[0][1] == 1.0  # step size at t=1
-    assert sum(r[4] for r in rows) == pytest.approx(schedule.alpha, rel=1e-12)
+    assert schedule.step_sizes[0] == 1.0  # step size at t=1
+    assert schedule.spends.shape == (3,)
+    assert sum(schedule.spends) == pytest.approx(schedule.alpha, rel=1e-12)
+    # The CLI's schedule table numbers its rounds 1..T and writes each
+    # round's step size, scale, sensitivity and spend unchanged.
+    out = tmp_path / "schedule.csv"
+    assert main(["schedule", "--T", "3", "--seed", "42", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[-3:]]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    written = build_run_config(ExperimentConfig(horizon=3), *single_run_seeds(42)).schedule
+    columns = (written.step_sizes, written.scales, written.sensitivities, written.spends)
+    assert [[float(cell) for cell in row[1:]] for row in rows] == np.transpose(columns).tolist()
 
 
 def test_schedule_validation():
