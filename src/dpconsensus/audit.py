@@ -11,10 +11,11 @@ and its counterfactual under the single-point edit, and n_k(t) is the noise
 realization attached to x_k(t).  Under that coupling (identical noise,
 shared broadcasts: the counterfactual run consumes the factual run's
 messages when averaging) only node k's local step differs.  The audit takes
-the factual run's trajectory from the engine, whose noise rows are already
-paired with the iterates they protect (x(T)'s row included), computes node
-k's counterfactual steps for all rounds at once from its consensus points,
-and evaluates both terms on the resulting gaps.
+the factual runs' trajectories from the engine for a batch of noise seeds at
+once, whose noise rows are already paired with the iterates they protect
+(x(T)'s row included), computes node k's counterfactual steps for all
+rounds and all seeds of the batch at once from its consensus points, and
+evaluates both terms on the resulting gaps.
 
 The deterministic part never exceeds half the configured sensitivity spend,
 the noise part has zero mean, and the total exceeds epsilon in magnitude
@@ -26,13 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .engine import RunConfig, _gradient_trajectory
+from .engine import RunConfig, _batch_size, _gradient_trajectory
 from .objectives import LocalDataset, project_box
 from .privacy import PrivacyBudget
-from .rng import derive_rng, derive_seed
+from .rng import derive_seed
 
 __all__ = [
     "AuditReport",
@@ -89,34 +91,38 @@ def _validate_edit(config: RunConfig, edit: NeighborEdit) -> np.ndarray:
     return replacement
 
 
-def _coupled_run(
-    config: RunConfig, edit: NeighborEdit, noise_seed: int
-) -> tuple[float, float, np.ndarray]:
-    """Loss terms (deterministic, noise) and per-round gap norms of one
-    coupled pair of runs."""
+def _gradient_shift(config: RunConfig, edit: NeighborEdit) -> np.ndarray:
+    """grad'_k(z) - grad_k(z) = old - new, the only difference between the
+    coupled runs; validates the edit and the noise scales."""
     replacement = _validate_edit(config, edit)
-    schedule = config.schedule
-    if np.any(schedule.scales <= 0.0):
+    if np.any(config.schedule.scales <= 0.0):
         raise ValueError("privacy-loss audit needs strictly positive noise scales")
-    k = edit.node_id
-    data = config.datasets[k]
-    count, total = float(data.n_points), data.points.sum(axis=0)
-    # grad'_k(z) = grad_k(z) + (old - new): the only difference between runs.
-    grad_shift = data.points[edit.point_index] - replacement
+    return config.datasets[edit.node_id].points[edit.point_index] - replacement
 
-    noise, z, x = _gradient_trajectory(config, derive_rng(noise_seed))
+
+def _coupled_runs(
+    config: RunConfig, node: int, grad_shift: np.ndarray, noise_seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Loss terms (deterministic, noise), shape ``(S,)``, and per-round gap
+    norms, shape ``(S, T)``, of one coupled pair of runs per noise seed, all
+    seeds in one kernel batch."""
+    schedule = config.schedule
+    data = config.datasets[node]
+    count, total = float(data.n_points), data.points.sum(axis=0)
+
+    noise, z, x = _gradient_trajectory([config], noise_seeds)
     # Counterfactual iterates of the edited node from the same consensus
     # points (both runs see identical broadcasts by the coupling); x(0) = 0
-    # in both runs, so row t-1 holds the gap x_k(t) - x'_k(t).
-    z_k = z[:, k]
+    # in both runs, so round t-1 holds the gap x_k(t) - x'_k(t).
+    z_k = z[:, :, node]
     steps = schedule.step_sizes[:, None]
     x_alt = project_box(z_k - steps * (count * z_k - total + grad_shift), config.domain)
-    gaps = x[:, k] - x_alt
+    gaps = x[:, :, node] - x_alt
 
-    gap_sq = np.einsum("tp,tp->t", gaps, gaps)
+    gap_sq = np.einsum("stp,stp->st", gaps, gaps)
     variances = schedule.scales**2
-    deterministic = float(np.sum(gap_sq / (2.0 * variances)))
-    noise_term = float(np.sum(np.einsum("tp,tp->t", noise[1:, k], gaps) / variances))
+    deterministic = np.sum(gap_sq / (2.0 * variances), axis=1)
+    noise_term = np.sum(np.einsum("stp,stp->st", noise[:, 1:, node], gaps) / variances, axis=1)
     return deterministic, noise_term, np.sqrt(gap_sq)
 
 
@@ -133,14 +139,17 @@ def coupled_privacy_loss(
     iterates: the final iterate's broadcast noise (scale M_T) is drawn even
     though the agreement phase that follows would send it exactly.
     """
-    return _coupled_run(config, edit, noise_seed)[:2]
+    shift = _gradient_shift(config, edit)
+    deterministic, noise, _ = _coupled_runs(config, edit.node_id, shift, [noise_seed])
+    return float(deterministic[0]), float(noise[0])
 
 
 def coupled_gap_trace(
     config: RunConfig, edit: NeighborEdit, noise_seed: int
 ) -> np.ndarray:
     """Per-round iterate gap norms ||x_k(t) - x'_k(t)|| of the coupled runs."""
-    return _coupled_run(config, edit, noise_seed)[2]
+    shift = _gradient_shift(config, edit)
+    return _coupled_runs(config, edit.node_id, shift, [noise_seed])[2][0]
 
 
 def collect_samples(
@@ -150,16 +159,22 @@ def collect_samples(
 
     Returns the deterministic parts and the noise parts as two arrays of
     length ``n_samples``; their sum is the privacy loss of each sample.
+    Samples run in kernel batches of a bounded size, and sample i draws the
+    same stream whatever the batch size or ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    deterministic, noise = zip(
-        *(
-            coupled_privacy_loss(config, edit, derive_seed(master_seed, _AUDIT_STREAM, i))
-            for i in range(n_samples)
-        )
-    )
-    return np.array(deterministic), np.array(noise)
+    grad_shift = _gradient_shift(config, edit)
+    size = _batch_size(config)
+    parts = []
+    for start in range(0, n_samples, size):
+        seeds = [
+            derive_seed(master_seed, _AUDIT_STREAM, i)
+            for i in range(start, min(start + size, n_samples))
+        ]
+        parts.append(_coupled_runs(config, edit.node_id, grad_shift, seeds)[:2])
+    deterministic, noise = (np.concatenate(part) for part in zip(*parts))
+    return deterministic, noise
 
 
 def _require_tail_samples(n: int) -> None:

@@ -14,9 +14,11 @@ accounting assumes (round-t sensitivity over M_t).  The round-1 broadcast
 carries x(0) = 0, which touches no data: by default it still gets scale-M_1
 noise for a uniform message shape, and ``strict_first_broadcast`` sends the
 literal zero instead.  Both choices spend the same budget.  The pairing and
-the round loop live in one place, ``_gradient_trajectory``, which returns
-the whole phase as arrays and which the privacy-loss audit consumes too;
-each phase's metrics are computed once from those arrays.
+the round loop live in one place, ``_gradient_trajectory``, which runs a
+batch of noise seeds side by side (states ``(S, n, p)``) and returns the
+whole phase as arrays; a single run, the sweeps and the privacy-loss audit
+all go through it, in batches bounded by a fixed float budget.  Each
+phase's metrics are computed once from those arrays.
 
 Agreement phase (rounds t > T): exact broadcasts and pure consensus
 averaging without projection, until the per-node relative change drops
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +50,11 @@ __all__ = [
 
 # Denominator floor in the relative-change stopping rule.
 _REL_CHANGE_FLOOR = 1e-12
+
+# Float budget of one batch's noise block S * (T+1) * n * p: 16 seeds at
+# T=100 and 32 at T=50 with 10 nodes in 4 dimensions, one at T=1000.  The
+# consensus points and iterates of a batch take about as much again each.
+_BATCH_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -212,44 +220,109 @@ def _metrics(config: RunConfig, stage: int, first_round: int, xs: np.ndarray) ->
     )
 
 
-def _gradient_trajectory(
-    config: RunConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rounds 1..T of the noisy gradient phase as arrays ``(noise, z, x)``.
+def _batch_size(config: RunConfig) -> int:
+    """Most seeds of ``config``'s shape whose noise blocks fit ``_BATCH_FLOATS``
+    (at least one)."""
+    per_seed = (config.horizon + 1) * config.n_nodes * config.domain.dimension
+    return max(1, _BATCH_FLOATS // per_seed)
 
-    ``noise[t]`` (shape ``(T+1, n, p)``) is the noise attached to iterate
-    x(t), which the round-(t+1) broadcast carries: row 0 has scale M_1, or
-    is exactly zero under ``strict_first_broadcast``, and row t >= 1 has
-    scale M_t.  No gradient round sends x(T), so only the audit reads the
-    last row.  ``z[t-1]`` and ``x[t-1]`` (shape ``(T, n, p)``) are round t's
-    projected consensus points and new iterates.  The noise is one draw of
-    (T+1) * n * p standard normals, round-major then node-major.
+
+def _project(points: np.ndarray, domain: BoxDomain, noise_seeds: Sequence[int]) -> np.ndarray:
+    """``project_box`` over a batch ``(S, n, p)``; a non-finite coordinate
+    names the noise seed(s) whose member diverged."""
+    try:
+        return project_box(points, domain)
+    except ValueError as exc:
+        diverged = np.flatnonzero(~np.isfinite(points).all(axis=(1, 2)))
+        seeds = [noise_seeds[s] for s in diverged]
+        raise ValueError(f"non-finite coordinates in the run of noise seed(s) {seeds}") from exc
+
+
+def _gradient_trajectory(
+    configs: Sequence[RunConfig], noise_seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rounds 1..T of the noisy gradient phase for a batch of S noise seeds,
+    as arrays ``(noise, z, x)``.
+
+    ``configs`` is one config, whose graph and data every seed shares, or
+    one config per seed; stacked configs must share the domain, the schedule
+    and the first-broadcast rule, and the configs' own ``noise_seed`` is not
+    read.  ``noise[s, t]`` (shape ``(S, T+1, n, p)``) is the noise attached
+    to seed s's iterate x(t), which the round-(t+1) broadcast carries: row 0
+    has scale M_1, or is exactly zero under ``strict_first_broadcast``, and
+    row t >= 1 has scale M_t.  No gradient round sends x(T), so only the
+    audit reads the last row.  ``z[s, t-1]`` and ``x[s, t-1]`` (shape
+    ``(S, T, n, p)``) are round t's projected consensus points and new
+    iterates.  Each seed's noise is one draw of (T+1) * n * p standard
+    normals from its own stream, round-major then node-major, so a seed
+    draws the same numbers in a batch as alone.
     """
-    domain, schedule = config.domain, config.schedule
-    first = 0.0 if config.strict_first_broadcast else schedule.scales[0]
-    scales = np.concatenate([[first], schedule.scales])
-    nodes = (config.n_nodes, domain.dimension)
-    noise = rng.standard_normal((config.horizon + 1, *nodes)) * scales[:, None, None]
-    weights = config.graph.weights
-    counts = np.array([d.n_points for d in config.datasets], dtype=float)[:, None]
-    sums = np.stack([d.points.sum(axis=0) for d in config.datasets])
-    z, x = np.empty((config.horizon, *nodes)), np.empty((config.horizon, *nodes))
-    previous = np.zeros(nodes)
+    first = configs[0]
+    if len(configs) not in (1, len(noise_seeds)):
+        raise ValueError(f"{len(configs)} configs for {len(noise_seeds)} noise seeds")
+    domain, schedule = first.domain, first.schedule
+    for config in configs[1:]:
+        if not (
+            config.domain == domain
+            and config.strict_first_broadcast == first.strict_first_broadcast
+            and np.array_equal(config.schedule.step_sizes, schedule.step_sizes)
+            and np.array_equal(config.schedule.scales, schedule.scales)
+        ):
+            raise ValueError(
+                "a batch's configs must share the domain, schedule and first broadcast"
+            )
+    first_scale = 0.0 if first.strict_first_broadcast else schedule.scales[0]
+    scales = np.concatenate([[first_scale], schedule.scales])
+    batch = (len(noise_seeds), first.n_nodes, domain.dimension)
+    noise = np.empty((batch[0], first.horizon + 1, *batch[1:]))
+    for s, seed in enumerate(noise_seeds):
+        derive_rng(seed).standard_normal(out=noise[s])
+    noise *= scales[:, None, None]
+    # One config broadcasts over the seeds as a leading axis of length 1.
+    weights = np.array([c.graph.weights for c in configs])
+    counts = np.array([[[d.n_points] for d in c.datasets] for c in configs], dtype=float)
+    sums = np.array([[d.points.sum(axis=0) for d in c.datasets] for c in configs])
+    z = np.empty((batch[0], first.horizon, *batch[1:]))
+    x = np.empty_like(z)
+    previous = np.zeros(batch)
     for r, step in enumerate(schedule.step_sizes):
-        z[r] = project_box(weights @ (previous + noise[r]), domain)
-        x[r] = previous = project_box(z[r] - float(step) * (counts * z[r] - sums), domain)
+        z[:, r] = _project(weights @ (previous + noise[:, r]), domain, noise_seeds)
+        x[:, r] = previous = _project(
+            z[:, r] - float(step) * (counts * z[:, r] - sums), domain, noise_seeds
+        )
     return noise, z, x
+
+
+def _gradient_batch(configs: Sequence[RunConfig]) -> list[tuple[SimState, RunMetrics]]:
+    """Gradient phases of one batch, each config under its own noise seed;
+    the batch's trajectory arrays are dropped on return."""
+    _, z, x = _gradient_trajectory(configs, [c.noise_seed for c in configs])
+    return [
+        (
+            SimState(t=config.horizon, x=x_s[-1].copy()),
+            replace(_metrics(config, 1, 1, x_s), z_dev=_deviation(z_s)),
+        )
+        for config, z_s, x_s in zip(configs, z, x)
+    ]
+
+
+def _gradient_phases(configs: Sequence[RunConfig]) -> Iterator[tuple[SimState, RunMetrics]]:
+    """Gradient phases of configs that can share a batch, in order, run in
+    batches of at most ``_batch_size`` seeds; each batch is freed before the
+    next is built."""
+    size = _batch_size(configs[0])
+    for start in range(0, len(configs), size):
+        yield from _gradient_batch(configs[start:start + size])
 
 
 def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
     """Execute rounds 1..T of the noisy gradient phase.
 
     Deterministic given ``config.noise_seed``; metrics are computed once
-    from the stored trajectory.
+    from the stored trajectory.  This is the one-seed batch of the kernel
+    that sweeps run many seeds through.
     """
-    _, z, x = _gradient_trajectory(config, derive_rng(config.noise_seed))
-    metrics = replace(_metrics(config, 1, 1, x), z_dev=_deviation(z))
-    return SimState(t=config.horizon, x=x[-1]), metrics
+    return _gradient_batch([config])[0]
 
 
 def run_agreement_phase(

@@ -12,14 +12,20 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from . import engine
 from .analysis import BoundInputs
-from .graph import gen_erdos_renyi
-from .objectives import BoxDomain, gen_truncated_gaussian, mean_objective_constants
-from .privacy import PrivacyBudget, calibrate_noise_schedule
+from .graph import CommGraph, gen_erdos_renyi
+from .objectives import (
+    BoxDomain,
+    LocalDataset,
+    gen_truncated_gaussian,
+    mean_objective_constants,
+)
+from .privacy import NoiseSchedule, PrivacyBudget, calibrate_noise_schedule
 from .rng import derive_seed
 
 __all__ = [
@@ -142,23 +148,30 @@ def preset_sweep(axis: str) -> SweepSpec:
     return SweepSpec(base=base, axis=axis, values=values[axis])
 
 
-def build_run_config(
-    base: ExperimentConfig, graph_seed: int, data_seed: int, noise_seed: int
-) -> engine.RunConfig:
-    """Expand a scalar config into a runnable one (graph, data, schedule)."""
-    domain = base.domain
-    graph = gen_erdos_renyi(base.n_nodes, base.edge_prob, graph_seed)
-    datasets = tuple(
-        gen_truncated_gaussian(base.points_per_node, domain, data_seed, node_id=i)
+def _datasets(base: ExperimentConfig, data_seed: int) -> tuple[LocalDataset, ...]:
+    return tuple(
+        gen_truncated_gaussian(base.points_per_node, base.domain, data_seed, node_id=i)
         for i in range(base.n_nodes)
     )
-    spec = mean_objective_constants(datasets[0], domain)
-    schedule = calibrate_noise_schedule(
+
+
+def _schedule(base: ExperimentConfig, datasets: tuple[LocalDataset, ...]) -> NoiseSchedule:
+    spec = mean_objective_constants(datasets[0], base.domain)
+    return calibrate_noise_schedule(
         base.horizon, base.budget, replace(spec, grad_bound=base.noise_grad_bound)
     )
+
+
+def _run_config(
+    base: ExperimentConfig,
+    graph: CommGraph,
+    datasets: tuple[LocalDataset, ...],
+    schedule: NoiseSchedule,
+    noise_seed: int,
+) -> engine.RunConfig:
     return engine.RunConfig(
         graph=graph,
-        domain=domain,
+        domain=base.domain,
         datasets=datasets,
         schedule=schedule,
         noise_seed=noise_seed,
@@ -167,6 +180,15 @@ def build_run_config(
         strict_first_broadcast=base.strict_first_broadcast,
         probe_node=base.probe_node,
     )
+
+
+def build_run_config(
+    base: ExperimentConfig, graph_seed: int, data_seed: int, noise_seed: int
+) -> engine.RunConfig:
+    """Expand a scalar config into a runnable one (graph, data, schedule)."""
+    graph = gen_erdos_renyi(base.n_nodes, base.edge_prob, graph_seed)
+    datasets = _datasets(base, data_seed)
+    return _run_config(base, graph, datasets, _schedule(base, datasets), noise_seed)
 
 
 def bound_inputs(base: ExperimentConfig, config: engine.RunConfig) -> BoundInputs:
@@ -251,33 +273,69 @@ class SweepResult:
         return {"axis": self.spec.axis, "per_value": per_value}
 
 
-def _run_cell(args: tuple[ExperimentConfig, str, float, int, int, int]) -> SweepRow:
-    base, axis, value, seed_index, master_seed, value_index = args
-    cell_config = base.with_value(axis, value)
-    graph_seed, data_seed, noise_seed = cell_seeds(master_seed, axis, value_index, seed_index)
-    metrics = engine.run(build_run_config(cell_config, graph_seed, data_seed, noise_seed))
-    return SweepRow(
-        axis=axis,
-        value=value,
-        seed=seed_index,
-        normalized_error=metrics.gradient_end_normalized_error(),
-        probe_error=metrics.gradient_end_probe_error(),
-        stage2_rounds=metrics.agreement_rounds,
-    )
+def _groups(
+    spec: SweepSpec, master_seed: int
+) -> Iterator[tuple[str, float, list[engine.RunConfig]]]:
+    """One task ``(axis, value, run configs in seed order)`` per axis value.
+
+    Every config of a task shares the value's horizon and schedule.  Graphs
+    and datasets are built at the first value, and again at each later one
+    only when the axis regenerates them: otherwise their streams do not
+    depend on the value, so every value reuses the same inputs.
+    """
+    _, regen_graph, regen_data = AXES[spec.axis]
+    graphs: list[CommGraph] = []
+    data: list[tuple[LocalDataset, ...]] = []
+    for value_index, value in enumerate(spec.values):
+        base = spec.base.with_value(spec.axis, value)
+        seeds = [
+            cell_seeds(master_seed, spec.axis, value_index, seed_index)
+            for seed_index in range(spec.n_seeds)
+        ]
+        if regen_graph or not graphs:
+            graphs = [gen_erdos_renyi(base.n_nodes, base.edge_prob, g) for g, _, _ in seeds]
+        if regen_data or not data:
+            data = [_datasets(base, d) for _, d, _ in seeds]
+        schedule = _schedule(base, data[0])  # depends on the data only through its size
+        configs = [
+            _run_config(base, graph, datasets, schedule, noise_seed)
+            for graph, datasets, (_, _, noise_seed) in zip(graphs, data, seeds)
+        ]
+        yield spec.axis, value, configs
+
+
+def _run_group(task: tuple[str, float, list[engine.RunConfig]]) -> list[SweepRow]:
+    """Rows of one axis value: the gradient phases run as memory-bounded
+    batches of seeds, then each seed's agreement phase."""
+    axis, value, configs = task
+    rows = []
+    phases = engine._gradient_phases(configs)
+    for seed_index, (config, (state, gradient)) in enumerate(zip(configs, phases)):
+        _, agreement = engine.run_agreement_phase(state, config)
+        rows.append(
+            SweepRow(
+                axis=axis,
+                value=value,
+                seed=seed_index,
+                normalized_error=gradient.gradient_end_normalized_error(),
+                probe_error=gradient.gradient_end_probe_error(),
+                stage2_rounds=agreement.agreement_rounds,
+            )
+        )
+    return rows
 
 
 def sweep(spec: SweepSpec, master_seed: int, jobs: int = 1) -> SweepResult:
-    """Run every (value, seed) cell; rows in deterministic cell order."""
+    """Run every (value, seed) cell; rows in deterministic cell order.
+
+    ``jobs > 1`` runs the axis values in that many worker processes.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [
-        (spec.base, spec.axis, value, seed_index, master_seed, value_index)
-        for value_index, value in enumerate(spec.values)
-        for seed_index in range(spec.n_seeds)
-    ]
+    groups = _groups(spec, master_seed)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell, tasks))
+            rows = [row for group in pool.map(_run_group, groups) for row in group]
     else:
-        rows = [_run_cell(task) for task in tasks]
+        rows = [row for group in map(_run_group, groups) for row in group]
     return SweepResult(spec=spec, master_seed=master_seed, rows=tuple(rows))

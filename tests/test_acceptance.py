@@ -247,11 +247,19 @@ def test_criterion_6_mutation_flips_the_verdict(bound_runs):
     )
 
 
-def test_criterion_7_privacy_loss_audit():
+@pytest.fixture(scope="module")
+def criterion_7_samples():
+    """The planted worst-case audit instance at T=100 and its 10,000
+    (deterministic, noise) privacy-loss samples."""
     config, _ = _default_cell(100)
     config = plant_point(config)
     edit = worst_case_edit(config)
     dets, noises = collect_samples(config, edit, 10_000, master_seed=MASTER_SEED)
+    return config, dets, noises
+
+
+def test_criterion_7_privacy_loss_audit(criterion_7_samples):
+    config, dets, noises = criterion_7_samples
     half_alpha = config.schedule.alpha / 2.0
     det_ok = bool(np.all(dets <= half_alpha * (1.0 + FP_SLACK)))
     stderr = noises.std() / math.sqrt(noises.size)
@@ -266,6 +274,35 @@ def test_criterion_7_privacy_loss_audit():
         f"exceed rate {report.exceed_rate} <= {report.bound:.5f}",
     )
     assert det_ok and centered and report.passed
+
+
+def test_criterion_7_loss_follows_its_gaussian_law(criterion_7_samples):
+    """At the worst-case edit the box never binds, so every gap equals its
+    sensitivity bound and the loss is exactly N(alpha/2, alpha): a constant
+    deterministic part alpha/2 plus a centered noise part of variance alpha."""
+    config, dets, noises = criterion_7_samples
+    alpha = config.schedule.alpha
+    n = noises.size
+    det_dev = float(np.max(np.abs(dets / (alpha / 2.0) - 1.0)))
+    # Sample variance of n normals has standard error sigma^2 sqrt(2 / (n - 1)).
+    var_z = (float(noises.var(ddof=1)) - alpha) / (alpha * math.sqrt(2.0 / (n - 1)))
+    # One-sample Kolmogorov-Smirnov distance against N(alpha/2, alpha).
+    totals = np.sort(dets + noises)
+    scaled = (totals - alpha / 2.0) / math.sqrt(2.0 * alpha)
+    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in scaled]))
+    ranks = np.arange(1, n + 1)
+    ks = float(max(np.max(ranks / n - cdf), np.max(cdf - (ranks - 1) / n)))
+    ks_critical = 1.628 / math.sqrt(n)  # 1% level
+    passed = det_dev <= 1e-9 and abs(var_z) <= 4.0 and ks <= ks_critical
+    _report(
+        "7 (law)",
+        passed,
+        f"deterministic part off alpha/2 by {det_dev:.2e} (rel); noise variance z {var_z:+.2f}; "
+        f"KS distance {ks:.5f} vs 1% critical {ks_critical:.5f}",
+    )
+    assert det_dev <= 1e-9, det_dev
+    assert abs(var_z) <= 4.0, var_z
+    assert ks <= ks_critical, ks
 
 
 def _trend_violations(means: list[float], strict: bool) -> int:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dpconsensus.audit import (
+    _AUDIT_STREAM,
     NeighborEdit,
     collect_samples,
     coupled_gap_trace,
@@ -17,7 +18,8 @@ from dpconsensus.audit import (
 )
 from dpconsensus.objectives import mean_objective_grad, project_box
 from dpconsensus.privacy import PrivacyBudget
-from dpconsensus.rng import derive_rng
+from dpconsensus.engine import _batch_size
+from dpconsensus.rng import derive_rng, derive_seed
 
 from test_engine import make_config
 
@@ -74,6 +76,29 @@ def test_samples_are_deterministic_per_master_seed(audit_setup):
         assert part_a.shape == (5,)
         assert np.array_equal(part_a, part_b)
         assert not np.array_equal(part_a, part_c)
+
+
+@pytest.mark.parametrize("seeds_per_batch", [None, 8])
+def test_collect_samples_equals_its_per_sample_losses(audit_setup, monkeypatch, seeds_per_batch):
+    """37 samples, which no batch size used here divides: in one partial
+    batch under the default budget, and in four full batches and a partial
+    one under a budget of 8 seeds."""
+    config, edit = audit_setup
+    if seeds_per_batch is not None:
+        per_seed = (config.horizon + 1) * config.n_nodes * config.domain.dimension
+        monkeypatch.setattr("dpconsensus.engine._BATCH_FLOATS", seeds_per_batch * per_seed)
+        assert _batch_size(config) == seeds_per_batch
+    deterministic, noise = collect_samples(config, edit, 37, master_seed=11)
+    assert deterministic.shape == noise.shape == (37,)
+    for i in range(37):
+        expected = coupled_privacy_loss(config, edit, derive_seed(11, _AUDIT_STREAM, i))
+        assert (deterministic[i], noise[i]) == pytest.approx(expected, rel=1e-12)
+    # The first n samples do not depend on how many are drawn.
+    for total in (20, 50):
+        more = collect_samples(config, edit, total, master_seed=11)
+        n = min(total, 37)
+        assert np.array_equal(more[0][:n], deterministic[:n])
+        assert np.array_equal(more[1][:n], noise[:n])
 
 
 def test_tail_audit_trivially_passes_on_zero_losses():

@@ -9,6 +9,8 @@ import pytest
 from dpconsensus.engine import (
     RunConfig,
     SimState,
+    _batch_size,
+    _gradient_phases,
     _gradient_trajectory,
     run,
     run_agreement_phase,
@@ -112,7 +114,7 @@ def test_identical_nodes_stay_identical_without_noise():
 
 def test_iterates_stay_in_the_box_under_heavy_noise():
     config = make_config(epsilon=0.5, horizon=40)  # large noise scales
-    noise, z, x = _gradient_trajectory(config, derive_rng(config.noise_seed))
+    noise, z, x = (a[0] for a in _gradient_trajectory([config], [config.noise_seed]))
     assert z.shape == x.shape == (40, config.n_nodes, config.domain.dimension)
     assert np.abs(noise[:-1]).max() > config.domain.half_width  # broadcast noise
     for z_t, x_t in zip(z, x):
@@ -180,8 +182,8 @@ def test_noise_rows_pair_each_iterate_with_its_scale():
         config = make_config(horizon=horizon, strict_first_broadcast=strict)
         n, p = config.n_nodes, config.domain.dimension
         scales = config.schedule.scales
-        kernel_rng, replay = derive_rng(config.noise_seed), derive_rng(config.noise_seed)
-        noise, _, _ = _gradient_trajectory(config, kernel_rng)
+        replay = derive_rng(config.noise_seed)
+        noise = _gradient_trajectory([config], [config.noise_seed])[0][0]
         draws = [replay.standard_normal((n, p)) for _ in range(horizon + 1)]
         assert noise.shape == (horizon + 1, n, p)
         if strict:
@@ -190,8 +192,95 @@ def test_noise_rows_pair_each_iterate_with_its_scale():
             assert np.array_equal(noise[0], draws[0] * scales[0])
         for t in range(1, horizon + 1):  # up to row T, which protects x(T) with M_T
             assert np.array_equal(noise[t], draws[t] * scales[t - 1])
-        # The kernel consumes exactly the replayed draws, no more.
-        assert kernel_rng.standard_normal() == replay.standard_normal()
+
+
+def _assert_rows_close(batch, singles):
+    """Every array of an S-seed kernel call equals the matching one-seed
+    call row for row, within 1e-12 relative."""
+    for name, stacked, alone in zip(("noise", "z", "x"), batch, zip(*singles)):
+        assert stacked.shape[0] == len(alone)
+        for s, single in enumerate(alone):
+            assert single.shape[0] == 1
+            np.testing.assert_allclose(
+                stacked[s], single[0], rtol=1e-12, atol=0.0, err_msg=f"{name}[{s}]"
+            )
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_a_seed_batch_equals_its_single_seed_runs(strict):
+    # One config broadcast over the seeds: the audit's batch.
+    config = make_config(horizon=12, strict_first_broadcast=strict)
+    seeds = [5, 6, 7, 8, 9]
+    batch = _gradient_trajectory([config], seeds)
+    _assert_rows_close(batch, [_gradient_trajectory([config], [s]) for s in seeds])
+    # One config per seed, with its own graph and data: a sweep's batch.
+    configs = [
+        make_config(
+            horizon=12, strict_first_broadcast=strict, graph_seed=g, data_seed=d, noise_seed=s
+        )
+        for g, d, s in ((3, 4, 5), (10, 11, 12), (20, 21, 22))
+    ]
+    seeds = [c.noise_seed for c in configs]
+    batch = _gradient_trajectory(configs, seeds)
+    _assert_rows_close(batch, [_gradient_trajectory([c], [c.noise_seed]) for c in configs])
+
+
+def test_batched_gradient_phases_equal_single_runs(monkeypatch):
+    configs = [
+        make_config(horizon=9, graph_seed=g, data_seed=g + 1, noise_seed=g + 2) for g in range(7)
+    ]
+    # A budget of two seeds per batch splits the seven runs into 2 + 2 + 2 + 1.
+    per_seed = 10 * configs[0].n_nodes * configs[0].domain.dimension
+    monkeypatch.setattr("dpconsensus.engine._BATCH_FLOATS", 2 * per_seed + 1)
+    assert _batch_size(configs[0]) == 2
+    phases = list(_gradient_phases(configs))
+    assert len(phases) == len(configs)
+    for config, (state, metrics) in zip(configs, phases):
+        single_state, single_metrics = run_gradient_phase(config)
+        assert state.t == single_state.t == 9
+        np.testing.assert_allclose(state.x, single_state.x, rtol=1e-12, atol=0.0)
+        for name in ("normalized_error", "consensus_dev", "z_dev", "probe_error", "mean_iterate"):
+            np.testing.assert_allclose(
+                getattr(metrics, name), getattr(single_metrics, name), rtol=1e-12, atol=0.0
+            )
+
+
+def test_a_batch_rejects_configs_that_cannot_share_its_rounds():
+    config = make_config(horizon=6)
+    with pytest.raises(ValueError, match="2 configs for 3 noise seeds"):
+        _gradient_trajectory([config, config], [1, 2, 3])
+    for other in (
+        make_config(horizon=7),
+        make_config(horizon=6, epsilon=2.0),
+        replace(config, strict_first_broadcast=True),
+    ):
+        with pytest.raises(ValueError, match="must share the domain, schedule and first broadcast"):
+            _gradient_trajectory([config, other], [1, 2])
+
+
+def test_a_diverging_batch_member_is_named_by_its_noise_seed():
+    # Scales of 1e308 overflow a standard normal draw beyond ~1.8 to inf.  A
+    # seed diverges exactly when one of the rows its gradient rounds send
+    # (rows 0..T-1) holds such a draw; every other seed stays finite.
+    horizon, n, p = 2, 3, 2
+    config = make_config(n_nodes=n, dimension=p, horizon=horizon)
+    huge = np.full(horizon, 1e308)
+    config = replace(config, schedule=replace(config.schedule, scales=huge))
+
+    def overflows(seed):
+        draws = derive_rng(seed).standard_normal((horizon + 1, n, p))[:horizon]
+        with np.errstate(over="ignore"):
+            return bool(np.isinf(draws * 1e308).any())
+
+    diverging = [s for s in range(200) if overflows(s)]
+    finite = [s for s in range(200) if not overflows(s)]
+    batch = [finite[0], diverging[0], finite[1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite") as caught:
+            _gradient_trajectory([config], batch)
+        # The finite members alone run through.
+        _gradient_trajectory([config], [finite[0], finite[1]])
+    assert f"noise seed(s) [{diverging[0]}]" in str(caught.value)
 
 
 def test_strict_first_broadcast_only_changes_round_one_message():
@@ -339,7 +428,7 @@ def test_metrics_match_the_per_round_formulas():
         return (stage, t, float(err @ err) / denom, dev, z_dev, probe, x_bar, mean_drift, ratio)
 
     rows = []
-    _, zs, xs = _gradient_trajectory(config, derive_rng(config.noise_seed))
+    _, (zs,), (xs,) = _gradient_trajectory([config], [config.noise_seed])
     for t, (z, x) in enumerate(zip(zs, xs), start=1):
         rows.append(row(1, t, x, z_dev=float(np.linalg.norm(z - z.mean(axis=0)[None, :]))))
     mean_end, norm_end = x.mean(axis=0), float(np.linalg.norm(x))

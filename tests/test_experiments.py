@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpconsensus import engine, experiments
 from dpconsensus.experiments import (
     AXES,
     ExperimentConfig,
+    SweepRow,
     SweepSpec,
     bound_inputs,
     build_run_config,
@@ -156,6 +158,76 @@ def test_parallel_sweep_matches_sequential():
     sequential = sweep(spec, master_seed=33, jobs=1)
     parallel = sweep(spec, master_seed=33, jobs=2)
     assert sequential.rows == parallel.rows
+
+
+# Two values per axis for the tiny sweeps below.
+TINY_VALUES = {
+    "T": (4.0, 8.0),
+    "epsilon": (1.0, 4.0),
+    "delta_family": (1e-3, 1e-6),
+    "p_c": (0.6, 1.0),
+    "points_per_node": (10.0, 20.0),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(AXES))
+def test_sweep_rows_equal_per_cell_runs(axis, monkeypatch):
+    spec = SweepSpec(base=TINY, axis=axis, values=TINY_VALUES[axis], n_seeds=3)
+    expected = []
+    for value_index, value in enumerate(spec.values):
+        for seed_index in range(spec.n_seeds):
+            seeds = cell_seeds(9, axis, value_index, seed_index)
+            metrics = engine.run(build_run_config(TINY.with_value(axis, value), *seeds))
+            expected.append(
+                (axis, value, seed_index, metrics.gradient_end_normalized_error(),
+                 metrics.gradient_end_probe_error(), metrics.agreement_rounds)
+            )
+    # Each axis value in one batch, then in batches of two seeds and one.
+    for batch_floats in (None, 2 * 9 * TINY.n_nodes * TINY.dimension):
+        if batch_floats is not None:
+            monkeypatch.setattr("dpconsensus.engine._BATCH_FLOATS", batch_floats)
+        rows = sweep(spec, master_seed=9).rows
+        assert [(r.axis, r.value, r.seed, r.stage2_rounds) for r in rows] == [
+            (a, v, s, rounds) for a, v, s, _, _, rounds in expected
+        ]
+        for row, (*_, error, probe, _) in zip(rows, expected):
+            assert row.normalized_error == pytest.approx(error, rel=1e-12, abs=0.0)
+            assert row.probe_error == pytest.approx(probe, rel=1e-12, abs=0.0)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append((*args, *sorted(kwargs.items())))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "axis, graphs_per_seed, datasets_per_seed",
+    [
+        ("epsilon", 1, TINY.n_nodes),
+        ("p_c", 2, TINY.n_nodes),
+        ("points_per_node", 1, 2 * TINY.n_nodes),
+    ],
+)
+def test_sweep_builds_each_graph_and_dataset_once(
+    monkeypatch, axis, graphs_per_seed, datasets_per_seed
+):
+    """Inputs the axis does not regenerate are shared by all its values."""
+    graphs = _count_calls(monkeypatch, "gen_erdos_renyi")
+    datasets = _count_calls(monkeypatch, "gen_truncated_gaussian")
+    n_seeds = 3
+    spec = SweepSpec(base=TINY, axis=axis, values=TINY_VALUES[axis], n_seeds=n_seeds)
+    sweep(spec, master_seed=4)
+    assert len(graphs) == graphs_per_seed * n_seeds
+    assert len(datasets) == datasets_per_seed * n_seeds
+    assert len(set(graphs)) == len(graphs)
+    assert len(set(datasets)) == len(datasets)
 
 
 def test_axis_table_is_consistent():
