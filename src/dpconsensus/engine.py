@@ -273,8 +273,8 @@ def _gradient_trajectory(
             )
     first_scale = 0.0 if first.strict_first_broadcast else schedule.scales[0]
     scales = np.concatenate([[first_scale], schedule.scales])
-    batch = (len(noise_seeds), first.n_nodes, domain.dimension)
-    noise = np.empty((batch[0], first.horizon + 1, *batch[1:]))
+    n_seeds, nodes = len(noise_seeds), (first.n_nodes, domain.dimension)
+    noise = np.empty((n_seeds, first.horizon + 1, *nodes))
     for s, seed in enumerate(noise_seeds):
         derive_rng(seed).standard_normal(out=noise[s])
     noise *= scales[:, None, None]
@@ -282,9 +282,8 @@ def _gradient_trajectory(
     weights = np.array([c.graph.weights for c in configs])
     counts = np.array([[[d.n_points] for d in c.datasets] for c in configs], dtype=float)
     sums = np.array([[d.points.sum(axis=0) for d in c.datasets] for c in configs])
-    z = np.empty((batch[0], first.horizon, *batch[1:]))
-    x = np.empty_like(z)
-    previous = np.zeros(batch)
+    z, x = np.empty((2, n_seeds, first.horizon, *nodes))
+    previous = np.zeros((n_seeds, *nodes))
     for r, step in enumerate(schedule.step_sizes):
         z[:, r] = _project(weights @ (previous + noise[:, r]), domain, noise_seeds)
         x[:, r] = previous = _project(
