@@ -16,9 +16,9 @@ from dpconsensus.audit import (
     tail_audit,
     worst_case_edit,
 )
+from dpconsensus.engine import _batch_size
 from dpconsensus.objectives import mean_objective_grad, project_box
 from dpconsensus.privacy import PrivacyBudget
-from dpconsensus.engine import _batch_size
 from dpconsensus.rng import derive_rng, derive_seed
 
 from test_engine import make_config
