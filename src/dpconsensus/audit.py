@@ -11,11 +11,11 @@ and its counterfactual under the single-point edit, and n_k(t) is the noise
 realization attached to x_k(t).  Under that coupling (identical noise,
 shared broadcasts: the counterfactual run consumes the factual run's
 messages when averaging) only node k's local step differs.  The audit takes
-the factual runs' trajectories from the engine for a batch of noise seeds at
-once, whose noise rows are already paired with the iterates they protect
-(x(T)'s row included), computes node k's counterfactual steps for all
-rounds and all seeds of the batch at once from its consensus points, and
-evaluates both terms on the resulting gaps.
+the factual runs from the engine for a batch of noise seeds at once, one
+block of rounds at a time, whose noise rows are already paired with the
+iterates they protect (x(T)'s row included).  For each block it computes
+node k's counterfactual steps for all its rounds and seeds at once from
+the consensus points, and the per-round terms on the resulting gaps.
 
 The deterministic part never exceeds half the configured sensitivity spend,
 the noise part has zero mean, and the total exceeds epsilon in magnitude
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import RunConfig, _batch_size, _gradient_trajectory
+from .engine import RunConfig, _batch_size, _gradient_blocks
 from .objectives import LocalDataset, project_box
 from .privacy import PrivacyBudget
 from .rng import derive_seed
@@ -105,24 +105,29 @@ def _coupled_runs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Loss terms (deterministic, noise), shape ``(S,)``, and per-round gap
     norms, shape ``(S, T)``, of one coupled pair of runs per noise seed, all
-    seeds in one kernel batch."""
+    seeds in one kernel batch whose blocks are reduced as they arrive."""
     schedule = config.schedule
     data = config.datasets[node]
     count, total = float(data.n_points), data.points.sum(axis=0)
 
-    noise, z, x = _gradient_trajectory([config], noise_seeds)
-    # Counterfactual iterates of the edited node from the same consensus
-    # points (both runs see identical broadcasts by the coupling); x(0) = 0
-    # in both runs, so round t-1 holds the gap x_k(t) - x'_k(t).
-    z_k = z[:, :, node]
-    steps = schedule.step_sizes[:, None]
-    x_alt = project_box(z_k - steps * (count * z_k - total + grad_shift), config.domain)
-    gaps = x[:, :, node] - x_alt
+    gap_sq, inner = np.empty((2, len(noise_seeds), config.horizon))
+    for first, noise, z, x in _gradient_blocks([config], noise_seeds):
+        rounds = slice(first - 1, first - 1 + x.shape[1])
+        # Counterfactual iterates of the edited node from the same consensus
+        # points (both runs see identical broadcasts by the coupling); x(0) =
+        # 0 in both runs, so round t's gap is x_k(t) - x'_k(t).
+        z_k = z[:, :, node]
+        steps = schedule.step_sizes[rounds, None]
+        x_alt = project_box(z_k - steps * (count * z_k - total + grad_shift), config.domain)
+        gaps = x[:, :, node] - x_alt
+        gap_sq[:, rounds] = np.einsum("stp,stp->st", gaps, gaps)
+        inner[:, rounds] = np.einsum("stp,stp->st", noise[:, :, node], gaps)
 
-    gap_sq = np.einsum("stp,stp->st", gaps, gaps)
+    # Summed once over whole rows: adding up block sums instead would change
+    # the order of the sums and move their last ulp.
     variances = schedule.scales**2
     deterministic = np.sum(gap_sq / (2.0 * variances), axis=1)
-    noise_term = np.sum(np.einsum("stp,stp->st", noise[:, 1:, node], gaps) / variances, axis=1)
+    noise_term = np.sum(inner / variances, axis=1)
     return deterministic, noise_term, np.sqrt(gap_sq)
 
 

@@ -32,7 +32,7 @@ from .analysis import empirical_vs_bound, mean_error_bound
 from .audit import (
     _require_tail_samples, collect_samples, plant_point, tail_audit, worst_case_edit
 )
-from .engine import RunConfig, run, run_gradient_phase
+from .engine import RunConfig, _gradient_phases, run
 from .experiments import (
     AXES,
     ExperimentConfig,
@@ -317,11 +317,11 @@ def _cmd_bound(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     config = _single_config(resolved, args.seed)
     inputs = bound_inputs(_base_config(resolved), config)
     n_runs = resolved["bound.n_runs"]
-    runs = []
-    for i in range(n_runs):
-        noise_seed = derive_seed(args.seed, _BOUND_NOISE_STREAM, i)
-        _, metrics = run_gradient_phase(replace(config, noise_seed=noise_seed))
-        runs.append(metrics)
+    configs = [
+        replace(config, noise_seed=derive_seed(args.seed, _BOUND_NOISE_STREAM, i))
+        for i in range(n_runs)
+    ]
+    runs = [metrics for _, metrics in _gradient_phases(configs)]
     report = mean_error_bound(inputs)
     comparison = empirical_vs_bound(runs, inputs, min_runs=min(n_runs, 50))
     payload = {

@@ -14,11 +14,13 @@ accounting assumes (round-t sensitivity over M_t).  The round-1 broadcast
 carries x(0) = 0, which touches no data: by default it still gets scale-M_1
 noise for a uniform message shape, and ``strict_first_broadcast`` sends the
 literal zero instead.  Both choices spend the same budget.  The pairing and
-the round loop live in one place, ``_gradient_trajectory``, which runs a
-batch of noise seeds side by side (states ``(S, n, p)``) and returns the
-whole phase as arrays; a single run, the sweeps and the privacy-loss audit
-all go through it, in batches bounded by a fixed float budget.  Each
-phase's metrics are computed once from those arrays.
+the round loop live in one place, ``_gradient_blocks``, which runs a batch
+of noise seeds side by side (states ``(S, n, p)``) and yields the phase one
+block of rounds at a time; a single run, the sweeps and the privacy-loss
+audit all go through it, and each reduces a block to its per-round metrics
+or loss terms as it arrives.  A fixed float budget bounds one block, not a
+whole trajectory, so the memory a batch needs does not grow with T beyond
+its per-round results.
 
 Agreement phase (rounds t > T): exact broadcasts and pure consensus
 averaging without projection, until the per-node relative change drops
@@ -51,10 +53,13 @@ __all__ = [
 # Denominator floor in the relative-change stopping rule.
 _REL_CHANGE_FLOOR = 1e-12
 
-# Float budget of one batch's noise block S * (T+1) * n * p: 16 seeds at
-# T=100 and 32 at T=50 with 10 nodes in 4 dimensions, one at T=1000.  The
-# consensus points and iterates of a batch take about as much again each.
-_BATCH_FLOATS = 1 << 16
+# Float budget of one block of a batch, S seeds by K rounds of n * p floats
+# each; the block's noise, consensus points and iterates take one budget
+# each.  A batch takes about sqrt(budget / (n * p)) seeds, so its blocks are
+# about square: 20 seeds by 20 rounds with 10 nodes in 4 dimensions, at any
+# T.  Fewer seeds per batch mean more rounds to step in Python, fewer
+# rounds per block more draw calls per seed.
+_BLOCK_FLOATS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -188,9 +193,33 @@ class RunMetrics:
 
 
 def _deviation(points: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each round's deviation from its node average."""
-    centered = points - points.mean(axis=1, keepdims=True)
-    return np.sqrt(np.einsum("rnp,rnp->r", centered, centered))
+    """Frobenius norm of each round's deviation from its node average, for
+    iterates ``points[..., n, p]``."""
+    centered = points - points.mean(axis=-2, keepdims=True)
+    return np.sqrt(np.einsum("...np,...np->...", centered, centered))
+
+
+def _reference(config: RunConfig) -> tuple[np.ndarray, float]:
+    """The minimizer x* and the error denominator max(||x*||^2, floor)."""
+    x_star = config.minimizer()
+    return x_star, max(float(x_star @ x_star), _REL_CHANGE_FLOOR)
+
+
+def _errors(
+    xs: np.ndarray, probe: np.ndarray, x_star: np.ndarray, denom: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized error, consensus deviation, probe error and mean iterate
+    of iterates ``xs[..., n, p]`` whose probe node holds ``probe[..., p]``;
+    ``x_star`` and ``denom`` broadcast over the leading axes."""
+    x_bar = xs.mean(axis=-2)
+    err = x_bar - x_star
+    probe = probe - x_star
+    return (
+        np.einsum("...p,...p->...", err, err) / denom,
+        _deviation(xs),
+        np.einsum("...p,...p->...", probe, probe) / denom,
+        x_bar,
+    )
 
 
 def _metrics(config: RunConfig, stage: int, first_round: int, xs: np.ndarray) -> RunMetrics:
@@ -199,20 +228,18 @@ def _metrics(config: RunConfig, stage: int, first_round: int, xs: np.ndarray) ->
     ``z_dev``, ``mean_drift`` and ``contraction_ratio`` are left NaN for the
     caller to fill in for its stage.
     """
-    x_star = config.minimizer()
-    denom = max(float(x_star @ x_star), _REL_CHANGE_FLOOR)
-    x_bar = xs.mean(axis=1)
-    err = x_bar - x_star
-    probe = xs[:, config.probe_node] - x_star
+    normalized, consensus, probe, x_bar = _errors(
+        xs, xs[:, config.probe_node], *_reference(config)
+    )
     rounds = xs.shape[0]
     unset = np.full(rounds, math.nan)
     return RunMetrics(
         stage=np.full(rounds, stage),
         t=np.arange(first_round, first_round + rounds),
-        normalized_error=np.einsum("rp,rp->r", err, err) / denom,
-        consensus_dev=_deviation(xs),
+        normalized_error=normalized,
+        consensus_dev=consensus,
         z_dev=unset,
-        probe_error=np.einsum("rp,rp->r", probe, probe) / denom,
+        probe_error=probe,
         mean_iterate=x_bar,
         mean_drift=unset,
         contraction_ratio=unset,
@@ -221,10 +248,9 @@ def _metrics(config: RunConfig, stage: int, first_round: int, xs: np.ndarray) ->
 
 
 def _batch_size(config: RunConfig) -> int:
-    """Most seeds of ``config``'s shape whose noise blocks fit ``_BATCH_FLOATS``
-    (at least one)."""
-    per_seed = (config.horizon + 1) * config.n_nodes * config.domain.dimension
-    return max(1, _BATCH_FLOATS // per_seed)
+    """Seeds per batch of ``config``'s shape: the side of a square block of
+    ``_BLOCK_FLOATS`` (at least one)."""
+    return max(1, math.isqrt(_BLOCK_FLOATS // (config.n_nodes * config.domain.dimension)))
 
 
 def _project(points: np.ndarray, domain: BoxDomain, noise_seeds: Sequence[int]) -> np.ndarray:
@@ -238,70 +264,114 @@ def _project(points: np.ndarray, domain: BoxDomain, noise_seeds: Sequence[int]) 
         raise ValueError(f"non-finite coordinates in the run of noise seed(s) {seeds}") from exc
 
 
-def _gradient_trajectory(
+def _gradient_blocks(
     configs: Sequence[RunConfig], noise_seeds: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Rounds 1..T of the noisy gradient phase for a batch of S noise seeds,
-    as arrays ``(noise, z, x)``.
+    yielded as blocks ``(first, noise, z, x)`` of K consecutive rounds.
 
     ``configs`` is one config, whose graph and data every seed shares, or
     one config per seed; stacked configs must share the domain, the schedule
     and the first-broadcast rule, and the configs' own ``noise_seed`` is not
-    read.  ``noise[s, t]`` (shape ``(S, T+1, n, p)``) is the noise attached
-    to seed s's iterate x(t), which the round-(t+1) broadcast carries: row 0
-    has scale M_1, or is exactly zero under ``strict_first_broadcast``, and
-    row t >= 1 has scale M_t.  No gradient round sends x(T), so only the
-    audit reads the last row.  ``z[s, t-1]`` and ``x[s, t-1]`` (shape
-    ``(S, T, n, p)``) are round t's projected consensus points and new
-    iterates.  Each seed's noise is one draw of (T+1) * n * p standard
-    normals from its own stream, round-major then node-major, so a seed
-    draws the same numbers in a batch as alone.
+    read.  For round t = first + k of a block, ``z[s, k]`` and ``x[s, k]``
+    (shape ``(S, K, n, p)``) are seed s's projected consensus points and new
+    iterate x(t), and ``noise[s, k]`` is the noise attached to x(t), with
+    scale M_t, which the round-(t+1) broadcast carries.  No gradient round
+    sends x(T), so only the audit reads the last row.  The noise of x(0),
+    which round 1 broadcasts, has scale M_1, or is exactly zero under
+    ``strict_first_broadcast``, and is not yielded.
+
+    K is the most rounds whose S * K * n * p floats fit ``_BLOCK_FLOATS``
+    (at least one); the last block may be shorter.  Each seed draws its
+    noise from its own stream, round-major then node-major, a block at a
+    time: the same numbers as one draw of (T+1) * n * p standard normals,
+    so a seed draws alike in any batch and any block.  The next block
+    overwrites the arrays of the last one.
     """
-    first = configs[0]
+    first_config = configs[0]
     if len(configs) not in (1, len(noise_seeds)):
         raise ValueError(f"{len(configs)} configs for {len(noise_seeds)} noise seeds")
-    domain, schedule = first.domain, first.schedule
+    domain, schedule = first_config.domain, first_config.schedule
     for config in configs[1:]:
         if not (
             config.domain == domain
-            and config.strict_first_broadcast == first.strict_first_broadcast
+            and config.strict_first_broadcast == first_config.strict_first_broadcast
             and np.array_equal(config.schedule.step_sizes, schedule.step_sizes)
             and np.array_equal(config.schedule.scales, schedule.scales)
         ):
             raise ValueError(
                 "a batch's configs must share the domain, schedule and first broadcast"
             )
-    first_scale = 0.0 if first.strict_first_broadcast else schedule.scales[0]
-    scales = np.concatenate([[first_scale], schedule.scales])
-    n_seeds, nodes = len(noise_seeds), (first.n_nodes, domain.dimension)
-    noise = np.empty((n_seeds, first.horizon + 1, *nodes))
-    for s, seed in enumerate(noise_seeds):
-        derive_rng(seed).standard_normal(out=noise[s])
-    noise *= scales[:, None, None]
+    first_scale = 0.0 if first_config.strict_first_broadcast else schedule.scales[0]
+    scales = np.concatenate([[first_scale], schedule.scales])  # of x(0) .. x(T)
+    horizon, n_seeds = first_config.horizon, len(noise_seeds)
+    nodes = (first_config.n_nodes, domain.dimension)
+    block = min(horizon, max(1, _BLOCK_FLOATS // (n_seeds * math.prod(nodes))))
     # One config broadcasts over the seeds as a leading axis of length 1.
     weights = np.array([c.graph.weights for c in configs])
     counts = np.array([[[d.n_points] for d in c.datasets] for c in configs], dtype=float)
     sums = np.array([[d.points.sum(axis=0) for d in c.datasets] for c in configs])
-    z, x = np.empty((2, n_seeds, first.horizon, *nodes))
+    rngs = [derive_rng(seed) for seed in noise_seeds]
+    # Row k + 1 of the noise buffer belongs to the block's new iterate k;
+    # row 0 to the iterate its first round broadcasts: x(0) in the first
+    # block, drawn with it, and the last block's last iterate afterwards.
+    noise = np.empty((n_seeds, block + 1, *nodes))
+    z, x = np.empty((2, n_seeds, block, *nodes))
     previous = np.zeros((n_seeds, *nodes))
-    for r, step in enumerate(schedule.step_sizes):
-        z[:, r] = _project(weights @ (previous + noise[:, r]), domain, noise_seeds)
-        x[:, r] = previous = _project(
-            z[:, r] - float(step) * (counts * z[:, r] - sums), domain, noise_seeds
-        )
-    return noise, z, x
+    for first in range(1, horizon + 1, block):
+        rounds = min(block, horizon + 1 - first)
+        drawn = 0 if first == 1 else 1
+        for rng, seed_noise in zip(rngs, noise):
+            rng.standard_normal(out=seed_noise[drawn:rounds + 1])
+        noise[:, drawn:rounds + 1] *= scales[first - 1 + drawn:first + rounds, None, None]
+        for k, step in enumerate(schedule.step_sizes[first - 1:first - 1 + rounds]):
+            z[:, k] = _project(weights @ (previous + noise[:, k]), domain, noise_seeds)
+            x[:, k] = previous = _project(
+                z[:, k] - float(step) * (counts * z[:, k] - sums), domain, noise_seeds
+            )
+        yield first, noise[:, 1:rounds + 1], z[:, :rounds], x[:, :rounds]
+        noise[:, 0] = noise[:, rounds]
 
 
 def _gradient_batch(configs: Sequence[RunConfig]) -> list[tuple[SimState, RunMetrics]]:
-    """Gradient phases of one batch, each config under its own noise seed;
-    the batch's trajectory arrays are dropped on return."""
-    _, z, x = _gradient_trajectory(configs, [c.noise_seed for c in configs])
+    """Gradient phases of one batch, each config under its own noise seed.
+
+    Each block of rounds is reduced into the batch's ``(S, T)`` metric
+    arrays as it arrives, and only the last iterates are kept.
+    """
+    n_seeds, horizon = len(configs), configs[0].horizon
+    # Per seed, as a single run divides: a vectorised dot product moves the
+    # last ulp of some errors.
+    x_star, denom = (np.array(a)[:, None] for a in zip(*map(_reference, configs)))
+    probes, seeds = np.array([c.probe_node for c in configs]), np.arange(n_seeds)
+    normalized, consensus, z_dev, probe = np.empty((4, n_seeds, horizon))
+    mean_iterate = np.empty((n_seeds, horizon, configs[0].domain.dimension))
+    for first, _, z, x in _gradient_blocks(configs, [c.noise_seed for c in configs]):
+        rounds = slice(first - 1, first - 1 + x.shape[1])
+        errors = _errors(x, x[seeds, :, probes], x_star, denom)
+        for out, values in zip((normalized, consensus, probe, mean_iterate), errors):
+            out[:, rounds] = values
+        z_dev[:, rounds] = _deviation(z)
+    last = x[:, -1].copy()
+    stage, t = np.ones(horizon, dtype=int), np.arange(1, horizon + 1)
+    unset = np.full(horizon, math.nan)
     return [
         (
-            SimState(t=config.horizon, x=x_s[-1].copy()),
-            replace(_metrics(config, 1, 1, x_s), z_dev=_deviation(z_s)),
+            SimState(t=horizon, x=last[s]),
+            RunMetrics(
+                stage=stage,
+                t=t,
+                normalized_error=normalized[s],
+                consensus_dev=consensus[s],
+                z_dev=z_dev[s],
+                probe_error=probe[s],
+                mean_iterate=mean_iterate[s],
+                mean_drift=unset,
+                contraction_ratio=unset,
+                probe_node=config.probe_node,
+            ),
         )
-        for config, z_s, x_s in zip(configs, z, x)
+        for s, config in enumerate(configs)
     ]
 
 
@@ -309,6 +379,8 @@ def _gradient_phases(configs: Sequence[RunConfig]) -> Iterator[tuple[SimState, R
     """Gradient phases of configs that can share a batch, in order, run in
     batches of at most ``_batch_size`` seeds; each batch is freed before the
     next is built."""
+    if not configs:
+        return
     size = _batch_size(configs[0])
     for start in range(0, len(configs), size):
         yield from _gradient_batch(configs[start:start + size])
@@ -317,9 +389,9 @@ def _gradient_phases(configs: Sequence[RunConfig]) -> Iterator[tuple[SimState, R
 def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
     """Execute rounds 1..T of the noisy gradient phase.
 
-    Deterministic given ``config.noise_seed``; metrics are computed once
-    from the stored trajectory.  This is the one-seed batch of the kernel
-    that sweeps run many seeds through.
+    Deterministic given ``config.noise_seed``; metrics are reduced from the
+    kernel's blocks as they arrive.  This is the one-seed batch of the
+    kernel that sweeps run many seeds through.
     """
     return _gradient_batch([config])[0]
 

@@ -31,7 +31,7 @@ import pytest
 from dpconsensus.analysis import BoundInputs, empirical_vs_bound, mean_error_bound
 from dpconsensus.audit import collect_samples, plant_point, tail_audit, worst_case_edit
 from dpconsensus.cli import main as cli_main
-from dpconsensus.engine import RunConfig, run, run_gradient_phase
+from dpconsensus.engine import RunConfig, _gradient_phases, run
 from dpconsensus.experiments import (
     ExperimentConfig,
     bound_inputs,
@@ -79,12 +79,10 @@ def bound_runs():
     out = {}
     for horizon in (100, 1000):
         config, inputs = _default_cell(horizon)
-        runs = [
-            run_gradient_phase(
-                replace(config, noise_seed=derive_seed(MASTER_SEED, 6, horizon, i))
-            )[1]
-            for i in range(50)
+        configs = [
+            replace(config, noise_seed=derive_seed(MASTER_SEED, 6, horizon, i)) for i in range(50)
         ]
+        runs = [metrics for _, metrics in _gradient_phases(configs)]
         out[horizon] = (config, inputs, runs)
     return out
 

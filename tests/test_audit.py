@@ -80,13 +80,15 @@ def test_samples_are_deterministic_per_master_seed(audit_setup):
 
 @pytest.mark.parametrize("seeds_per_batch", [None, 8])
 def test_collect_samples_equals_its_per_sample_losses(audit_setup, monkeypatch, seeds_per_batch):
-    """37 samples, which no batch size used here divides: in one partial
-    batch under the default budget, and in four full batches and a partial
-    one under a budget of 8 seeds."""
+    """37 samples, which no batch size used here divides: in a full batch
+    of 22 seeds and a partial one under the default budget, and in four
+    full batches and a partial one under a budget of 8 seeds."""
     config, edit = audit_setup
-    if seeds_per_batch is not None:
-        per_seed = (config.horizon + 1) * config.n_nodes * config.domain.dimension
-        monkeypatch.setattr("dpconsensus.engine._BATCH_FLOATS", seeds_per_batch * per_seed)
+    if seeds_per_batch is None:
+        assert _batch_size(config) == 22
+    else:  # in blocks of as many rounds
+        per_round = config.n_nodes * config.domain.dimension
+        monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", seeds_per_batch**2 * per_round)
         assert _batch_size(config) == seeds_per_batch
     deterministic, noise = collect_samples(config, edit, 37, master_seed=11)
     assert deterministic.shape == noise.shape == (37,)

@@ -1,17 +1,20 @@
 """Engine behavior: synchronous rounds, noise structure, both phases."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpconsensus.engine import (
     RunConfig,
     SimState,
     _batch_size,
+    _gradient_blocks,
     _gradient_phases,
-    _gradient_trajectory,
     run,
     run_agreement_phase,
     run_gradient_phase,
@@ -32,6 +35,21 @@ from dpconsensus.privacy import (
     noiseless_schedule,
 )
 from dpconsensus.rng import derive_rng
+
+
+def trajectory(configs, noise_seeds):
+    """The kernel's blocks joined along the rounds: arrays ``(noise, z, x)``
+    of shape ``(S, T, n, p)``, noise row t-1 attached to iterate x(t)."""
+    blocks = [
+        tuple(a.copy() for a in arrays) for _, *arrays in _gradient_blocks(configs, noise_seeds)
+    ]
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*blocks))
+
+
+def block_rounds(monkeypatch, rounds, n_seeds, config):
+    """Set the block budget to ``rounds`` rounds of ``n_seeds`` seeds."""
+    floats = rounds * n_seeds * config.n_nodes * config.domain.dimension
+    monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", floats)
 
 
 def single_node_graph() -> CommGraph:
@@ -114,8 +132,8 @@ def test_identical_nodes_stay_identical_without_noise():
 
 def test_iterates_stay_in_the_box_under_heavy_noise():
     config = make_config(epsilon=0.5, horizon=40)  # large noise scales
-    noise, z, x = (a[0] for a in _gradient_trajectory([config], [config.noise_seed]))
-    assert z.shape == x.shape == (40, config.n_nodes, config.domain.dimension)
+    noise, z, x = (a[0] for a in trajectory([config], [config.noise_seed]))
+    assert noise.shape == z.shape == x.shape == (40, config.n_nodes, config.domain.dimension)
     assert np.abs(noise[:-1]).max() > config.domain.half_width  # broadcast noise
     for z_t, x_t in zip(z, x):
         assert config.domain.contains(z_t)
@@ -175,23 +193,50 @@ def test_noise_stream_is_node_major_per_round():
 
 def test_noise_rows_pair_each_iterate_with_its_scale():
     """Replaying the stream as T+1 per-round draws gives every noise row:
-    row t protects x(t) with M_t, and row 0 (the data-free x(0)) gets M_1,
-    or exactly zero under the strict first broadcast."""
+    row t protects x(t) with M_t, and the data-free x(0), which round 1
+    broadcasts to consensus points z(1) from x(0) = 0, gets M_1, or exactly
+    zero under the strict first broadcast."""
     horizon = 5
     for strict in (False, True):
         config = make_config(horizon=horizon, strict_first_broadcast=strict)
         n, p = config.n_nodes, config.domain.dimension
         scales = config.schedule.scales
         replay = derive_rng(config.noise_seed)
-        noise = _gradient_trajectory([config], [config.noise_seed])[0][0]
+        noise, z, _ = (a[0] for a in trajectory([config], [config.noise_seed]))
         draws = [replay.standard_normal((n, p)) for _ in range(horizon + 1)]
-        assert noise.shape == (horizon + 1, n, p)
+        assert noise.shape == (horizon, n, p)
+        first_noise = np.zeros((n, p)) if strict else draws[0] * scales[0]
+        assert np.array_equal(
+            z[0], project_box(config.graph.weights @ first_noise, config.domain)
+        )
         if strict:
-            assert np.all(noise[0] == 0.0)
-        else:
-            assert np.array_equal(noise[0], draws[0] * scales[0])
-        for t in range(1, horizon + 1):  # up to row T, which protects x(T) with M_T
-            assert np.array_equal(noise[t], draws[t] * scales[t - 1])
+            assert np.all(z[0] == 0.0)
+        for t in range(1, horizon + 1):  # up to x(T), which row T protects with M_T
+            assert np.array_equal(noise[t - 1], draws[t] * scales[t - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    horizon=st.integers(1, 30),
+    block=st.one_of(st.sampled_from([1, 7, "T"]), st.integers(1, 40)),
+    n_seeds=st.integers(1, 3),
+    strict=st.booleans(),
+)
+def test_streamed_blocks_equal_the_one_block_trajectory(horizon, block, n_seeds, strict):
+    config = make_config(n_nodes=4, points=8, dimension=2, horizon=horizon,
+                         strict_first_broadcast=strict)
+    seeds = list(range(11, 11 + n_seeds))
+    rounds = horizon if block == "T" else block
+    with pytest.MonkeyPatch.context() as patch:
+        block_rounds(patch, horizon, n_seeds, config)
+        whole = trajectory([config], seeds)
+        block_rounds(patch, rounds, n_seeds, config)
+        firsts = [first for first, *_ in _gradient_blocks([config], seeds)]
+        streamed = trajectory([config], seeds)
+    assert firsts == list(range(1, horizon + 1, min(rounds, horizon)))
+    for name, joined, alone in zip(("noise", "z", "x"), streamed, whole):
+        assert joined.shape == (n_seeds, horizon, 4, 2)
+        assert np.array_equal(joined, alone), name
 
 
 def _assert_rows_close(batch, singles):
@@ -211,8 +256,8 @@ def test_a_seed_batch_equals_its_single_seed_runs(strict):
     # One config broadcast over the seeds: the audit's batch.
     config = make_config(horizon=12, strict_first_broadcast=strict)
     seeds = [5, 6, 7, 8, 9]
-    batch = _gradient_trajectory([config], seeds)
-    _assert_rows_close(batch, [_gradient_trajectory([config], [s]) for s in seeds])
+    batch = trajectory([config], seeds)
+    _assert_rows_close(batch, [trajectory([config], [s]) for s in seeds])
     # One config per seed, with its own graph and data: a sweep's batch.
     configs = [
         make_config(
@@ -221,17 +266,17 @@ def test_a_seed_batch_equals_its_single_seed_runs(strict):
         for g, d, s in ((3, 4, 5), (10, 11, 12), (20, 21, 22))
     ]
     seeds = [c.noise_seed for c in configs]
-    batch = _gradient_trajectory(configs, seeds)
-    _assert_rows_close(batch, [_gradient_trajectory([c], [c.noise_seed]) for c in configs])
+    batch = trajectory(configs, seeds)
+    _assert_rows_close(batch, [trajectory([c], [c.noise_seed]) for c in configs])
 
 
 def test_batched_gradient_phases_equal_single_runs(monkeypatch):
     configs = [
         make_config(horizon=9, graph_seed=g, data_seed=g + 1, noise_seed=g + 2) for g in range(7)
     ]
-    # A budget of two seeds per batch splits the seven runs into 2 + 2 + 2 + 1.
-    per_seed = 10 * configs[0].n_nodes * configs[0].domain.dimension
-    monkeypatch.setattr("dpconsensus.engine._BATCH_FLOATS", 2 * per_seed + 1)
+    # A budget of two seeds by two rounds splits the seven runs into batches
+    # of 2 + 2 + 2 + 1 and each batch into blocks of 2 rounds or fewer.
+    block_rounds(monkeypatch, 2, 2, configs[0])
     assert _batch_size(configs[0]) == 2
     phases = list(_gradient_phases(configs))
     assert len(phases) == len(configs)
@@ -245,42 +290,77 @@ def test_batched_gradient_phases_equal_single_runs(monkeypatch):
             )
 
 
+def test_a_batch_grows_with_the_horizon_by_its_metric_arrays_alone():
+    """From T=1000 to T=2000 the traced peak of 20 seeds' gradient phases
+    grows by their (S, T) metric arrays, not by noise, consensus points or
+    iterates: the kernel holds one block of rounds, not a trajectory."""
+    n_seeds, n, p = 20, 10, 4
+
+    def peak(horizon):
+        configs = [
+            make_config(n_nodes=n, points=20, dimension=p, horizon=horizon, noise_seed=s)
+            for s in range(n_seeds)
+        ]
+        tracemalloc.start()
+        try:
+            phases = list(_gradient_phases(configs))
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(phases) == n_seeds
+        return traced
+
+    # Per round: each seed's normalized error, consensus deviation, z
+    # deviation, probe error and mean iterate, plus five horizon-long
+    # vectors shared by the batch (noise scales, stage, t and NaN columns).
+    per_round_bytes = 8 * (n_seeds * (4 + p) + 5)
+    assert peak(2000) - peak(1000) <= 1000 * per_round_bytes
+
+
 def test_a_batch_rejects_configs_that_cannot_share_its_rounds():
     config = make_config(horizon=6)
     with pytest.raises(ValueError, match="2 configs for 3 noise seeds"):
-        _gradient_trajectory([config, config], [1, 2, 3])
+        trajectory([config, config], [1, 2, 3])
     for other in (
         make_config(horizon=7),
         make_config(horizon=6, epsilon=2.0),
         replace(config, strict_first_broadcast=True),
     ):
         with pytest.raises(ValueError, match="must share the domain, schedule and first broadcast"):
-            _gradient_trajectory([config, other], [1, 2])
+            trajectory([config, other], [1, 2])
 
 
-def test_a_diverging_batch_member_is_named_by_its_noise_seed():
+def test_a_diverging_batch_member_is_named_by_its_noise_seed(monkeypatch):
     # Scales of 1e308 overflow a standard normal draw beyond ~1.8 to inf.  A
     # seed diverges exactly when one of the rows its gradient rounds send
     # (rows 0..T-1) holds such a draw; every other seed stays finite.
-    horizon, n, p = 2, 3, 2
+    horizon, n, p = 6, 3, 2
     config = make_config(n_nodes=n, dimension=p, horizon=horizon)
     huge = np.full(horizon, 1e308)
     config = replace(config, schedule=replace(config.schedule, scales=huge))
 
-    def overflows(seed):
+    def overflowing_rows(seed):
         draws = derive_rng(seed).standard_normal((horizon + 1, n, p))[:horizon]
         with np.errstate(over="ignore"):
-            return bool(np.isinf(draws * 1e308).any())
+            return np.isinf(draws * 1e308).any(axis=(1, 2))
 
-    diverging = [s for s in range(200) if overflows(s)]
-    finite = [s for s in range(200) if not overflows(s)]
-    batch = [finite[0], diverging[0], finite[1]]
+    # Blocks of two rounds: the first block sends rows 0 and 1.
+    block_rounds(monkeypatch, 2, 3, config)
+    rows = {s: overflowing_rows(s) for s in range(400)}
+    finite = [s for s, over in rows.items() if not over.any()]
+    in_first_block = next(s for s, over in rows.items() if over[:2].any())
+    in_later_block = next(s for s, over in rows.items() if over.any() and not over[:2].any())
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="non-finite") as caught:
-            _gradient_trajectory([config], batch)
+        for diverging in (in_first_block, in_later_block):
+            blocks = _gradient_blocks([config], [finite[0], diverging, finite[1]])
+            if diverging == in_later_block:
+                first, *_ = next(blocks)  # the first block is finite
+                assert first == 1
+            with pytest.raises(ValueError, match="non-finite") as caught:
+                list(blocks)
+            assert f"noise seed(s) [{diverging}]" in str(caught.value)
         # The finite members alone run through.
-        _gradient_trajectory([config], [finite[0], finite[1]])
-    assert f"noise seed(s) [{diverging[0]}]" in str(caught.value)
+        trajectory([config], [finite[0], finite[1]])
 
 
 def test_strict_first_broadcast_only_changes_round_one_message():
@@ -428,7 +508,7 @@ def test_metrics_match_the_per_round_formulas():
         return (stage, t, float(err @ err) / denom, dev, z_dev, probe, x_bar, mean_drift, ratio)
 
     rows = []
-    _, (zs,), (xs,) = _gradient_trajectory([config], [config.noise_seed])
+    _, (zs,), (xs,) = trajectory([config], [config.noise_seed])
     for t, (z, x) in enumerate(zip(zs, xs), start=1):
         rows.append(row(1, t, x, z_dev=float(np.linalg.norm(z - z.mean(axis=0)[None, :]))))
     mean_end, norm_end = x.mean(axis=0), float(np.linalg.norm(x))

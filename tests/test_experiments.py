@@ -182,10 +182,11 @@ def test_sweep_rows_equal_per_cell_runs(axis, monkeypatch):
                 (axis, value, seed_index, metrics.gradient_end_normalized_error(),
                  metrics.gradient_end_probe_error(), metrics.agreement_rounds)
             )
-    # Each axis value in one batch, then in batches of two seeds and one.
-    for batch_floats in (None, 2 * 9 * TINY.n_nodes * TINY.dimension):
-        if batch_floats is not None:
-            monkeypatch.setattr("dpconsensus.engine._BATCH_FLOATS", batch_floats)
+    # Each axis value in one batch, then in batches of two seeds and one, in
+    # blocks of two rounds.
+    for block_floats in (None, 2 * 2 * TINY.n_nodes * TINY.dimension):
+        if block_floats is not None:
+            monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", block_floats)
         rows = sweep(spec, master_seed=9).rows
         assert [(r.axis, r.value, r.seed, r.stage2_rounds) for r in rows] == [
             (a, v, s, rounds) for a, v, s, _, _, rounds in expected
@@ -193,6 +194,22 @@ def test_sweep_rows_equal_per_cell_runs(axis, monkeypatch):
         for row, (*_, error, probe, _) in zip(rows, expected):
             assert row.normalized_error == pytest.approx(error, rel=1e-12, abs=0.0)
             assert row.probe_error == pytest.approx(probe, rel=1e-12, abs=0.0)
+
+
+def test_the_epsilon_preset_runs_each_value_as_one_batch(monkeypatch):
+    # 20 seeds at T=1000: the block budget bounds rounds, not whole
+    # trajectories, so a value's seeds share one batch of 1000 round steps.
+    batches = []
+    kernel = engine._gradient_blocks
+
+    def counted(configs, noise_seeds):
+        batches.append((len(noise_seeds), configs[0].horizon))
+        return kernel(configs, noise_seeds)
+
+    monkeypatch.setattr(engine, "_gradient_blocks", counted)
+    spec = preset_sweep("epsilon")
+    sweep(spec, master_seed=42)
+    assert batches == [(20, 1000)] * len(spec.values)
 
 
 def _count_calls(monkeypatch, name):
