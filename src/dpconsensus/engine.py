@@ -353,6 +353,7 @@ def _gradient_batch(configs: Sequence[RunConfig]) -> list[tuple[SimState, RunMet
             out[:, rounds] = values
         z_dev[:, rounds] = _deviation(z)
     last = x[:, -1].copy()
+    # Read-only columns that every seed's metrics share.
     stage, t = np.ones(horizon, dtype=int), np.arange(1, horizon + 1)
     unset = np.full(horizon, math.nan)
     return [

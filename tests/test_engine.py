@@ -311,9 +311,9 @@ def test_a_batch_grows_with_the_horizon_by_its_metric_arrays_alone():
         return traced
 
     # Per round: each seed's normalized error, consensus deviation, z
-    # deviation, probe error and mean iterate, plus five horizon-long
+    # deviation, probe error and mean iterate, plus four horizon-long
     # vectors shared by the batch (noise scales, stage, t and NaN columns).
-    per_round_bytes = 8 * (n_seeds * (4 + p) + 5)
+    per_round_bytes = 8 * (n_seeds * (4 + p) + 4)
     assert peak(2000) - peak(1000) <= 1000 * per_round_bytes
 
 
