@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import RunConfig, _batch_size, _gradient_blocks
+from .engine import RunConfig, _batches, _gradient_blocks
 from .objectives import LocalDataset, project_box
 from .privacy import PrivacyBudget
 from .rng import derive_seed
@@ -164,20 +164,15 @@ def collect_samples(
 
     Returns the deterministic parts and the noise parts as two arrays of
     length ``n_samples``; their sum is the privacy loss of each sample.
-    Samples run in kernel batches of a bounded size, and sample i draws the
-    same stream whatever the batch size or ``n_samples``.
+    Samples run in max(1, n_samples // size) kernel batches of near-equal
+    length (``engine._batches``); sample i draws the same stream whatever
+    its batch or ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    grad_shift = _gradient_shift(config, edit)
-    size = _batch_size(config)
-    parts = []
-    for start in range(0, n_samples, size):
-        seeds = [
-            derive_seed(master_seed, _AUDIT_STREAM, i)
-            for i in range(start, min(start + size, n_samples))
-        ]
-        parts.append(_coupled_runs(config, edit.node_id, grad_shift, seeds)[:2])
+    shift = _gradient_shift(config, edit)
+    seeds = [derive_seed(master_seed, _AUDIT_STREAM, i) for i in range(n_samples)]
+    parts = [_coupled_runs(config, edit.node_id, shift, b)[:2] for b in _batches(seeds, config)]
     deterministic, noise = (np.concatenate(part) for part in zip(*parts))
     return deterministic, noise
 

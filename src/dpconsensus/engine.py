@@ -55,10 +55,11 @@ _REL_CHANGE_FLOOR = 1e-12
 
 # Float budget of one block of a batch, S seeds by K rounds of n * p floats
 # each; the block's noise, consensus points and iterates take one budget
-# each.  A batch takes about sqrt(budget / (n * p)) seeds, so its blocks are
-# about square: 20 seeds by 20 rounds with 10 nodes in 4 dimensions, at any
-# T.  Fewer seeds per batch mean more rounds to step in Python, fewer
-# rounds per block more draw calls per seed.
+# each.  N seeds run as max(1, N // size) near-equal batches, for size =
+# isqrt(budget // (n * p)), so a batch holds size to 2 * size - 1 seeds (or
+# all N when fewer) and its blocks are about square: 20 seeds by 20 rounds
+# with 10 nodes in 4 dimensions, at any T.  Fewer seeds per batch mean more
+# rounds to step in Python, fewer rounds per block more draw calls per seed.
 _BLOCK_FLOATS = 1 << 14
 
 
@@ -247,10 +248,13 @@ def _metrics(config: RunConfig, stage: int, first_round: int, xs: np.ndarray) ->
     )
 
 
-def _batch_size(config: RunConfig) -> int:
-    """Seeds per batch of ``config``'s shape: the side of a square block of
-    ``_BLOCK_FLOATS`` (at least one)."""
-    return max(1, math.isqrt(_BLOCK_FLOATS // (config.n_nodes * config.domain.dimension)))
+def _batches(items: Sequence, config: RunConfig) -> Iterator[Sequence]:
+    """``items`` in order as max(1, N // size) batches whose lengths differ by
+    at most one, for size = isqrt(``_BLOCK_FLOATS`` // (n * p)) of ``config``."""
+    size = max(1, math.isqrt(_BLOCK_FLOATS // (config.n_nodes * config.domain.dimension)))
+    count = max(1, len(items) // size)
+    for i in range(count):
+        yield items[len(items) * i // count:len(items) * (i + 1) // count]
 
 
 def _project(points: np.ndarray, domain: BoxDomain, noise_seeds: Sequence[int]) -> np.ndarray:
@@ -378,13 +382,12 @@ def _gradient_batch(configs: Sequence[RunConfig]) -> list[tuple[SimState, RunMet
 
 def _gradient_phases(configs: Sequence[RunConfig]) -> Iterator[tuple[SimState, RunMetrics]]:
     """Gradient phases of configs that can share a batch, in order, run in
-    batches of at most ``_batch_size`` seeds; each batch is freed before the
-    next is built."""
+    max(1, N // size) batches of near-equal length (``_batches``); each
+    batch is freed before the next is built."""
     if not configs:
         return
-    size = _batch_size(configs[0])
-    for start in range(0, len(configs), size):
-        yield from _gradient_batch(configs[start:start + size])
+    for batch in _batches(configs, configs[0]):
+        yield from _gradient_batch(batch)
 
 
 def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:

@@ -125,7 +125,9 @@ class SweepSpec:
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
         object.__setattr__(self, "values", tuple(self.values))
-        for value in self.values:  # reject a bad grid before any cell runs
+        for i, value in enumerate(self.values):  # reject a bad grid before any cell runs
+            if value in self.values[:i]:
+                raise ValueError(f"duplicate value {value!r} in values")
             self.base.with_value(self.axis, value)
 
 

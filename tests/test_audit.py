@@ -16,7 +16,7 @@ from dpconsensus.audit import (
     tail_audit,
     worst_case_edit,
 )
-from dpconsensus.engine import _batch_size
+from dpconsensus.engine import _batches
 from dpconsensus.objectives import mean_objective_grad, project_box
 from dpconsensus.privacy import PrivacyBudget
 from dpconsensus.rng import derive_rng, derive_seed
@@ -80,16 +80,16 @@ def test_samples_are_deterministic_per_master_seed(audit_setup):
 
 @pytest.mark.parametrize("seeds_per_batch", [None, 8])
 def test_collect_samples_equals_its_per_sample_losses(audit_setup, monkeypatch, seeds_per_batch):
-    """37 samples, which no batch size used here divides: in a full batch
-    of 22 seeds and a partial one under the default budget, and in four
-    full batches and a partial one under a budget of 8 seeds."""
+    """37 samples, which no batch size used here divides: in one batch of 37
+    at the default budget's size of 22 seeds, and in batches of 9 + 9 + 9 +
+    10 at a budget of 8 seeds by 8 rounds."""
     config, edit = audit_setup
-    if seeds_per_batch is None:
-        assert _batch_size(config) == 22
-    else:  # in blocks of as many rounds
+    expected_lengths = [37]
+    if seeds_per_batch is not None:
         per_round = config.n_nodes * config.domain.dimension
         monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", seeds_per_batch**2 * per_round)
-        assert _batch_size(config) == seeds_per_batch
+        expected_lengths = [9, 9, 9, 10]
+    assert [len(batch) for batch in _batches(range(37), config)] == expected_lengths
     deterministic, noise = collect_samples(config, edit, 37, master_seed=11)
     assert deterministic.shape == noise.shape == (37,)
     for i in range(37):

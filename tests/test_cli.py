@@ -343,6 +343,17 @@ def test_sweep_rejects_a_non_positive_worker_count(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_repeated_value_before_any_cell_runs(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", *TINY, "--axis", "epsilon", "--set", "sweep.values=4,2,4.0",
+        "--set", "sweep.n_seeds=2", "--output", str(out),
+    )
+    assert code == 2
+    assert "failure: duplicate value 4.0 in values" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entry_point_prints_the_version():
     src = str(Path(dpconsensus.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

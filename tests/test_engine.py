@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dpconsensus.engine import (
     RunConfig,
     SimState,
-    _batch_size,
+    _batches,
     _gradient_blocks,
     _gradient_phases,
     run,
@@ -274,10 +274,10 @@ def test_batched_gradient_phases_equal_single_runs(monkeypatch):
     configs = [
         make_config(horizon=9, graph_seed=g, data_seed=g + 1, noise_seed=g + 2) for g in range(7)
     ]
-    # A budget of two seeds by two rounds splits the seven runs into batches
-    # of 2 + 2 + 2 + 1 and each batch into blocks of 2 rounds or fewer.
+    # A budget of two seeds by two rounds (size 2) splits the seven runs into
+    # batches of 2 + 2 + 3 and each batch into blocks of 2 rounds or fewer.
     block_rounds(monkeypatch, 2, 2, configs[0])
-    assert _batch_size(configs[0]) == 2
+    assert [len(batch) for batch in _batches(configs, configs[0])] == [2, 2, 3]
     phases = list(_gradient_phases(configs))
     assert len(phases) == len(configs)
     for config, (state, metrics) in zip(configs, phases):
@@ -288,6 +288,24 @@ def test_batched_gradient_phases_equal_single_runs(monkeypatch):
             np.testing.assert_allclose(
                 getattr(metrics, name), getattr(single_metrics, name), rtol=1e-12, atol=0.0
             )
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_items=st.integers(0, 200), size=st.integers(1, 15))
+def test_batches_split_items_in_order_into_near_equal_lengths(n_items, size):
+    """N items at a budget of ``size`` seeds by ``size`` rounds come in order,
+    each exactly once, as max(1, N // size) batches whose lengths differ by
+    at most one and lie in [min(N, size), 2 * size - 1]."""
+    config = make_config(n_nodes=2, dimension=1, horizon=1)
+    items = list(range(n_items))
+    with pytest.MonkeyPatch.context() as patch:
+        block_rounds(patch, size, size, config)
+        batches = list(_batches(items, config))
+    assert [item for batch in batches for item in batch] == items
+    assert len(batches) == max(1, n_items // size)
+    lengths = [len(batch) for batch in batches]
+    assert max(lengths) - min(lengths) <= 1
+    assert min(n_items, size) <= min(lengths) and max(lengths) <= 2 * size - 1
 
 
 def test_a_batch_grows_with_the_horizon_by_its_metric_arrays_alone():

@@ -43,6 +43,9 @@ def test_spec_validation():
         SweepSpec(base=TINY, axis="T", values=())
     with pytest.raises(ValueError, match="n_seeds"):
         SweepSpec(base=TINY, axis="T", values=(1.0,), n_seeds=0)
+    # A repeated value would merge two noise streams into one summary entry.
+    with pytest.raises(ValueError, match="duplicate value 4.0"):
+        SweepSpec(base=TINY, axis="epsilon", values=(4.0, 2.0, 4.0), n_seeds=2)
 
 
 def test_preset_axes_cover_the_studies():
@@ -182,9 +185,9 @@ def test_sweep_rows_equal_per_cell_runs(axis, monkeypatch):
                 (axis, value, seed_index, metrics.gradient_end_normalized_error(),
                  metrics.gradient_end_probe_error(), metrics.agreement_rounds)
             )
-    # Each axis value in one batch, then in batches of two seeds and one, in
+    # Each axis value in one batch, then in three batches of one seed, in
     # blocks of two rounds.
-    for block_floats in (None, 2 * 2 * TINY.n_nodes * TINY.dimension):
+    for block_floats in (None, 2 * TINY.n_nodes * TINY.dimension):
         if block_floats is not None:
             monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", block_floats)
         rows = sweep(spec, master_seed=9).rows
@@ -197,8 +200,9 @@ def test_sweep_rows_equal_per_cell_runs(axis, monkeypatch):
 
 
 def test_the_epsilon_preset_runs_each_value_as_one_batch(monkeypatch):
-    # 20 seeds at T=1000: the block budget bounds rounds, not whole
-    # trajectories, so a value's seeds share one batch of 1000 round steps.
+    # 20 or 21 seeds at T=1000: the block budget bounds rounds, not whole
+    # trajectories, so a value's seeds share one batch of 1000 round steps,
+    # and a 21st seed joins that batch rather than stepping them alone again.
     batches = []
     kernel = engine._gradient_blocks
 
@@ -207,9 +211,11 @@ def test_the_epsilon_preset_runs_each_value_as_one_batch(monkeypatch):
         return kernel(configs, noise_seeds)
 
     monkeypatch.setattr(engine, "_gradient_blocks", counted)
-    spec = preset_sweep("epsilon")
-    sweep(spec, master_seed=42)
-    assert batches == [(20, 1000)] * len(spec.values)
+    for n_seeds in (20, 21):
+        spec = replace(preset_sweep("epsilon"), n_seeds=n_seeds)
+        batches.clear()
+        sweep(spec, master_seed=42)
+        assert batches == [(n_seeds, 1000)] * len(spec.values)
 
 
 def _count_calls(monkeypatch, name):
