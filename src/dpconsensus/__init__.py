@@ -57,6 +57,7 @@ from .privacy import (
     PrivacyBudget,
     budget_check,
     calibrate_noise_schedule,
+    exact_delta,
     lipschitz_step_sensitivity,
     noise_budget,
     noiseless_schedule,

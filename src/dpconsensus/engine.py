@@ -26,10 +26,16 @@ Agreement phase (rounds t > T): exact broadcasts and pure consensus
 averaging without projection, until the per-node relative change drops
 below ``stage2_rel_tol`` or a round cap is hit.  The phase leaves the mean
 iterate unchanged and contracts the consensus deviation geometrically.
+Its one loop, ``_agreement_batch``, likewise steps a stack of seeds side
+by side, each under its own graph, tolerance and cap, and drops a seed
+from the stack at the round where it stops.  A sweep reads only each
+seed's round count from it and keeps no per-round rows; a single run is
+its one-seed call, which records the rows it reports.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
@@ -49,6 +55,8 @@ __all__ = [
     "run_agreement_phase",
     "run_gradient_phase",
 ]
+
+_log = logging.getLogger(__name__)
 
 # Denominator floor in the relative-change stopping rule.
 _REL_CHANGE_FLOOR = 1e-12
@@ -400,6 +408,47 @@ def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
     return _gradient_batch([config])[0]
 
 
+def _agreement_batch(
+    states: np.ndarray, configs: Sequence[RunConfig], rows: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Agreement phases of a stack of S states ``(S, n, p)``, seed s under
+    ``configs[s]``'s mixing weights, ``stage2_rel_tol`` and
+    ``agreement_round_cap()``; returns each seed's round count and final
+    iterates.
+
+    Each round steps the seeds still active with one stacked product.  A
+    seed stops after the round where max_i ||x_i(t) - x_i(t-1)|| /
+    max(||x_i(t-1)||, 1e-12) drops below its tolerance, or at its cap, and
+    leaves the stack.  No per-round rows are kept unless ``rows`` is given:
+    each round's iterates of the seeds still active are then appended to
+    it, which is the trajectory of a one-seed call.
+    """
+    caps = np.array([c.agreement_round_cap() for c in configs])
+    rounds, final = np.zeros_like(caps), np.empty_like(states)
+    # The seeds still active, with their iterates, weights, tolerances and caps.
+    active, x, t = np.arange(len(configs)), states, 0
+    weights = np.array([c.graph.weights for c in configs])
+    tol, cap = np.array([c.stage2_rel_tol for c in configs]), caps
+    while active.size:
+        x_next = weights @ x
+        node_changes = np.linalg.norm(x_next - x, axis=2)
+        node_norms = np.maximum(np.linalg.norm(x, axis=2), _REL_CHANGE_FLOOR)
+        x, t = x_next, t + 1
+        if rows is not None:
+            rows.append(x)
+        done = (np.max(node_changes / node_norms, axis=1) < tol) | (t >= cap)
+        if done.any():
+            final[active[done]] = x[done]
+            rounds[active[done]] = t
+            keep = ~done
+            active, x, weights, tol, cap = (a[keep] for a in (active, x, weights, tol, cap))
+    _log.debug(
+        "agreement batch: %d seeds, %d rounds at most, %d at their round cap",
+        len(configs), rounds.max(initial=0), np.count_nonzero(rounds >= caps),
+    )
+    return rounds, final
+
+
 def run_agreement_phase(
     state: SimState, config: RunConfig
 ) -> tuple[SimState, RunMetrics]:
@@ -407,25 +456,13 @@ def run_agreement_phase(
 
     No projection is applied (averages of box points stay in the box).
     Stops when max_i ||x_i(t) - x_i(t-1)|| / max(||x_i(t-1)||, 1e-12) drops
-    below ``stage2_rel_tol``, or after the round cap.
+    below ``stage2_rel_tol``, or after the round cap.  This is the one-seed
+    call of the loop that sweeps run a stack of seeds through.
     """
-    weights = config.graph.weights
-    cap = config.agreement_round_cap()
-    # Rows are reserved in doubling chunks: the cap can exceed the rounds
-    # actually run by orders of magnitude.
-    xs = np.empty((min(cap, 256), *state.x.shape))
-    x, rounds = state.x, 0
-    while rounds < cap:
-        if rounds == len(xs):
-            xs = np.concatenate([xs, np.empty_like(xs)])
-        x_next = weights @ x
-        node_changes = np.linalg.norm(x_next - x, axis=1)
-        node_norms = np.maximum(np.linalg.norm(x, axis=1), _REL_CHANGE_FLOOR)
-        xs[rounds] = x = x_next
-        rounds += 1
-        if np.max(node_changes / node_norms) < config.stage2_rel_tol:
-            break
-    metrics = _metrics(config, 2, state.t + 1, xs[:rounds])
+    rows: list[np.ndarray] = []
+    (rounds,), (x,) = _agreement_batch(state.x[None], [config], rows)
+    rounds = int(rounds)
+    metrics = _metrics(config, 2, state.t + 1, np.concatenate(rows))
     dev = metrics.consensus_dev
     geometric = config.graph.beta ** np.arange(1, rounds + 1) * float(np.linalg.norm(state.x))
     ratio = np.divide(

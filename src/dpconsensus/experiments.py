@@ -308,23 +308,25 @@ def _groups(
 
 def _run_group(task: tuple[str, float, list[engine.RunConfig]]) -> list[SweepRow]:
     """Rows of one axis value: the gradient phases run as memory-bounded
-    batches of seeds, then each seed's agreement phase."""
+    batches of seeds, then the value's agreement phases side by side as one
+    stack, which yields only each seed's round count."""
     axis, value, configs = task
-    rows = []
-    phases = engine._gradient_phases(configs)
-    for seed_index, (config, (state, gradient)) in enumerate(zip(configs, phases)):
-        _, agreement = engine.run_agreement_phase(state, config)
-        rows.append(
-            SweepRow(
-                axis=axis,
-                value=value,
-                seed=seed_index,
-                normalized_error=gradient.gradient_end_normalized_error(),
-                probe_error=gradient.gradient_end_probe_error(),
-                stage2_rounds=agreement.agreement_rounds,
-            )
+    states, normalized, probe = zip(*(
+        (state.x, gradient.gradient_end_normalized_error(), gradient.gradient_end_probe_error())
+        for state, gradient in engine._gradient_phases(configs)
+    ))
+    rounds, _ = engine._agreement_batch(np.array(states), configs)
+    return [
+        SweepRow(
+            axis=axis,
+            value=value,
+            seed=seed_index,
+            normalized_error=normalized[seed_index],
+            probe_error=probe[seed_index],
+            stage2_rounds=int(rounds[seed_index]),
         )
-    return rows
+        for seed_index in range(len(configs))
+    ]
 
 
 def sweep(spec: SweepSpec, master_seed: int, jobs: int = 1) -> SweepResult:

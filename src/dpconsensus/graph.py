@@ -10,6 +10,7 @@ connected.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,8 @@ __all__ = [
     "connected",
     "gen_erdos_renyi",
 ]
+
+_log = logging.getLogger(__name__)
 
 # Entries of W this close to zero are snapped to exactly zero so sparsity
 # pattern checks are exact.
@@ -128,6 +131,7 @@ def gen_erdos_renyi(
         upper = np.triu(rng.random((n, n)) < p_c, 1)
         adjacency = upper | upper.T
         if connected(adjacency):
+            _log.debug("G(%d, %g) seed %d: connected after %d attempts", n, p_c, seed, attempt + 1)
             weights, beta = _laplacian_mixing(adjacency)
             return CommGraph(n_nodes=n, adjacency=adjacency, weights=weights, beta=beta)
     raise GraphError(

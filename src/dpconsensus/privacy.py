@@ -9,6 +9,11 @@ where Delta(t) bounds how far round t's iterate can move under a
 single-point change of one node's data and M_t is the noise scale attached
 to that iterate.  No composition theorem is involved; the right-hand side
 is a single aggregate allowance that the schedule spends across rounds.
+
+The spend alpha is also the exact privacy loss of the composed Gaussian
+mechanisms: the loss at a worst-case edit is N(alpha/2, alpha), so a run is
+sqrt(alpha)-Gaussian DP, and :func:`exact_delta` gives its exact delta at
+any epsilon, an oracle independent of the allowance rule.
 """
 
 from __future__ import annotations
@@ -26,11 +31,18 @@ __all__ = [
     "PrivacyBudget",
     "budget_check",
     "calibrate_noise_schedule",
+    "exact_delta",
     "lipschitz_step_sensitivity",
     "noise_budget",
     "noiseless_schedule",
     "privacy_allowance",
 ]
+
+# The Mills ratio is computed from erfc below this argument and from 60
+# terms of Laplace's continued fraction above it, where they reach double
+# precision; erfc's path loses about u^2/2 ulps to its exp(u^2/2) factor.
+_MILLS_CUTOFF = 3.0
+_MILLS_TERMS = 60
 
 # Relative slack absorbing floating-point summation order in allowance
 # comparisons.
@@ -81,6 +93,47 @@ def lipschitz_step_sensitivity(
     if np.any(np.asarray(step_size) < 0.0) or grad_bound < 0.0:
         raise ValueError("step_size and grad_bound must be nonnegative")
     return 2.0 * step_size * grad_bound
+
+
+def _log_density(u: float) -> float:
+    """Log of the standard normal density at ``u``."""
+    return -0.5 * u * u - 0.5 * math.log(2.0 * math.pi)
+
+
+def _mills_ratio(u: float) -> float:
+    """Phi(-u) / phi(u) for u >= 0, without underflow at large u."""
+    if u < _MILLS_CUTOFF:
+        return 0.5 * math.erfc(u / math.sqrt(2.0)) / math.exp(_log_density(u))
+    fraction = u  # 1 / (u + 1 / (u + 2 / (u + ...))), summed from the tail
+    for k in range(_MILLS_TERMS, 0, -1):
+        fraction = u + k / fraction
+    return 1.0 / fraction
+
+
+def exact_delta(alpha: float, epsilon: float) -> float:
+    """Exact delta at ``epsilon`` of a mechanism whose privacy loss is
+    N(alpha/2, alpha), i.e. mu-Gaussian DP with mu = sqrt(alpha):
+
+        delta = Phi(-epsilon/mu + mu/2) - e^epsilon Phi(-epsilon/mu - mu/2).
+
+    With u = epsilon/mu -/+ mu/2 the second term is phi(u_-) R(u_+) for the
+    Mills ratio R(u) = Phi(-u) / phi(u), since e^epsilon phi(u_+) =
+    phi(u_-); for u_- > 0 delta = phi(u_-) (R(u_-) - R(u_+)).  So neither
+    e^epsilon nor a tail probability is formed on its own, and small deltas
+    keep their relative precision until phi(u_-) underflows.
+    """
+    if not alpha >= 0.0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if alpha == 0.0:
+        return 0.0
+    mu = math.sqrt(alpha)
+    lower, upper = epsilon / mu - mu / 2.0, epsilon / mu + mu / 2.0
+    density = math.exp(_log_density(lower))
+    if lower > 0.0:
+        return density * (_mills_ratio(lower) - _mills_ratio(upper))
+    return 0.5 * math.erfc(lower / math.sqrt(2.0)) - density * _mills_ratio(upper)
 
 
 @dataclass(frozen=True)

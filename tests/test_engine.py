@@ -1,5 +1,6 @@
 """Engine behavior: synchronous rounds, noise structure, both phases."""
 
+import logging
 import math
 import tracemalloc
 from dataclasses import replace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from dpconsensus.engine import (
     RunConfig,
     SimState,
+    _agreement_batch,
     _batches,
     _gradient_blocks,
     _gradient_phases,
@@ -420,6 +422,96 @@ def test_agreement_phase_respects_the_round_cap():
     state, _ = run_gradient_phase(config)
     _, metrics = run_agreement_phase(state, config)
     assert metrics.agreement_rounds == 4
+
+
+def assert_batch_equals_single_runs(states, configs):
+    """Run ``states`` through the batched agreement loop and assert, seed by
+    seed, the round count and final iterates of the one-seed call."""
+    rounds, final = _agreement_batch(np.array(states), configs)
+    for s, (x, config) in enumerate(zip(states, configs)):
+        single, metrics = run_agreement_phase(SimState(t=config.horizon, x=x), config)
+        assert rounds[s] == metrics.agreement_rounds == single.t - config.horizon
+        assert np.array_equal(final[s], single.x), f"seed {s}"
+    return rounds
+
+
+def gradient_ends(configs):
+    return [run_gradient_phase(config)[0].x for config in configs]
+
+
+def test_batched_agreement_equals_single_runs_on_different_graphs():
+    configs = [
+        make_config(horizon=8, graph_seed=g, noise_seed=g + 1, stage2_rel_tol=tol)
+        for g, tol in zip(range(6), (1e-9, 1e-6, 1e-12, 1e-9, 1e-3, 1e-9))
+    ]
+    assert len({c.agreement_round_cap() for c in configs}) > 1
+    rounds = assert_batch_equals_single_runs(gradient_ends(configs), configs)
+    assert len(set(rounds.tolist())) > 1
+
+
+def test_a_seed_at_a_fixed_point_leaves_the_batch_after_one_round():
+    agreed, running = make_config(horizon=8, noiseless=True), make_config(horizon=8)
+    states = [np.full((agreed.n_nodes, agreed.domain.dimension), 0.25), *gradient_ends([running])]
+    rounds = assert_batch_equals_single_runs(states, [agreed, running])
+    assert rounds[0] == 1 and rounds[1] > 10
+
+
+def test_a_round_cap_binds_for_some_seeds_of_a_batch():
+    configs = [make_config(horizon=8, graph_seed=g, noise_seed=g + 1) for g in range(6)]
+    states = gradient_ends(configs)
+    free, _ = _agreement_batch(np.array(states), configs)
+    cap = int(np.median(free))
+    capped = [replace(c, stage2_max_rounds=cap) for c in configs]
+    rounds = assert_batch_equals_single_runs(states, capped)
+    assert np.array_equal(rounds, np.minimum(free, cap))
+    assert (rounds == cap).any() and (rounds < cap).any()
+
+
+def test_a_zero_tolerance_runs_every_seed_to_its_cap():
+    configs = [
+        make_config(horizon=8, graph_seed=g, noise_seed=g + 1, stage2_rel_tol=0.0)
+        for g in range(4)
+    ]
+    rounds = assert_batch_equals_single_runs(gradient_ends(configs), configs)
+    assert rounds.tolist() == [c.agreement_round_cap() for c in configs]
+
+
+def test_batched_agreement_memory_does_not_grow_with_the_round_cap():
+    """From a cap of 10 rounds to 10,000 the traced peak of 20 seeds'
+    agreement phases grows by less than one stack of iterates: the loop
+    keeps no per-round rows."""
+    n_seeds, n, p = 20, 10, 4
+    config = make_config(n_nodes=n, points=20, dimension=p, horizon=5, stage2_rel_tol=0.0)
+    states = np.array(
+        gradient_ends([replace(config, noise_seed=s) for s in range(n_seeds)])
+    )
+
+    def peak(cap):
+        configs = [replace(config, stage2_max_rounds=cap)] * n_seeds
+        tracemalloc.start()
+        try:
+            rounds, _ = _agreement_batch(states, configs)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rounds.tolist() == [cap] * n_seeds
+        return traced
+
+    assert peak(10_000) - peak(10) <= 8 * n_seeds * n * p
+
+
+def test_an_agreement_batch_logs_one_debug_record(caplog):
+    configs = [
+        make_config(horizon=8, graph_seed=g, noise_seed=g + 1, stage2_max_rounds=cap)
+        for g, cap in ((0, 3), (1, None), (2, 1000))
+    ]
+    caplog.set_level(logging.DEBUG, logger="dpconsensus.engine")
+    rounds, _ = _agreement_batch(np.array(gradient_ends(configs)), configs)
+    assert rounds[0] == 3 and 3 < rounds[1] < 1000 and rounds[2] < 1000
+    records = [r for r in caplog.records if r.name == "dpconsensus.engine"]
+    assert [(r.levelno, r.getMessage()) for r in records] == [
+        (logging.DEBUG, f"agreement batch: 3 seeds, {rounds.max()} rounds at most, 1 at their round cap")
+    ]
 
 
 def test_full_run_concatenates_phases():

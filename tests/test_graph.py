@@ -1,6 +1,7 @@
 """Topology generation and mixing-matrix spectra."""
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -68,6 +69,21 @@ def test_invalid_generation_arguments(n, p_c):
 def test_hopeless_edge_probability_reports_attempts():
     with pytest.raises(GraphError, match="attempts"):
         gen_erdos_renyi(20, 1e-6, seed=0, max_attempts=25)
+
+
+def test_an_accepted_graph_logs_its_attempts(caplog, monkeypatch):
+    """One DEBUG record per accepted graph, counting every stream drawn,
+    the rejected samples' and the accepted one's."""
+    import dpconsensus.graph as graph
+
+    streams, derive_rng = [], graph.derive_rng
+    monkeypatch.setattr(graph, "derive_rng", lambda *key: streams.append(key) or derive_rng(*key))
+    caplog.set_level(logging.DEBUG, logger="dpconsensus.graph")
+    gen_erdos_renyi(10, 0.1, seed=7)
+    assert len(streams) > 1
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.DEBUG, f"G(10, 0.1) seed 7: connected after {len(streams)} attempts")
+    ]
 
 
 @pytest.mark.parametrize("seed", range(20))

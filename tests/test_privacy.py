@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpconsensus.cli import main
 from dpconsensus.experiments import ExperimentConfig, build_run_config, single_run_seeds
@@ -13,6 +15,7 @@ from dpconsensus.privacy import (
     PrivacyBudget,
     budget_check,
     calibrate_noise_schedule,
+    exact_delta,
     lipschitz_step_sensitivity,
     noise_budget,
     noiseless_schedule,
@@ -194,3 +197,69 @@ def test_schedule_validation():
             scales=np.ones(2),
             sensitivities=np.ones(2),
         )
+
+
+def _loss_tail_quadrature(alpha, epsilon, points=400_001):
+    """E[(1 - e^(epsilon - L))_+] for a privacy loss L ~ N(alpha/2, alpha),
+    by the trapezoid rule over [epsilon, mean + 40 sd]."""
+    mean, sd = alpha / 2.0, math.sqrt(alpha)
+    loss = np.linspace(epsilon, max(epsilon, mean) + 40.0 * sd, points)
+    density = np.exp(-0.5 * ((loss - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+    values = (1.0 - np.exp(epsilon - loss)) * density
+    return float(np.sum((values[1:] + values[:-1]) * np.diff(loss)) / 2.0)
+
+
+@pytest.mark.parametrize("epsilon,expected", [(4.0, 7.53e-6), (1.0, 2.60e-6)])
+def test_exact_delta_at_the_paper_allowance_matches_a_quadrature(epsilon, expected):
+    """At the paper's allowance for delta = 1e-3 the exact delta of the
+    composed Gaussian mechanisms is two orders of magnitude below target."""
+    alpha = privacy_allowance(PrivacyBudget(epsilon, 1e-3))
+    delta = exact_delta(alpha, epsilon)
+    assert delta == pytest.approx(_loss_tail_quadrature(alpha, epsilon), rel=1e-6)
+    assert delta == pytest.approx(expected, abs=5e-9)
+
+
+@pytest.mark.parametrize(
+    "alpha,epsilon",
+    [(1.0, 0.1), (100.0, 1.0), (0.01, 1.0), (2.0, 30.0), (2000.0, 800.0), (1e-4, 0.3)],
+)
+def test_exact_delta_matches_a_quadrature_from_large_to_tiny_deltas(alpha, epsilon):
+    # e^800 overflows a double and the last case's delta is about 1.9e-201.
+    assert exact_delta(alpha, epsilon) == pytest.approx(
+        _loss_tail_quadrature(alpha, epsilon), rel=1e-5
+    )
+
+
+def test_exact_delta_edge_cases_and_validation():
+    assert exact_delta(0.0, 1.0) == 0.0
+    assert exact_delta(math.inf, 1.0) == 1.0
+    assert exact_delta(1.0, 0.0) == pytest.approx(math.erf(0.5 / math.sqrt(2.0)), rel=1e-14)
+    for alpha, epsilon in ((-1.0, 1.0), (math.nan, 1.0), (1.0, -0.5), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            exact_delta(alpha, epsilon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    epsilon=st.floats(1e-3, 50.0),
+    log_delta=st.floats(-30.0, math.log(0.5)),
+    shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    utilization=st.floats(0.0, 1.1),
+)
+def test_exact_delta_is_within_delta_whenever_the_budget_check_passes(
+    epsilon, log_delta, shares, utilization
+):
+    """The paper's allowance is sufficient for the exact Gaussian-DP curve:
+    any schedule it passes has exact delta at most the target delta."""
+    budget = PrivacyBudget(epsilon, math.exp(log_delta))
+    shares = np.array(shares) / max(sum(shares), 1e-300)
+    spends = utilization * privacy_allowance(budget) * shares
+    horizon = len(spends)
+    schedule = NoiseSchedule(
+        horizon=horizon,
+        step_sizes=np.ones(horizon),
+        scales=np.ones(horizon),
+        sensitivities=np.sqrt(spends),
+    )
+    if budget_check(schedule, budget).passed:
+        assert exact_delta(schedule.alpha, epsilon) <= budget.delta
