@@ -10,10 +10,11 @@ single-point change of one node's data and M_t is the noise scale attached
 to that iterate.  No composition theorem is involved; the right-hand side
 is a single aggregate allowance that the schedule spends across rounds.
 
-The spend alpha is also the exact privacy loss of the composed Gaussian
-mechanisms: the loss at a worst-case edit is N(alpha/2, alpha), so a run is
-sqrt(alpha)-Gaussian DP, and :func:`exact_delta` gives its exact delta at
-any epsilon, an oracle independent of the allowance rule.
+The spend alpha also fixes the exact privacy curve: Gaussian mechanisms
+composed at these sensitivities and scales are sqrt(alpha)-Gaussian DP,
+with privacy loss N(alpha/2, alpha) at a worst-case edit, and
+:func:`exact_delta` gives their exact delta at any epsilon, an oracle
+independent of the allowance rule.
 """
 
 from __future__ import annotations
@@ -95,15 +96,15 @@ def lipschitz_step_sensitivity(
     return 2.0 * step_size * grad_bound
 
 
-def _log_density(u: float) -> float:
-    """Log of the standard normal density at ``u``."""
-    return -0.5 * u * u - 0.5 * math.log(2.0 * math.pi)
+def _density(u: float) -> float:
+    """Standard normal density at ``u``."""
+    return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
 
 def _mills_ratio(u: float) -> float:
     """Phi(-u) / phi(u) for u >= 0, without underflow at large u."""
     if u < _MILLS_CUTOFF:
-        return 0.5 * math.erfc(u / math.sqrt(2.0)) / math.exp(_log_density(u))
+        return 0.5 * math.erfc(u / math.sqrt(2.0)) / _density(u)
     fraction = u  # 1 / (u + 1 / (u + 2 / (u + ...))), summed from the tail
     for k in range(_MILLS_TERMS, 0, -1):
         fraction = u + k / fraction
@@ -130,7 +131,7 @@ def exact_delta(alpha: float, epsilon: float) -> float:
         return 0.0
     mu = math.sqrt(alpha)
     lower, upper = epsilon / mu - mu / 2.0, epsilon / mu + mu / 2.0
-    density = math.exp(_log_density(lower))
+    density = _density(lower)
     if lower > 0.0:
         return density * (_mills_ratio(lower) - _mills_ratio(upper))
     return 0.5 * math.erfc(lower / math.sqrt(2.0)) - density * _mills_ratio(upper)

@@ -509,9 +509,8 @@ def test_an_agreement_batch_logs_one_debug_record(caplog):
     rounds, _ = _agreement_batch(np.array(gradient_ends(configs)), configs)
     assert rounds[0] == 3 and 3 < rounds[1] < 1000 and rounds[2] < 1000
     records = [r for r in caplog.records if r.name == "dpconsensus.engine"]
-    assert [(r.levelno, r.getMessage()) for r in records] == [
-        (logging.DEBUG, f"agreement batch: 3 seeds, {rounds.max()} rounds at most, 1 at their round cap")
-    ]
+    message = f"agreement batch: 3 seeds, {rounds.max()} rounds at most, 1 at their round cap"
+    assert [(r.levelno, r.getMessage()) for r in records] == [(logging.DEBUG, message)]
 
 
 def test_full_run_concatenates_phases():
