@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .engine import RunMetrics
 from .objectives import ObjectiveSpec
 from .privacy import PrivacyBudget, noise_budget
 
@@ -166,31 +164,30 @@ class ComparisonReport:
 
 
 def empirical_vs_bound(
-    runs: Sequence[RunMetrics],
+    ends: np.ndarray,
     inputs: BoundInputs,
     bound: BoundReport | None = None,
     min_runs: int = 50,
 ) -> ComparisonReport:
-    """Compare the seed-average of ||x_bar(T) - x*||^2 against the bound.
+    """Compare the seed-average of ||x_bar(T) - x*||^2 against the bound,
+    for the gradient-phase end iterates ``ends[run, node]`` of
+    independent-seed runs.
 
     The bound holds in expectation, so the comparison needs enough
     independent-seed runs for the average to be representative; fewer than
     ``min_runs``, or none at all, is an error.  ``bound`` overrides the
     freshly evaluated bound (e.g. a mutated one).
     """
-    if not runs:
+    if len(ends) == 0:
         raise ValueError("need at least one run, got none")
-    if len(runs) < min_runs:
-        raise ValueError(f"need at least {min_runs} runs, got {len(runs)}")
-    errors = [
-        float(np.sum((metrics.final_gradient_mean() - inputs.x_star) ** 2))
-        for metrics in runs
-    ]
+    if len(ends) < min_runs:
+        raise ValueError(f"need at least {min_runs} runs, got {len(ends)}")
+    errors = [float(np.sum((x.mean(axis=0) - inputs.x_star) ** 2)) for x in ends]
     empirical = float(np.mean(errors))
     report = bound if bound is not None else mean_error_bound(inputs)
     return ComparisonReport(
         empirical_mean=empirical,
         bound_total=report.total,
-        n_runs=len(runs),
+        n_runs=len(ends),
         passed=empirical <= report.total,
     )

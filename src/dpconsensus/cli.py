@@ -321,9 +321,8 @@ def _cmd_bound(args: argparse.Namespace, resolved: dict[str, object]) -> int:
         replace(config, noise_seed=derive_seed(args.seed, _BOUND_NOISE_STREAM, i))
         for i in range(n_runs)
     ]
-    runs = [metrics for _, metrics in _gradient_phases(configs)]
     report = mean_error_bound(inputs)
-    comparison = empirical_vs_bound(runs, inputs, min_runs=min(n_runs, 50))
+    comparison = empirical_vs_bound(_gradient_phases(configs), inputs, min_runs=min(n_runs, 50))
     payload = {
         "terms": report.terms,
         "constants": report.constants,

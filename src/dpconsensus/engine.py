@@ -16,11 +16,12 @@ noise for a uniform message shape, and ``strict_first_broadcast`` sends the
 literal zero instead.  Both choices spend the same budget.  The pairing and
 the round loop live in one place, ``_gradient_blocks``, which runs a batch
 of noise seeds side by side (states ``(S, n, p)``) and yields the phase one
-block of rounds at a time; a single run, the sweeps and the privacy-loss
-audit all go through it, and each reduces a block to its per-round metrics
-or loss terms as it arrives.  A fixed float budget bounds one block, not a
-whole trajectory, so the memory a batch needs does not grow with T beyond
-its per-round results.
+block of rounds at a time; a single run, the sweeps, ``bound`` and the
+privacy-loss audit all go through it.  A single run reduces each block to
+its per-round metrics, and the audit to its loss terms, as it arrives; the
+sweeps and ``bound`` read only the end-of-phase error, so they keep only
+each batch's last iterates.  A fixed float budget bounds one block, not a
+whole trajectory, so the memory of a sweep's batch does not grow with T.
 
 Agreement phase (rounds t > T): exact broadcasts and pure consensus
 averaging without projection, until the per-node relative change drops
@@ -180,22 +181,6 @@ class RunMetrics:
             probe_node=first.probe_node,
         )
 
-    def gradient_end_index(self) -> int:
-        idx = np.nonzero(self.stage == 1)[0]
-        if idx.size == 0:
-            raise ValueError("metrics contain no gradient-phase rounds")
-        return int(idx[-1])
-
-    def final_gradient_mean(self) -> np.ndarray:
-        """Mean iterate at the end of the gradient phase."""
-        return self.mean_iterate[self.gradient_end_index()]
-
-    def gradient_end_normalized_error(self) -> float:
-        return float(self.normalized_error[self.gradient_end_index()])
-
-    def gradient_end_probe_error(self) -> float:
-        return float(self.probe_error[self.gradient_end_index()])
-
     @property
     def agreement_rounds(self) -> int:
         return int(np.sum(self.stage == 2))
@@ -231,16 +216,17 @@ def _errors(
     )
 
 
-def _metrics(config: RunConfig, stage: int, first_round: int, xs: np.ndarray) -> RunMetrics:
-    """Stage-independent metrics of iterates ``xs[i] = x(first_round + i)``.
+def _metrics(
+    config: RunConfig, stage: int, first_round: int, errors: Sequence[np.ndarray]
+) -> RunMetrics:
+    """Stage-independent metrics from the ``_errors`` of rounds first_round,
+    first_round + 1, ...
 
     ``z_dev``, ``mean_drift`` and ``contraction_ratio`` are left NaN for the
     caller to fill in for its stage.
     """
-    normalized, consensus, probe, x_bar = _errors(
-        xs, xs[:, config.probe_node], *_reference(config)
-    )
-    rounds = xs.shape[0]
+    normalized, consensus, probe, x_bar = errors
+    rounds = normalized.shape[0]
     unset = np.full(rounds, math.nan)
     return RunMetrics(
         stage=np.full(rounds, stage),
@@ -345,67 +331,40 @@ def _gradient_blocks(
         noise[:, 0] = noise[:, rounds]
 
 
-def _gradient_batch(configs: Sequence[RunConfig]) -> list[tuple[SimState, RunMetrics]]:
-    """Gradient phases of one batch, each config under its own noise seed.
+def _gradient_phases(configs: Sequence[RunConfig]) -> np.ndarray:
+    """End iterates x(T), stacked ``(N, n, p)``, of the gradient phases of
+    configs that can share a batch, each under its own noise seed.
 
-    Each block of rounds is reduced into the batch's ``(S, T)`` metric
-    arrays as it arrives, and only the last iterates are kept.
+    They run in max(1, N // size) batches of near-equal length
+    (``_batches``), of which only the last iterates are kept.
     """
-    n_seeds, horizon = len(configs), configs[0].horizon
-    # Per seed, as a single run divides: a vectorised dot product moves the
-    # last ulp of some errors.
-    x_star, denom = (np.array(a)[:, None] for a in zip(*map(_reference, configs)))
-    probes, seeds = np.array([c.probe_node for c in configs]), np.arange(n_seeds)
-    normalized, consensus, z_dev, probe = np.empty((4, n_seeds, horizon))
-    mean_iterate = np.empty((n_seeds, horizon, configs[0].domain.dimension))
-    for first, _, z, x in _gradient_blocks(configs, [c.noise_seed for c in configs]):
-        rounds = slice(first - 1, first - 1 + x.shape[1])
-        errors = _errors(x, x[seeds, :, probes], x_star, denom)
-        for out, values in zip((normalized, consensus, probe, mean_iterate), errors):
-            out[:, rounds] = values
-        z_dev[:, rounds] = _deviation(z)
-    last = x[:, -1].copy()
-    # Read-only columns that every seed's metrics share.
-    stage, t = np.ones(horizon, dtype=int), np.arange(1, horizon + 1)
-    unset = np.full(horizon, math.nan)
-    return [
-        (
-            SimState(t=horizon, x=last[s]),
-            RunMetrics(
-                stage=stage,
-                t=t,
-                normalized_error=normalized[s],
-                consensus_dev=consensus[s],
-                z_dev=z_dev[s],
-                probe_error=probe[s],
-                mean_iterate=mean_iterate[s],
-                mean_drift=unset,
-                contraction_ratio=unset,
-                probe_node=config.probe_node,
-            ),
-        )
-        for s, config in enumerate(configs)
-    ]
-
-
-def _gradient_phases(configs: Sequence[RunConfig]) -> Iterator[tuple[SimState, RunMetrics]]:
-    """Gradient phases of configs that can share a batch, in order, run in
-    max(1, N // size) batches of near-equal length (``_batches``); each
-    batch is freed before the next is built."""
     if not configs:
-        return
+        return np.empty((0, 0, 0))
+    ends = []
     for batch in _batches(configs, configs[0]):
-        yield from _gradient_batch(batch)
+        for *_, x in _gradient_blocks(batch, [c.noise_seed for c in batch]):
+            pass
+        ends.append(x[:, -1].copy())
+    return np.concatenate(ends)
 
 
 def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
     """Execute rounds 1..T of the noisy gradient phase.
 
-    Deterministic given ``config.noise_seed``; metrics are reduced from the
-    kernel's blocks as they arrive.  This is the one-seed batch of the
-    kernel that sweeps run many seeds through.
+    Deterministic given ``config.noise_seed``; each block of the kernel's
+    rounds is reduced to its per-round metrics as it arrives.
     """
-    return _gradient_batch([config])[0]
+    horizon, probe = config.horizon, config.probe_node
+    reference = _reference(config)
+    errors = (*np.empty((3, horizon)), np.empty((horizon, config.domain.dimension)))
+    z_dev = np.empty(horizon)
+    for first, _, z, x in _gradient_blocks([config], [config.noise_seed]):
+        x, rounds = x[0], slice(first - 1, first - 1 + x.shape[1])
+        for out, values in zip(errors, _errors(x, x[:, probe], *reference)):
+            out[rounds] = values
+        z_dev[rounds] = _deviation(z[0])
+    metrics = replace(_metrics(config, 1, 1, errors), z_dev=z_dev)
+    return SimState(t=horizon, x=x[-1].copy()), metrics
 
 
 def _agreement_batch(
@@ -461,8 +420,10 @@ def run_agreement_phase(
     """
     rows: list[np.ndarray] = []
     (rounds,), (x,) = _agreement_batch(state.x[None], [config], rows)
-    rounds = int(rounds)
-    metrics = _metrics(config, 2, state.t + 1, np.concatenate(rows))
+    rounds, xs = int(rounds), np.concatenate(rows)
+    metrics = _metrics(
+        config, 2, state.t + 1, _errors(xs, xs[:, config.probe_node], *_reference(config))
+    )
     dev = metrics.consensus_dev
     geometric = config.graph.beta ** np.arange(1, rounds + 1) * float(np.linalg.norm(state.x))
     ratio = np.divide(

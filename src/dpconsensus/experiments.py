@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine
 from .analysis import BoundInputs
-from .graph import CommGraph, gen_erdos_renyi
+from .graph import CommGraph, GraphError, gen_erdos_renyi
 from .objectives import (
     BoxDomain,
     LocalDataset,
@@ -85,6 +85,19 @@ class ExperimentConfig:
     probe_node: int = 0
     strict_first_broadcast: bool = False
     calibration_grad_bound: float | None = None
+
+    def __post_init__(self) -> None:
+        # Each check is the one a run would fail later, with its error, so
+        # that a bad config or sweep grid fails before any cell runs.
+        self.budget, self.domain  # epsilon, delta, half_width and dimension
+        if self.n_nodes < 2:
+            raise GraphError(f"need n >= 2 nodes, got {self.n_nodes}")
+        if not 0.0 < self.edge_prob <= 1.0:
+            raise GraphError(f"edge probability must lie in (0, 1], got {self.edge_prob}")
+        if self.points_per_node < 1:
+            raise ValueError(f"n_points must be >= 1, got {self.points_per_node}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     @property
     def budget(self) -> PrivacyBudget:
@@ -308,21 +321,24 @@ def _groups(
 
 def _run_group(task: tuple[str, float, list[engine.RunConfig]]) -> list[SweepRow]:
     """Rows of one axis value: the gradient phases run as memory-bounded
-    batches of seeds, then the value's agreement phases side by side as one
-    stack, which yields only each seed's round count."""
+    batches of seeds, whose end iterates give each seed's errors and start
+    the value's agreement phases, run side by side as one stack that yields
+    only each seed's round count."""
     axis, value, configs = task
-    states, normalized, probe = zip(*(
-        (state.x, gradient.gradient_end_normalized_error(), gradient.gradient_end_probe_error())
-        for state, gradient in engine._gradient_phases(configs)
-    ))
-    rounds, _ = engine._agreement_batch(np.array(states), configs)
+    ends = engine._gradient_phases(configs)
+    # Per seed, as a single run divides: a vectorised dot product moves the
+    # last ulp of some errors.
+    x_star, denom = map(np.array, zip(*map(engine._reference, configs)))
+    probes = ends[np.arange(len(configs)), [c.probe_node for c in configs]]
+    normalized, _, probe, _ = engine._errors(ends, probes, x_star, denom)
+    rounds, _ = engine._agreement_batch(ends, configs)
     return [
         SweepRow(
             axis=axis,
             value=value,
             seed=seed_index,
-            normalized_error=normalized[seed_index],
-            probe_error=probe[seed_index],
+            normalized_error=float(normalized[seed_index]),
+            probe_error=float(probe[seed_index]),
             stage2_rounds=int(rounds[seed_index]),
         )
         for seed_index in range(len(configs))

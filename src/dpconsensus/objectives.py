@@ -8,6 +8,7 @@ here lies strictly inside the cube.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,6 +28,8 @@ __all__ = [
     "mean_objective_value",
     "project_box",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -185,10 +188,15 @@ def gen_truncated_gaussian(
         )
     rng = derive_rng(seed, node_id)
     needed = n_points * domain.dimension
-    out = np.empty(0)
+    out, draws = np.empty(0), 0
     while out.size < needed:
         batch = rng.normal(mean, 1.0, size=max(needed, 64))
         out = np.concatenate([out, batch[np.abs(batch) <= r]])
+        draws += batch.size
+    _log.debug(
+        "truncated Gaussian seed %d node %d: %d of %d draws accepted for %d coordinates",
+        seed, node_id, out.size, draws, needed,
+    )
     points = out[:needed].reshape(n_points, domain.dimension)
     return LocalDataset(points=points, node_id=node_id)
 

@@ -75,15 +75,15 @@ def _default_cell(horizon: int) -> tuple[RunConfig, BoundInputs]:
 
 @pytest.fixture(scope="module")
 def bound_runs():
-    """50 independent-noise runs of the default experiment per horizon."""
+    """End iterates of 50 independent-noise runs of the default experiment
+    per horizon."""
     out = {}
     for horizon in (100, 1000):
         config, inputs = _default_cell(horizon)
         configs = [
             replace(config, noise_seed=derive_seed(MASTER_SEED, 6, horizon, i)) for i in range(50)
         ]
-        runs = [metrics for _, metrics in _gradient_phases(configs)]
-        out[horizon] = (config, inputs, runs)
+        out[horizon] = (config, inputs, _gradient_phases(configs))
     return out
 
 

@@ -13,7 +13,7 @@ from dpconsensus.analysis import (
     empirical_vs_bound,
     mean_error_bound,
 )
-from dpconsensus.engine import run_gradient_phase
+from dpconsensus.engine import _gradient_phases, run_gradient_phase
 from dpconsensus.objectives import ObjectiveSpec
 from dpconsensus.privacy import PrivacyBudget, noise_budget
 
@@ -162,10 +162,8 @@ def test_zero_noise_runs_stay_below_the_noiseless_bound():
         x_star=x_star,
         n_nodes=config.n_nodes,
     )
-    runs = [
-        run_gradient_phase(replace(config, noise_seed=s))[1] for s in range(50)
-    ]
-    comparison = empirical_vs_bound(runs, inputs)
+    ends = _gradient_phases([replace(config, noise_seed=s) for s in range(50)])
+    comparison = empirical_vs_bound(ends, inputs)
     assert comparison.passed
     assert comparison.margin > 0.0
 
@@ -184,30 +182,37 @@ def test_comparison_detects_violations():
         x_star=x_star,
         n_nodes=config.n_nodes,
     )
-    runs = [run_gradient_phase(replace(config, noise_seed=s))[1] for s in range(50)]
+    configs = [replace(config, noise_seed=s) for s in range(50)]
+    ends = _gradient_phases(configs)
     report = mean_error_bound(inputs)
     tiny = BoundReport(
         constants=report.constants,
         terms={k: v * 1e-12 for k, v in report.terms.items()},
         total=report.total * 1e-12,
     )
-    assert empirical_vs_bound(runs, inputs).passed
-    assert not empirical_vs_bound(runs, inputs, bound=tiny).passed
+    comparison = empirical_vs_bound(ends, inputs)
+    assert comparison.passed
+    assert not empirical_vs_bound(ends, inputs, bound=tiny).passed
+    # The end iterates give the single runs' mean-iterate errors at round T.
+    singles = [run_gradient_phase(c)[1].mean_iterate[c.horizon - 1] for c in configs]
+    expected = np.mean([np.sum((x_bar - x_star) ** 2) for x_bar in singles])
+    assert comparison.empirical_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_comparison_requires_enough_runs():
     config = make_config(n_nodes=4, points=10, dimension=2, horizon=5)
-    runs = [run_gradient_phase(config)[1]]
+    ends = _gradient_phases([config])
     inputs = make_inputs(spec=replace(UNIT_SPEC, dimension=2), x_star=np.zeros(2))
-    with pytest.raises(ValueError, match="runs"):
-        empirical_vs_bound(runs, inputs)
+    with pytest.raises(ValueError, match="need at least 50 runs, got 1"):
+        empirical_vs_bound(ends, inputs)
 
 
 def test_comparison_rejects_an_empty_run_list():
     inputs = make_inputs()
-    for min_runs in (0, 1, 50):
-        with pytest.raises(ValueError, match="at least one run"):
-            empirical_vs_bound([], inputs, min_runs=min_runs)
+    for ends in ([], np.empty((0, 10, 4))):
+        for min_runs in (0, 1, 50):
+            with pytest.raises(ValueError, match="at least one run"):
+                empirical_vs_bound(ends, inputs, min_runs=min_runs)
 
 
 def test_inputs_validation():

@@ -15,8 +15,10 @@ from dpconsensus.engine import (
     SimState,
     _agreement_batch,
     _batches,
+    _errors,
     _gradient_blocks,
     _gradient_phases,
+    _reference,
     run,
     run_agreement_phase,
     run_gradient_phase,
@@ -274,21 +276,34 @@ def test_a_seed_batch_equals_its_single_seed_runs(strict):
 
 def test_batched_gradient_phases_equal_single_runs(monkeypatch):
     configs = [
-        make_config(horizon=9, graph_seed=g, data_seed=g + 1, noise_seed=g + 2) for g in range(7)
+        make_config(
+            horizon=9, graph_seed=g, data_seed=g + 1, noise_seed=g + 2, probe_node=g % 6
+        )
+        for g in range(7)
     ]
     # A budget of two seeds by two rounds (size 2) splits the seven runs into
     # batches of 2 + 2 + 3 and each batch into blocks of 2 rounds or fewer.
     block_rounds(monkeypatch, 2, 2, configs[0])
     assert [len(batch) for batch in _batches(configs, configs[0])] == [2, 2, 3]
-    phases = list(_gradient_phases(configs))
-    assert len(phases) == len(configs)
-    for config, (state, metrics) in zip(configs, phases):
-        single_state, single_metrics = run_gradient_phase(config)
-        assert state.t == single_state.t == 9
-        np.testing.assert_allclose(state.x, single_state.x, rtol=1e-12, atol=0.0)
-        for name in ("normalized_error", "consensus_dev", "z_dev", "probe_error", "mean_iterate"):
+    ends = _gradient_phases(configs)
+    assert ends.shape == (len(configs), 6, 3)
+    # The end errors as a sweep takes them: on the stacked end iterates,
+    # each seed against its own x* and denominator.
+    x_star, denom = map(np.array, zip(*map(_reference, configs)))
+    probes = ends[np.arange(len(configs)), [c.probe_node for c in configs]]
+    normalized, consensus, probe, mean_iterate = _errors(ends, probes, x_star, denom)
+    for s, config in enumerate(configs):
+        state, metrics = run_gradient_phase(config)
+        assert state.t == metrics.t[-1] == 9
+        np.testing.assert_allclose(ends[s], state.x, rtol=1e-12, atol=0.0)
+        for name, values in (
+            ("normalized_error", normalized),
+            ("consensus_dev", consensus),
+            ("probe_error", probe),
+            ("mean_iterate", mean_iterate),
+        ):
             np.testing.assert_allclose(
-                getattr(metrics, name), getattr(single_metrics, name), rtol=1e-12, atol=0.0
+                values[s], getattr(metrics, name)[-1], rtol=1e-12, atol=0.0
             )
 
 
@@ -310,10 +325,11 @@ def test_batches_split_items_in_order_into_near_equal_lengths(n_items, size):
     assert min(n_items, size) <= min(lengths) and max(lengths) <= 2 * size - 1
 
 
-def test_a_batch_grows_with_the_horizon_by_its_metric_arrays_alone():
+def test_a_batch_grows_with_the_horizon_by_its_noise_scales_alone():
     """From T=1000 to T=2000 the traced peak of 20 seeds' gradient phases
-    grows by their (S, T) metric arrays, not by noise, consensus points or
-    iterates: the kernel holds one block of rounds, not a trajectory."""
+    grows by the kernel's horizon-long vectors alone, not by per-round
+    metrics, noise, consensus points or iterates: the kernel holds one block
+    of rounds, not a trajectory, and the batch keeps only its end iterates."""
     n_seeds, n, p = 20, 10, 4
 
     def peak(horizon):
@@ -323,18 +339,15 @@ def test_a_batch_grows_with_the_horizon_by_its_metric_arrays_alone():
         ]
         tracemalloc.start()
         try:
-            phases = list(_gradient_phases(configs))
+            ends = _gradient_phases(configs)
             traced = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(phases) == n_seeds
+        assert ends.shape == (n_seeds, n, p)
         return traced
 
-    # Per round: each seed's normalized error, consensus deviation, z
-    # deviation, probe error and mean iterate, plus four horizon-long
-    # vectors shared by the batch (noise scales, stage, t and NaN columns).
-    per_round_bytes = 8 * (n_seeds * (4 + p) + 4)
-    assert peak(2000) - peak(1000) <= 1000 * per_round_bytes
+    # The noise scales of x(0) .. x(T), with room for one more such vector.
+    assert peak(2000) - peak(1000) <= 2 * 1000 * 8
 
 
 def test_a_batch_rejects_configs_that_cannot_share_its_rounds():
@@ -536,7 +549,7 @@ def test_zero_noise_run_matches_centralized_descent_oracle():
         grad = sum(mean_objective_grad(x, d) for d in config.datasets)
         x = project_box(x - grad / (total_points * t), config.domain)
     metrics = run(config)
-    x_bar = metrics.final_gradient_mean()
+    x_bar = metrics.mean_iterate[config.horizon - 1]
     assert np.allclose(x, center, atol=1e-8)
     assert np.allclose(x_bar, x, atol=1e-6)
     denom = float(center @ center)
@@ -603,9 +616,13 @@ def test_config_validation():
 def test_metrics_match_the_per_round_formulas():
     """Every RunMetrics column of a run equals the per-round formulas applied
     to the iterates the gradient kernel returns and to the agreement rounds
-    that follow them."""
+    that follow them, whether the gradient phase comes as one block of rounds
+    or is reduced block by block (30 rounds as 7 blocks of 4 and one of 2)."""
     config = make_config(horizon=30, probe_node=2)
     metrics = run(config)
+    with pytest.MonkeyPatch.context() as patch:
+        block_rounds(patch, 4, 1, config)
+        blockwise = run(config)
     x_star = config.minimizer()
     denom = max(float(x_star @ x_star), 1e-12)
 
@@ -641,6 +658,8 @@ def test_metrics_match_the_per_round_formulas():
     )
     assert metrics.agreement_rounds >= 2
     for name, expected in zip(names, zip(*rows)):
-        actual, expected = getattr(metrics, name), np.array(expected)
-        np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0.0, err_msg=name)
-    assert metrics.probe_node == 2
+        for actual in (getattr(metrics, name), getattr(blockwise, name)):
+            np.testing.assert_allclose(
+                actual, np.array(expected), rtol=1e-14, atol=0.0, err_msg=name
+            )
+    assert metrics.probe_node == blockwise.probe_node == 2

@@ -48,6 +48,28 @@ def test_spec_validation():
         SweepSpec(base=TINY, axis="epsilon", values=(4.0, 2.0, 4.0), n_seeds=2)
 
 
+# A valid first value and an invalid second one per axis, with the error
+# the invalid value's first use would raise.
+BAD_GRIDS = [
+    ("T", (8.0, 0.0), "horizon must be >= 1, got 0"),
+    ("epsilon", (4.0, -1.0), "epsilon must be finite and positive, got -1.0"),
+    ("delta_family", (1e-3, 1.0), r"delta must lie in \(0, 1\), got 1.0"),
+    ("p_c", (0.6, 0.0), r"edge probability must lie in \(0, 1\], got 0.0"),
+    ("p_c", (0.6, 1.5), r"edge probability must lie in \(0, 1\], got 1.5"),
+    ("points_per_node", (20.0, 0.0), "n_points must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("axis, values, message", BAD_GRIDS)
+def test_a_bad_grid_value_fails_before_any_cell_runs(axis, values, message, monkeypatch):
+    calls = []
+    for target in ("dpconsensus.experiments.gen_erdos_renyi", "dpconsensus.engine._gradient_blocks"):
+        monkeypatch.setattr(target, lambda *args, **kwargs: calls.append(args) or 1 / 0)
+    with pytest.raises(ValueError, match=message):
+        sweep(SweepSpec(base=TINY, axis=axis, values=values, n_seeds=2), master_seed=1)
+    assert calls == []
+
+
 def test_preset_axes_cover_the_studies():
     assert preset_sweep("T").values == (10.0, 100.0, 1000.0)
     assert preset_sweep("epsilon").values == (0.5, 1.0, 2.0, 4.0, 8.0)
@@ -180,10 +202,11 @@ def test_sweep_rows_equal_per_cell_runs(axis, monkeypatch):
     for value_index, value in enumerate(spec.values):
         for seed_index in range(spec.n_seeds):
             seeds = cell_seeds(9, axis, value_index, seed_index)
-            metrics = engine.run(build_run_config(TINY.with_value(axis, value), *seeds))
+            config = build_run_config(TINY.with_value(axis, value), *seeds)
+            metrics, end = engine.run(config), config.horizon - 1
             expected.append(
-                (axis, value, seed_index, metrics.gradient_end_normalized_error(),
-                 metrics.gradient_end_probe_error(), metrics.agreement_rounds)
+                (axis, value, seed_index, metrics.normalized_error[end],
+                 metrics.probe_error[end], metrics.agreement_rounds)
             )
     # Each axis value in one batch, then in three batches of one seed, in
     # blocks of two rounds.

@@ -1,5 +1,6 @@
 """Projection, the mean-estimation objective, and its data generator."""
 
+import logging
 import math
 
 import numpy as np
@@ -146,6 +147,36 @@ def test_truncated_gaussian_deterministic():
     a = gen_truncated_gaussian(64, domain, seed=9)
     b = gen_truncated_gaussian(64, domain, seed=9)
     assert np.array_equal(a.points, b.points)
+
+
+def test_a_dataset_logs_its_draws(caplog, monkeypatch):
+    """One DEBUG record per dataset, counting every coordinate drawn and
+    every one accepted, across all the rejection rounds."""
+    import dpconsensus.objectives as objectives
+
+    draws, derive_rng = [], objectives.derive_rng
+
+    class Recorded:
+        def __init__(self, *key):
+            self.rng = derive_rng(*key)
+
+        def normal(self, *args, **kwargs):
+            draws.append(self.rng.normal(*args, **kwargs))
+            return draws[-1]
+
+    monkeypatch.setattr(objectives, "derive_rng", Recorded)
+    caplog.set_level(logging.DEBUG, logger="dpconsensus.objectives")
+    data = gen_truncated_gaussian(40, BoxDomain(half_width=1.0, dimension=2), seed=3, node_id=5)
+    drawn = np.concatenate(draws)
+    accepted = np.count_nonzero(np.abs(drawn) <= 1.0)
+    assert len(draws) > 1 and data.points.size == 80 <= accepted
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (
+            logging.DEBUG,
+            f"truncated Gaussian seed 3 node 5: {accepted} of {drawn.size} draws "
+            "accepted for 80 coordinates",
+        )
+    ]
 
 
 def test_truncated_gaussian_distinct_nodes_distinct_points():
