@@ -21,8 +21,7 @@ from .audit import (
     AuditReport,
     NeighborEdit,
     collect_samples,
-    coupled_gap_trace,
-    coupled_privacy_loss,
+    coupled_runs,
     plant_point,
     tail_audit,
     worst_case_edit,

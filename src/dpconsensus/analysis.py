@@ -39,11 +39,11 @@ class BoundInputs:
 
     ``s0`` is the total initial squared distance sum_i ||x_i(0) - x*||^2.
     ``noise_grad_bound`` is the gradient bound the noise schedule was
-    calibrated with; it defaults to ``spec.grad_bound`` but is smaller when
-    the schedule uses an instance-specific sensitivity (mean estimation
-    calibrates with the cube half-diameter R*sqrt(p) while the Lipschitz
-    constant of the local objectives is n_i times larger).  ``budget=None``
-    drops the privacy-noise terms (noise-free runs).
+    calibrated with: ``spec.grad_bound`` for the generic calibration, and
+    smaller when the schedule uses an instance-specific sensitivity (mean
+    estimation calibrates with the cube half-diameter R*sqrt(p) while the
+    Lipschitz constant of the local objectives is n_i times larger).
+    ``budget=None`` drops the privacy-noise terms (noise-free runs).
     """
 
     s0: float
@@ -52,8 +52,8 @@ class BoundInputs:
     budget: PrivacyBudget | None
     horizon: int
     x_star: np.ndarray = field(repr=False)
+    noise_grad_bound: float
     n_nodes: int = 1
-    noise_grad_bound: float | None = None
 
     def __post_init__(self) -> None:
         if self.s0 < 0.0:
@@ -64,14 +64,6 @@ class BoundInputs:
             raise ValueError("horizon must be >= 1")
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-
-    @property
-    def calibration_grad_bound(self) -> float:
-        return (
-            self.spec.grad_bound
-            if self.noise_grad_bound is None
-            else self.noise_grad_bound
-        )
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ def _constants(inputs: BoundInputs) -> dict[str, float]:
         constants["trans"] = 0.0
         constants["floor"] = 0.0
     else:
-        kappa = noise_budget(inputs.budget, inputs.calibration_grad_bound)
+        kappa = noise_budget(inputs.budget, inputs.noise_grad_bound)
         constants["trans"] = (
             2.0
             * math.sqrt(2.0 * spec.dimension)

@@ -10,12 +10,14 @@ where g(t) = x_k(t) - x'_k(t) is the gap between the edited node's iterate
 and its counterfactual under the single-point edit, and n_k(t) is the noise
 realization attached to x_k(t).  Under that coupling (identical noise,
 shared broadcasts: the counterfactual run consumes the factual run's
-messages when averaging) only node k's local step differs.  The audit takes
-the factual runs from the engine for a batch of noise seeds at once, one
-block of rounds at a time, whose noise rows are already paired with the
-iterates they protect (x(T)'s row included).  For each block it computes
-node k's counterfactual steps for all its rounds and seeds at once from
-the consensus points, and the per-round terms on the resulting gaps.
+messages when averaging) only node k's local step differs.  One function,
+:func:`coupled_runs`, runs these pairs: it takes the factual runs from the
+engine for a batch of noise seeds at once, one block of rounds at a time,
+whose noise rows are already paired with the iterates they protect (x(T)'s
+row included).  For each block it computes node k's counterfactual steps
+for all its rounds and seeds at once from the consensus points, and the
+per-round terms and gap norms on the resulting gaps;
+:func:`collect_samples` draws the audit's samples through it.
 
 The deterministic part never exceeds half the configured sensitivity spend,
 the noise part has zero mean, and the total exceeds epsilon in magnitude
@@ -40,8 +42,7 @@ __all__ = [
     "AuditReport",
     "NeighborEdit",
     "collect_samples",
-    "coupled_gap_trace",
-    "coupled_privacy_loss",
+    "coupled_runs",
     "plant_point",
     "tail_audit",
     "worst_case_edit",
@@ -100,13 +101,25 @@ def _gradient_shift(config: RunConfig, edit: NeighborEdit) -> np.ndarray:
     return config.datasets[edit.node_id].points[edit.point_index] - replacement
 
 
-def _coupled_runs(
-    config: RunConfig, node: int, grad_shift: np.ndarray, noise_seeds: Sequence[int]
+def coupled_runs(
+    config: RunConfig, edit: NeighborEdit, noise_seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Loss terms (deterministic, noise), shape ``(S,)``, and per-round gap
-    norms, shape ``(S, T)``, of one coupled pair of runs per noise seed, all
-    seeds in one kernel batch whose blocks are reduced as they arrive."""
-    schedule = config.schedule
+    """Privacy loss of one coupled pair of runs per noise seed under a
+    single-point edit, all seeds in one kernel batch whose blocks are
+    reduced as they arrive.
+
+    Returns the deterministic parts and the noise parts, shape ``(S,)``,
+    whose sum is each pair's loss, and the per-round iterate gap norms
+    ||x_k(t) - x'_k(t)||, shape ``(S, T)``.  Both runs of a pair share one
+    noise realization and one message transcript (the counterfactual run
+    consumes the factual run's broadcasts when forming its consensus
+    points), so the loss reduces to the edited node's iterate gaps against
+    the noise attached to them.  The transcript covers all T iterates: the
+    final iterate's broadcast noise (scale M_T) is drawn even though the
+    agreement phase that follows would send it exactly.
+    """
+    grad_shift = _gradient_shift(config, edit)
+    node, schedule = edit.node_id, config.schedule
     data = config.datasets[node]
     count, total = float(data.n_points), data.points.sum(axis=0)
 
@@ -131,32 +144,6 @@ def _coupled_runs(
     return deterministic, noise_term, np.sqrt(gap_sq)
 
 
-def coupled_privacy_loss(
-    config: RunConfig, edit: NeighborEdit, noise_seed: int
-) -> tuple[float, float]:
-    """Privacy loss (deterministic part, noise part) of one coupled pair of
-    runs under a single-point edit; the loss is their sum.
-
-    Both runs share one noise realization and one message transcript (the
-    counterfactual run consumes the factual run's broadcasts when forming
-    its consensus points), so the loss reduces to the edited node's iterate
-    gaps against the noise attached to them.  The transcript covers all T
-    iterates: the final iterate's broadcast noise (scale M_T) is drawn even
-    though the agreement phase that follows would send it exactly.
-    """
-    shift = _gradient_shift(config, edit)
-    deterministic, noise, _ = _coupled_runs(config, edit.node_id, shift, [noise_seed])
-    return float(deterministic[0]), float(noise[0])
-
-
-def coupled_gap_trace(
-    config: RunConfig, edit: NeighborEdit, noise_seed: int
-) -> np.ndarray:
-    """Per-round iterate gap norms ||x_k(t) - x'_k(t)|| of the coupled runs."""
-    shift = _gradient_shift(config, edit)
-    return _coupled_runs(config, edit.node_id, shift, [noise_seed])[2][0]
-
-
 def collect_samples(
     config: RunConfig, edit: NeighborEdit, n_samples: int, master_seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,9 +157,8 @@ def collect_samples(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    shift = _gradient_shift(config, edit)
     seeds = [derive_seed(master_seed, _AUDIT_STREAM, i) for i in range(n_samples)]
-    parts = [_coupled_runs(config, edit.node_id, shift, b)[:2] for b in _batches(seeds, config)]
+    parts = [coupled_runs(config, edit, batch)[:2] for batch in _batches(seeds, config)]
     deterministic, noise = (np.concatenate(part) for part in zip(*parts))
     return deterministic, noise
 

@@ -37,6 +37,7 @@ from .experiments import (
     AXES,
     ExperimentConfig,
     SweepSpec,
+    _schedule,
     bound_inputs,
     build_run_config,
     preset_sweep,
@@ -241,8 +242,9 @@ def _cmd_run(args: argparse.Namespace, resolved: dict[str, object]) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace, resolved: dict[str, object]) -> int:
-    schedule = _single_config(resolved, args.seed).schedule
-    report = budget_check(schedule, _base_config(resolved).budget)
+    base = _base_config(resolved)
+    schedule = _schedule(base)
+    report = budget_check(schedule, base.budget)
     out = Path(args.output or "schedule.csv")
     _write_csv(
         out,

@@ -18,7 +18,8 @@ the round loop live in one place, ``_gradient_blocks``, which runs a batch
 of noise seeds side by side (states ``(S, n, p)``) and yields the phase one
 block of rounds at a time; a single run, the sweeps, ``bound`` and the
 privacy-loss audit all go through it.  A single run reduces each block to
-its per-round metrics, and the audit to its loss terms, as it arrives; the
+the per-round metrics of its iterates, and the audit (the one reader of the
+consensus points) to its loss terms and gap norms, as it arrives; the
 sweeps and ``bound`` read only the end-of-phase error, so they keep only
 each batch's last iterates.  A fixed float budget bounds one block, not a
 whole trajectory, so the memory of a sweep's batch does not grow with T.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -142,18 +143,15 @@ class RunMetrics:
 
     ``stage`` is 1 for gradient rounds and 2 for agreement rounds.
     ``probe_error`` is the normalized squared error of node ``probe_node``.
-    ``z_dev`` (consensus deviation of the post-projection averages) is NaN
-    in stage 2; ``mean_drift`` (infinity-norm drift of the mean iterate
-    from its stage-1 endpoint) and ``contraction_ratio`` (consensus
-    deviation over its geometric bound beta^(t-T) * ||x(T)||) are NaN in
-    stage 1.
+    ``mean_drift`` (infinity-norm drift of the mean iterate from its
+    stage-1 endpoint) and ``contraction_ratio`` (consensus deviation over
+    its geometric bound beta^(t-T) * ||x(T)||) are NaN in stage 1.
     """
 
     stage: np.ndarray
     t: np.ndarray
     normalized_error: np.ndarray
     consensus_dev: np.ndarray
-    z_dev: np.ndarray
     probe_error: np.ndarray
     mean_iterate: np.ndarray
     mean_drift: np.ndarray
@@ -164,33 +162,16 @@ class RunMetrics:
     def concat(first: "RunMetrics", second: "RunMetrics") -> "RunMetrics":
         if first.probe_node != second.probe_node:
             raise ValueError("cannot concatenate metrics with different probes")
-        return RunMetrics(
-            stage=np.concatenate([first.stage, second.stage]),
-            t=np.concatenate([first.t, second.t]),
-            normalized_error=np.concatenate(
-                [first.normalized_error, second.normalized_error]
-            ),
-            consensus_dev=np.concatenate([first.consensus_dev, second.consensus_dev]),
-            z_dev=np.concatenate([first.z_dev, second.z_dev]),
-            probe_error=np.concatenate([first.probe_error, second.probe_error]),
-            mean_iterate=np.concatenate([first.mean_iterate, second.mean_iterate]),
-            mean_drift=np.concatenate([first.mean_drift, second.mean_drift]),
-            contraction_ratio=np.concatenate(
-                [first.contraction_ratio, second.contraction_ratio]
-            ),
-            probe_node=first.probe_node,
-        )
+        series = {
+            f.name: np.concatenate([getattr(first, f.name), getattr(second, f.name)])
+            for f in fields(RunMetrics)
+            if f.name != "probe_node"
+        }
+        return RunMetrics(**series, probe_node=first.probe_node)
 
     @property
     def agreement_rounds(self) -> int:
         return int(np.sum(self.stage == 2))
-
-
-def _deviation(points: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each round's deviation from its node average, for
-    iterates ``points[..., n, p]``."""
-    centered = points - points.mean(axis=-2, keepdims=True)
-    return np.sqrt(np.einsum("...np,...np->...", centered, centered))
 
 
 def _reference(config: RunConfig) -> tuple[np.ndarray, float]:
@@ -202,29 +183,32 @@ def _reference(config: RunConfig) -> tuple[np.ndarray, float]:
 def _errors(
     xs: np.ndarray, probe: np.ndarray, x_star: np.ndarray, denom: np.ndarray | float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized error, consensus deviation, probe error and mean iterate
-    of iterates ``xs[..., n, p]`` whose probe node holds ``probe[..., p]``;
+    """Normalized error, consensus deviation (Frobenius norm of the
+    deviation from the node average), probe error and mean iterate of
+    iterates ``xs[..., n, p]`` whose probe node holds ``probe[..., p]``;
     ``x_star`` and ``denom`` broadcast over the leading axes."""
     x_bar = xs.mean(axis=-2)
     err = x_bar - x_star
+    centered = xs - x_bar[..., None, :]
     probe = probe - x_star
     return (
         np.einsum("...p,...p->...", err, err) / denom,
-        _deviation(xs),
+        np.sqrt(np.einsum("...np,...np->...", centered, centered)),
         np.einsum("...p,...p->...", probe, probe) / denom,
         x_bar,
     )
 
 
 def _metrics(
-    config: RunConfig, stage: int, first_round: int, errors: Sequence[np.ndarray]
+    config: RunConfig,
+    stage: int,
+    first_round: int,
+    errors: Sequence[np.ndarray],
+    mean_drift: np.ndarray | None = None,
+    contraction_ratio: np.ndarray | None = None,
 ) -> RunMetrics:
-    """Stage-independent metrics from the ``_errors`` of rounds first_round,
-    first_round + 1, ...
-
-    ``z_dev``, ``mean_drift`` and ``contraction_ratio`` are left NaN for the
-    caller to fill in for its stage.
-    """
+    """Metrics of rounds first_round, first_round + 1, ... from their
+    ``_errors``; the agreement-only series are NaN when not given."""
     normalized, consensus, probe, x_bar = errors
     rounds = normalized.shape[0]
     unset = np.full(rounds, math.nan)
@@ -233,11 +217,10 @@ def _metrics(
         t=np.arange(first_round, first_round + rounds),
         normalized_error=normalized,
         consensus_dev=consensus,
-        z_dev=unset,
         probe_error=probe,
         mean_iterate=x_bar,
-        mean_drift=unset,
-        contraction_ratio=unset,
+        mean_drift=unset if mean_drift is None else mean_drift,
+        contraction_ratio=unset if contraction_ratio is None else contraction_ratio,
         probe_node=config.probe_node,
     )
 
@@ -357,14 +340,11 @@ def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
     horizon, probe = config.horizon, config.probe_node
     reference = _reference(config)
     errors = (*np.empty((3, horizon)), np.empty((horizon, config.domain.dimension)))
-    z_dev = np.empty(horizon)
-    for first, _, z, x in _gradient_blocks([config], [config.noise_seed]):
+    for first, *_, x in _gradient_blocks([config], [config.noise_seed]):
         x, rounds = x[0], slice(first - 1, first - 1 + x.shape[1])
         for out, values in zip(errors, _errors(x, x[:, probe], *reference)):
             out[rounds] = values
-        z_dev[rounds] = _deviation(z[0])
-    metrics = replace(_metrics(config, 1, 1, errors), z_dev=z_dev)
-    return SimState(t=horizon, x=x[-1].copy()), metrics
+    return SimState(t=horizon, x=x[-1].copy()), _metrics(config, 1, 1, errors)
 
 
 def _agreement_batch(
@@ -421,17 +401,15 @@ def run_agreement_phase(
     rows: list[np.ndarray] = []
     (rounds,), (x,) = _agreement_batch(state.x[None], [config], rows)
     rounds, xs = int(rounds), np.concatenate(rows)
-    metrics = _metrics(
-        config, 2, state.t + 1, _errors(xs, xs[:, config.probe_node], *_reference(config))
-    )
-    dev = metrics.consensus_dev
+    errors = _errors(xs, xs[:, config.probe_node], *_reference(config))
+    _, dev, _, x_bar = errors
     geometric = config.graph.beta ** np.arange(1, rounds + 1) * float(np.linalg.norm(state.x))
     ratio = np.divide(
         dev, geometric, out=np.where(dev == 0.0, 0.0, math.inf), where=geometric > 0.0
     )
-    drift = np.max(np.abs(metrics.mean_iterate - state.x.mean(axis=0)), axis=1)
-    final = SimState(t=state.t + rounds, x=x)
-    return final, replace(metrics, mean_drift=drift, contraction_ratio=ratio)
+    drift = np.max(np.abs(x_bar - state.x.mean(axis=0)), axis=1)
+    metrics = _metrics(config, 2, state.t + 1, errors, drift, ratio)
+    return SimState(t=state.t + rounds, x=x), metrics
 
 
 def run(config: RunConfig) -> RunMetrics:

@@ -170,8 +170,10 @@ def _datasets(base: ExperimentConfig, data_seed: int) -> tuple[LocalDataset, ...
     )
 
 
-def _schedule(base: ExperimentConfig, datasets: tuple[LocalDataset, ...]) -> NoiseSchedule:
-    spec = mean_objective_constants(datasets[0], base.domain)
+def _schedule(base: ExperimentConfig) -> NoiseSchedule:
+    """The calibrated schedule, which depends on the data only through
+    ``points_per_node``."""
+    spec = mean_objective_constants(base.points_per_node, base.domain)
     return calibrate_noise_schedule(
         base.horizon, base.budget, replace(spec, grad_bound=base.noise_grad_bound)
     )
@@ -203,7 +205,7 @@ def build_run_config(
     """Expand a scalar config into a runnable one (graph, data, schedule)."""
     graph = gen_erdos_renyi(base.n_nodes, base.edge_prob, graph_seed)
     datasets = _datasets(base, data_seed)
-    return _run_config(base, graph, datasets, _schedule(base, datasets), noise_seed)
+    return _run_config(base, graph, datasets, _schedule(base), noise_seed)
 
 
 def bound_inputs(base: ExperimentConfig, config: engine.RunConfig) -> BoundInputs:
@@ -211,7 +213,7 @@ def bound_inputs(base: ExperimentConfig, config: engine.RunConfig) -> BoundInput
     x_star = config.minimizer()
     return BoundInputs(
         s0=float(config.n_nodes * (x_star @ x_star)),  # iterates start at the origin
-        spec=mean_objective_constants(config.datasets[0], config.domain),
+        spec=mean_objective_constants(base.points_per_node, base.domain),
         beta=config.graph.beta,
         budget=base.budget,
         horizon=config.horizon,
@@ -311,7 +313,7 @@ def _groups(
             graphs = [gen_erdos_renyi(base.n_nodes, base.edge_prob, g) for g, _, _ in seeds]
         if regen_data or not data:
             data = [_datasets(base, d) for _, d, _ in seeds]
-        schedule = _schedule(base, data[0])  # depends on the data only through its size
+        schedule = _schedule(base)
         configs = [
             _run_config(base, graph, datasets, schedule, noise_seed)
             for graph, datasets, (_, _, noise_seed) in zip(graphs, data, seeds)

@@ -147,20 +147,18 @@ def mean_objective_grad(x: np.ndarray, data: LocalDataset) -> np.ndarray:
     return data.n_points * x - data.points.sum(axis=0)
 
 
-def mean_objective_constants(data: LocalDataset, domain: BoxDomain) -> ObjectiveSpec:
-    """Regularity constants of the local quadratic on the cube.
+def mean_objective_constants(n_points: int, domain: BoxDomain) -> ObjectiveSpec:
+    """Regularity constants of the local quadratic of n_i = ``n_points``
+    points on the cube.
 
     The Hessian is n_i * I, so smoothness and strong convexity both equal
     n_i.  The gradient bound is the corner bound n_i * 2R * sqrt(p): the
     worst case of ||sum_d (x - d)|| with x and every d in the cube.
     """
-    if data.dimension != domain.dimension:
-        raise ValueError("dataset and domain dimensions differ")
-    n_i = data.n_points
     return ObjectiveSpec(
-        grad_bound=n_i * domain.diameter,
-        smoothness=float(n_i),
-        strong_convexity=float(n_i),
+        grad_bound=n_points * domain.diameter,
+        smoothness=float(n_points),
+        strong_convexity=float(n_points),
         dimension=domain.dimension,
     )
 

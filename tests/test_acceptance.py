@@ -151,7 +151,7 @@ def zero_noise_run():
         )
         for i in range(10)
     )
-    spec = mean_objective_constants(datasets[0], base.domain)
+    spec = mean_objective_constants(base.points_per_node, base.domain)
     config = RunConfig(
         graph=graph,
         domain=base.domain,

@@ -33,6 +33,7 @@ def make_inputs(**kwargs) -> BoundInputs:
         n_nodes=10,
     )
     defaults.update(kwargs)
+    defaults.setdefault("noise_grad_bound", defaults["spec"].grad_bound)
     return BoundInputs(**defaults)
 
 
@@ -160,6 +161,7 @@ def test_zero_noise_runs_stay_below_the_noiseless_bound():
         budget=None,  # drops the noise terms
         horizon=60,
         x_star=x_star,
+        noise_grad_bound=spec.grad_bound,
         n_nodes=config.n_nodes,
     )
     ends = _gradient_phases([replace(config, noise_seed=s) for s in range(50)])
@@ -180,6 +182,7 @@ def test_comparison_detects_violations():
         budget=PrivacyBudget(4.0, 1e-3),
         horizon=40,
         x_star=x_star,
+        noise_grad_bound=UNIT_SPEC.grad_bound,
         n_nodes=config.n_nodes,
     )
     configs = [replace(config, noise_seed=s) for s in range(50)]

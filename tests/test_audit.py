@@ -10,8 +10,7 @@ from dpconsensus.audit import (
     _AUDIT_STREAM,
     NeighborEdit,
     collect_samples,
-    coupled_gap_trace,
-    coupled_privacy_loss,
+    coupled_runs,
     plant_point,
     tail_audit,
     worst_case_edit,
@@ -40,7 +39,9 @@ def test_identity_edit_has_exactly_zero_loss(audit_setup):
     config, _ = audit_setup
     original = config.datasets[2].points[5].copy()
     edit = NeighborEdit(node_id=2, point_index=5, replacement=original)
-    assert coupled_privacy_loss(config, edit, noise_seed=31) == (0.0, 0.0)
+    deterministic, noise, gaps = coupled_runs(config, edit, [31])
+    assert deterministic.tolist() == noise.tolist() == [0.0]
+    assert gaps.shape == (1, config.horizon) and not gaps.any()
 
 
 def test_deterministic_part_never_exceeds_half_the_spend(audit_setup):
@@ -56,7 +57,7 @@ def test_deterministic_part_never_exceeds_half_the_spend(audit_setup):
 def test_per_round_gaps_stay_below_the_configured_sensitivity(audit_setup):
     config, edit = audit_setup
     for seed in (1, 2, 3):
-        gaps = coupled_gap_trace(config, edit, noise_seed=seed)
+        (gaps,) = coupled_runs(config, edit, [seed])[2]
         assert np.all(gaps <= config.schedule.sensitivities * (1.0 + FP_SLACK))
 
 
@@ -93,8 +94,10 @@ def test_collect_samples_equals_its_per_sample_losses(audit_setup, monkeypatch, 
     deterministic, noise = collect_samples(config, edit, 37, master_seed=11)
     assert deterministic.shape == noise.shape == (37,)
     for i in range(37):
-        expected = coupled_privacy_loss(config, edit, derive_seed(11, _AUDIT_STREAM, i))
-        assert (deterministic[i], noise[i]) == pytest.approx(expected, rel=1e-12)
+        seed = derive_seed(11, _AUDIT_STREAM, i)
+        (expected_deterministic,), (expected_noise,), _ = coupled_runs(config, edit, [seed])
+        assert deterministic[i] == pytest.approx(expected_deterministic, rel=1e-12)
+        assert noise[i] == pytest.approx(expected_noise, rel=1e-12)
     # The first n samples do not depend on how many are drawn.
     for total in (20, 50):
         more = collect_samples(config, edit, total, master_seed=11)
@@ -126,13 +129,13 @@ def test_tail_audit_requires_enough_samples():
 def test_edit_validation(audit_setup):
     config, _ = audit_setup
     with pytest.raises(ValueError, match="node_id"):
-        coupled_privacy_loss(config, NeighborEdit(50, 0, np.zeros(4)), 0)
+        coupled_runs(config, NeighborEdit(50, 0, np.zeros(4)), [0])
     with pytest.raises(ValueError, match="point_index"):
-        coupled_privacy_loss(config, NeighborEdit(0, 500, np.zeros(4)), 0)
+        coupled_runs(config, NeighborEdit(0, 500, np.zeros(4)), [0])
     with pytest.raises(ValueError, match="domain box"):
-        coupled_privacy_loss(config, NeighborEdit(0, 0, np.full(4, 2.0)), 0)
+        coupled_runs(config, NeighborEdit(0, 0, np.full(4, 2.0)), [0])
     with pytest.raises(ValueError, match="one point"):
-        coupled_privacy_loss(config, NeighborEdit(0, 0, np.zeros(3)), 0)
+        coupled_runs(config, NeighborEdit(0, 0, np.zeros(3)), [0])
 
 
 @pytest.mark.parametrize(
@@ -154,7 +157,7 @@ def test_audit_rejects_noiseless_schedules():
     config = make_config(horizon=5, noiseless=True)
     edit = worst_case_edit(config)
     with pytest.raises(ValueError, match="positive noise scales"):
-        coupled_privacy_loss(config, edit, 0)
+        coupled_runs(config, edit, [0])
 
 
 def test_worst_case_edit_spans_the_cube_diameter(audit_setup):
@@ -225,8 +228,7 @@ def test_coupled_run_matches_the_per_round_reference(audit_setup, strict):
     config = replace(config, strict_first_broadcast=strict)
     for seed in (3, 17, 2024):
         expected, expected_gaps = reference_coupled_run(config, edit, seed)
-        sample = coupled_privacy_loss(config, edit, seed)
-        assert sample == pytest.approx(expected, rel=1e-12)
-        gaps = coupled_gap_trace(config, edit, seed)
-        assert gaps.shape == (config.schedule.horizon,)
-        np.testing.assert_allclose(gaps, expected_gaps, rtol=1e-12, atol=0.0)
+        (deterministic,), (noise,), gaps = coupled_runs(config, edit, [seed])
+        assert (deterministic, noise) == pytest.approx(expected, rel=1e-12)
+        assert gaps.shape == (1, config.schedule.horizon)
+        np.testing.assert_allclose(gaps[0], expected_gaps, rtol=1e-12, atol=0.0)

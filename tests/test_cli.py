@@ -202,6 +202,28 @@ def test_schedule_command_writes_table_and_budget_line(tmp_path, capsys):
     assert len(data_lines) == 1001
 
 
+def test_schedule_builds_no_graph_or_data(tmp_path, monkeypatch):
+    """The schedule depends on the data only through points_per_node, so a
+    graph too sparse to sample connected still gets the dense graph's table."""
+    def no_sampling(*args, **kwargs):
+        pytest.fail("schedule sampled a graph or a dataset")
+
+    monkeypatch.setattr("dpconsensus.experiments.gen_erdos_renyi", no_sampling)
+    monkeypatch.setattr("dpconsensus.experiments.gen_truncated_gaussian", no_sampling)
+    tables = []
+    for edge_prob in ("0.02", "0.6"):
+        out = tmp_path / f"schedule_{edge_prob}.csv"
+        code = run_cli(
+            "schedule", "--set", "experiment.n_nodes=60",
+            "--set", f"experiment.edge_prob={edge_prob}", "--T", "10", "--output", str(out),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        tables.append([line for line in lines if not line.startswith("# ") or "budget" in line])
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == 12  # the budget line, the column names and 10 rounds
+
+
 def test_sweep_command_writes_rows_and_summary(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(

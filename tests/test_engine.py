@@ -83,7 +83,7 @@ def make_config(
     datasets = tuple(
         gen_truncated_gaussian(points, domain, data_seed, node_id=i) for i in range(n_nodes)
     )
-    spec = mean_objective_constants(datasets[0], domain)
+    spec = mean_objective_constants(points, domain)
     calibration = replace(spec, grad_bound=domain.diameter / 2.0)
     schedule = (
         noiseless_schedule(horizon, spec)
@@ -105,7 +105,7 @@ def test_single_node_single_step_reaches_its_local_mean():
     # mean: x(1) = proj(z - (1/n) * n * (z - mean)) = mean.
     domain = BoxDomain(half_width=1.0, dimension=2)
     data = gen_truncated_gaussian(25, domain, seed=8)
-    spec = mean_objective_constants(data, domain)
+    spec = mean_objective_constants(data.n_points, domain)
     config = RunConfig(
         graph=single_node_graph(),
         domain=domain,
@@ -122,7 +122,7 @@ def test_identical_nodes_stay_identical_without_noise():
     shared = gen_truncated_gaussian(30, domain, seed=2)
     graph = gen_erdos_renyi(5, 1.0, seed=1)
     datasets = tuple(LocalDataset(points=shared.points, node_id=i) for i in range(5))
-    spec = mean_objective_constants(datasets[0], domain)
+    spec = mean_objective_constants(shared.n_points, domain)
     config = RunConfig(
         graph=graph,
         domain=domain,
@@ -533,8 +533,8 @@ def test_full_run_concatenates_phases():
     assert np.all(np.diff(metrics.t) == 1)
     switch = np.nonzero(metrics.stage == 2)[0][0]
     assert metrics.t[switch] == 13
-    assert math.isnan(metrics.z_dev[switch])
-    assert not math.isnan(metrics.z_dev[switch - 1])
+    assert math.isnan(metrics.mean_drift[switch - 1])
+    assert not math.isnan(metrics.mean_drift[switch])
 
 
 def test_zero_noise_run_matches_centralized_descent_oracle():
@@ -563,15 +563,11 @@ def test_consensus_deviation_obeys_the_mixing_bound_on_average():
     config = make_config(n_nodes=10, points=50, dimension=3, horizon=horizon, graph_seed=21)
     beta = config.graph.beta
     n, p = config.n_nodes, config.domain.dimension
-    grad_bound = mean_objective_constants(config.datasets[0], config.domain).grad_bound
+    grad_bound = mean_objective_constants(50, config.domain).grad_bound
     etas = config.schedule.step_sizes
 
-    devs = np.stack(
-        [
-            run_gradient_phase(replace(config, noise_seed=1000 + s))[1].z_dev
-            for s in range(n_seeds)
-        ]
-    )
+    _, z, _ = trajectory([config], [1000 + s for s in range(n_seeds)])
+    devs = np.linalg.norm(z - z.mean(axis=2, keepdims=True), axis=(2, 3))
     mean_dev = devs.mean(axis=0)
     stderr = devs.std(axis=0) / math.sqrt(n_seeds)
     # Noise scale of each round's broadcast: x(0) under M_1, then x(r-1) under M_{r-1}.
@@ -626,17 +622,17 @@ def test_metrics_match_the_per_round_formulas():
     x_star = config.minimizer()
     denom = max(float(x_star @ x_star), 1e-12)
 
-    def row(stage, t, x, z_dev=math.nan, mean_drift=math.nan, ratio=math.nan):
+    def row(stage, t, x, mean_drift=math.nan, ratio=math.nan):
         x_bar = x.mean(axis=0)
         err = x_bar - x_star
         dev = float(np.linalg.norm(x - x_bar[None, :]))
         probe = float(np.sum((x[2] - x_star) ** 2)) / denom
-        return (stage, t, float(err @ err) / denom, dev, z_dev, probe, x_bar, mean_drift, ratio)
+        return (stage, t, float(err @ err) / denom, dev, probe, x_bar, mean_drift, ratio)
 
     rows = []
-    _, (zs,), (xs,) = trajectory([config], [config.noise_seed])
-    for t, (z, x) in enumerate(zip(zs, xs), start=1):
-        rows.append(row(1, t, x, z_dev=float(np.linalg.norm(z - z.mean(axis=0)[None, :]))))
+    _, _, (xs,) = trajectory([config], [config.noise_seed])
+    for t, x in enumerate(xs, start=1):
+        rows.append(row(1, t, x))
     mean_end, norm_end = x.mean(axis=0), float(np.linalg.norm(x))
     for k in range(1, config.agreement_round_cap() + 1):
         x_next = config.graph.weights @ x
@@ -653,7 +649,7 @@ def test_metrics_match_the_per_round_formulas():
             break
 
     names = (
-        "stage", "t", "normalized_error", "consensus_dev", "z_dev", "probe_error",
+        "stage", "t", "normalized_error", "consensus_dev", "probe_error",
         "mean_iterate", "mean_drift", "contraction_ratio",
     )
     assert metrics.agreement_rounds >= 2

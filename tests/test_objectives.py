@@ -115,8 +115,7 @@ def test_gradient_is_exactly_n_points_lipschitz():
 )
 def test_objective_constants(n_points, half_width, dimension, expected_grad_bound):
     domain = BoxDomain(half_width=half_width, dimension=dimension)
-    data = LocalDataset(points=np.zeros((n_points, dimension)))
-    spec = mean_objective_constants(data, domain)
+    spec = mean_objective_constants(n_points, domain)
     assert spec.smoothness == n_points
     assert spec.strong_convexity == n_points
     assert spec.grad_bound == pytest.approx(expected_grad_bound, rel=1e-12)
