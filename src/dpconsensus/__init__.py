@@ -29,9 +29,7 @@ from .audit import (
 from .engine import (
     RunConfig,
     RunMetrics,
-    SimState,
     run,
-    run_agreement_phase,
     run_gradient_phase,
 )
 from .graph import (

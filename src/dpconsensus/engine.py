@@ -31,15 +31,16 @@ iterate unchanged and contracts the consensus deviation geometrically.
 Its one loop, ``_agreement_batch``, likewise steps a stack of seeds side
 by side, each under its own graph, tolerance and cap, and drops a seed
 from the stack at the round where it stops.  A sweep reads only each
-seed's round count from it and keeps no per-round rows; a single run is
-its one-seed call, which records the rows it reports.
+seed's round count from it and keeps no per-round rows; a single run's
+``_agreement_phase`` is its one-seed call, which records the rows it
+reports and numbers them from round T + 1.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -52,9 +53,7 @@ from .rng import derive_rng
 __all__ = [
     "RunConfig",
     "RunMetrics",
-    "SimState",
     "run",
-    "run_agreement_phase",
     "run_gradient_phase",
 ]
 
@@ -94,13 +93,11 @@ class RunConfig:
                 f"need one dataset per node: {len(self.datasets)} datasets for "
                 f"{self.graph.n_nodes} nodes"
             )
-        for data in self.datasets:
+        for node, data in enumerate(self.datasets):
             if data.dimension != self.domain.dimension:
                 raise ValueError("dataset dimension does not match the domain")
             if not self.domain.contains(data.points):
-                raise ValueError(f"dataset of node {data.node_id} leaves the domain box")
-        if self.schedule.horizon < 1:
-            raise ValueError("schedule horizon must be >= 1")
+                raise ValueError(f"dataset of node {node} leaves the domain box")
         if not 0.0 <= self.stage2_rel_tol < 1.0:  # the round cap needs log(1/tol) > 0
             raise ValueError(f"stage2_rel_tol must lie in [0, 1), got {self.stage2_rel_tol}")
         if self.stage2_max_rounds is not None and self.stage2_max_rounds < 1:
@@ -130,19 +127,12 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Network snapshot after round ``t``: the node iterates."""
-
-    t: int
-    x: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class RunMetrics:
     """Per-round time series; parallel arrays, one entry per executed round.
 
-    ``stage`` is 1 for gradient rounds and 2 for agreement rounds.
-    ``probe_error`` is the normalized squared error of node ``probe_node``.
+    ``stage`` is 1 for gradient rounds and 2 for agreement rounds, and
+    ``t`` numbers the rounds 1..T, then T+1 onwards.  ``probe_error`` is the
+    normalized squared error of the run's ``RunConfig.probe_node``.
     ``mean_drift`` (infinity-norm drift of the mean iterate from its
     stage-1 endpoint) and ``contraction_ratio`` (consensus deviation over
     its geometric bound beta^(t-T) * ||x(T)||) are NaN in stage 1.
@@ -156,18 +146,13 @@ class RunMetrics:
     mean_iterate: np.ndarray
     mean_drift: np.ndarray
     contraction_ratio: np.ndarray
-    probe_node: int
 
     @staticmethod
     def concat(first: "RunMetrics", second: "RunMetrics") -> "RunMetrics":
-        if first.probe_node != second.probe_node:
-            raise ValueError("cannot concatenate metrics with different probes")
-        series = {
+        return RunMetrics(**{
             f.name: np.concatenate([getattr(first, f.name), getattr(second, f.name)])
             for f in fields(RunMetrics)
-            if f.name != "probe_node"
-        }
-        return RunMetrics(**series, probe_node=first.probe_node)
+        })
 
     @property
     def agreement_rounds(self) -> int:
@@ -200,7 +185,6 @@ def _errors(
 
 
 def _metrics(
-    config: RunConfig,
     stage: int,
     first_round: int,
     errors: Sequence[np.ndarray],
@@ -221,7 +205,6 @@ def _metrics(
         mean_iterate=x_bar,
         mean_drift=unset if mean_drift is None else mean_drift,
         contraction_ratio=unset if contraction_ratio is None else contraction_ratio,
-        probe_node=config.probe_node,
     )
 
 
@@ -331,8 +314,9 @@ def _gradient_phases(configs: Sequence[RunConfig]) -> np.ndarray:
     return np.concatenate(ends)
 
 
-def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
-    """Execute rounds 1..T of the noisy gradient phase.
+def run_gradient_phase(config: RunConfig) -> tuple[np.ndarray, RunMetrics]:
+    """Execute rounds 1..T of the noisy gradient phase; returns the end
+    iterates x(T), shape ``(n, p)``, and the metrics of rounds 1..T.
 
     Deterministic given ``config.noise_seed``; each block of the kernel's
     rounds is reduced to its per-round metrics as it arrives.
@@ -344,7 +328,7 @@ def run_gradient_phase(config: RunConfig) -> tuple[SimState, RunMetrics]:
         x, rounds = x[0], slice(first - 1, first - 1 + x.shape[1])
         for out, values in zip(errors, _errors(x, x[:, probe], *reference)):
             out[rounds] = values
-    return SimState(t=horizon, x=x[-1].copy()), _metrics(config, 1, 1, errors)
+    return x[-1].copy(), _metrics(1, 1, errors)
 
 
 def _agreement_batch(
@@ -388,10 +372,10 @@ def _agreement_batch(
     return rounds, final
 
 
-def run_agreement_phase(
-    state: SimState, config: RunConfig
-) -> tuple[SimState, RunMetrics]:
-    """Exact-broadcast consensus rounds from a gradient-phase endpoint.
+def _agreement_phase(x: np.ndarray, config: RunConfig) -> tuple[np.ndarray, RunMetrics]:
+    """Exact-broadcast consensus rounds T+1, T+2, ... from the gradient
+    phase's end iterates ``x``; returns the final iterates and the rounds'
+    metrics.
 
     No projection is applied (averages of box points stay in the box).
     Stops when max_i ||x_i(t) - x_i(t-1)|| / max(||x_i(t-1)||, 1e-12) drops
@@ -399,21 +383,20 @@ def run_agreement_phase(
     call of the loop that sweeps run a stack of seeds through.
     """
     rows: list[np.ndarray] = []
-    (rounds,), (x,) = _agreement_batch(state.x[None], [config], rows)
-    rounds, xs = int(rounds), np.concatenate(rows)
+    (rounds,), (final,) = _agreement_batch(x[None], [config], rows)
+    xs = np.concatenate(rows)
     errors = _errors(xs, xs[:, config.probe_node], *_reference(config))
     _, dev, _, x_bar = errors
-    geometric = config.graph.beta ** np.arange(1, rounds + 1) * float(np.linalg.norm(state.x))
+    geometric = config.graph.beta ** np.arange(1, rounds + 1) * float(np.linalg.norm(x))
     ratio = np.divide(
         dev, geometric, out=np.where(dev == 0.0, 0.0, math.inf), where=geometric > 0.0
     )
-    drift = np.max(np.abs(x_bar - state.x.mean(axis=0)), axis=1)
-    metrics = _metrics(config, 2, state.t + 1, errors, drift, ratio)
-    return SimState(t=state.t + rounds, x=x), metrics
+    drift = np.max(np.abs(x_bar - x.mean(axis=0)), axis=1)
+    return final, _metrics(2, config.horizon + 1, errors, drift, ratio)
 
 
 def run(config: RunConfig) -> RunMetrics:
     """Both phases back to back; metrics concatenated with the stage marker."""
-    state, gradient_metrics = run_gradient_phase(config)
-    _, agreement_metrics = run_agreement_phase(state, config)
+    x, gradient_metrics = run_gradient_phase(config)
+    _, agreement_metrics = _agreement_phase(x, config)
     return RunMetrics.concat(gradient_metrics, agreement_metrics)

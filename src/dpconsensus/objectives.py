@@ -56,10 +56,10 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class LocalDataset:
-    """Sensitive points held by one node, one point per row."""
+    """Sensitive points held by one node, one point per row; the node is the
+    dataset's position in ``RunConfig.datasets``."""
 
     points: np.ndarray = field(repr=False)
-    node_id: int = 0
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2 or self.points.shape[0] == 0:
@@ -85,7 +85,7 @@ class LocalDataset:
             raise ValueError("replacement must be a single point of matching dimension")
         points = self.points.copy()
         points[index] = replacement
-        return LocalDataset(points=points, node_id=self.node_id)
+        return LocalDataset(points=points)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,8 @@ def gen_truncated_gaussian(
     """Sample points with i.i.d. Gaussian(0.7R, 1) coordinates truncated to [-R, R].
 
     Truncation is by rejection, so the conditional law is exact.
-    Deterministic given ``seed``.
+    Deterministic given ``(seed, node_id)``; ``node_id`` keys the stream of
+    the node that will hold the points.
 
     Raises:
         ValueError: if the acceptance probability is below 1e-6 (degenerate
@@ -196,7 +197,7 @@ def gen_truncated_gaussian(
         seed, node_id, out.size, draws, needed,
     )
     points = out[:needed].reshape(n_points, domain.dimension)
-    return LocalDataset(points=points, node_id=node_id)
+    return LocalDataset(points=points)
 
 
 def grand_mean(datasets: Sequence[LocalDataset]) -> np.ndarray:

@@ -143,22 +143,22 @@ class NoiseSchedule:
 
     ``scales[t-1]`` is the standard deviation of the noise attached to the
     round-t iterate; ``sensitivities[t-1]`` is the configured bound on that
-    iterate's gap between neighboring runs.
+    iterate's gap between neighboring runs.  The three arrays are nonempty
+    vectors of one length, the horizon T.
     """
 
-    horizon: int
     step_sizes: np.ndarray = field(repr=False)
     scales: np.ndarray = field(repr=False)
     sensitivities: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        t = self.horizon
-        if t < 1:
-            raise ValueError(f"horizon must be >= 1, got {t}")
+        shape = self.step_sizes.shape
+        if len(shape) != 1 or shape[0] == 0:
+            raise ValueError(f"step_sizes must be a nonempty vector, got shape {shape}")
         for name in ("step_sizes", "scales", "sensitivities"):
             arr = getattr(self, name)
-            if arr.shape != (t,):
-                raise ValueError(f"{name} must have length {t}")
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, as step_sizes, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
         if np.any(self.step_sizes <= 0.0):
@@ -167,6 +167,11 @@ class NoiseSchedule:
             raise ValueError("noise scales must be nonnegative")
         if np.any(self.sensitivities < 0.0):
             raise ValueError("sensitivities must be nonnegative")
+
+    @property
+    def horizon(self) -> int:
+        """Number of gradient rounds T."""
+        return len(self.step_sizes)
 
     @property
     def spends(self) -> np.ndarray:
@@ -215,7 +220,6 @@ def calibrate_noise_schedule(
     step_sizes = coeff / t
     variances = (2.0 / kappa) * coeff**2 * math.sqrt(horizon) / t**1.5
     schedule = NoiseSchedule(
-        horizon=horizon,
         step_sizes=step_sizes,
         scales=np.sqrt(variances),
         sensitivities=lipschitz_step_sensitivity(step_sizes, spec.grad_bound),
@@ -236,7 +240,6 @@ def noiseless_schedule(horizon: int, spec: ObjectiveSpec) -> NoiseSchedule:
     t = np.arange(1, horizon + 1, dtype=float)
     step_sizes = spec.step_coefficient / t
     return NoiseSchedule(
-        horizon=horizon,
         step_sizes=step_sizes,
         scales=np.zeros(horizon),
         sensitivities=lipschitz_step_sensitivity(step_sizes, spec.grad_bound),

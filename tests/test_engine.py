@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from dpconsensus.engine import (
     RunConfig,
-    SimState,
     _agreement_batch,
+    _agreement_phase,
     _batches,
     _errors,
     _gradient_blocks,
     _gradient_phases,
     _reference,
     run,
-    run_agreement_phase,
     run_gradient_phase,
 )
 from dpconsensus.graph import CommGraph, gen_erdos_renyi
@@ -54,15 +53,6 @@ def block_rounds(monkeypatch, rounds, n_seeds, config):
     """Set the block budget to ``rounds`` rounds of ``n_seeds`` seeds."""
     floats = rounds * n_seeds * config.n_nodes * config.domain.dimension
     monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", floats)
-
-
-def single_node_graph() -> CommGraph:
-    return CommGraph(
-        n_nodes=1,
-        adjacency=np.zeros((1, 1), dtype=bool),
-        weights=np.ones((1, 1)),
-        beta=0.0,
-    )
 
 
 def make_config(
@@ -100,28 +90,31 @@ def make_config(
     )
 
 
-def test_single_node_single_step_reaches_its_local_mean():
-    # With eta_1 = 1/n_points the quadratic step lands exactly on the local
-    # mean: x(1) = proj(z - (1/n) * n * (z - mean)) = mean.
+def test_each_node_reaches_its_local_mean_in_one_noiseless_step():
+    # Without noise round 1 averages x(0) = 0 to z = 0, and with
+    # eta_1 = 1/n_points the quadratic step lands exactly on each node's own
+    # local mean: x_i(1) = proj(z - (1/n) * n * (z - mean_i)) = mean_i.
     domain = BoxDomain(half_width=1.0, dimension=2)
-    data = gen_truncated_gaussian(25, domain, seed=8)
-    spec = mean_objective_constants(data.n_points, domain)
+    datasets = tuple(gen_truncated_gaussian(25, domain, seed=8, node_id=i) for i in range(2))
+    spec = mean_objective_constants(25, domain)
     config = RunConfig(
-        graph=single_node_graph(),
+        graph=CommGraph(np.array([[False, True], [True, False]])),
         domain=domain,
-        datasets=(data,),
+        datasets=datasets,
         schedule=noiseless_schedule(1, spec),
         noise_seed=0,
     )
-    state, _ = run_gradient_phase(config)
-    assert np.allclose(state.x[0], data.local_mean(), atol=1e-12)
+    x, _ = run_gradient_phase(config)
+    means = [data.local_mean() for data in datasets]
+    assert not np.allclose(means[0], means[1])
+    np.testing.assert_allclose(x, means, rtol=0.0, atol=1e-12)
 
 
 def test_identical_nodes_stay_identical_without_noise():
     domain = BoxDomain(half_width=1.0, dimension=2)
     shared = gen_truncated_gaussian(30, domain, seed=2)
     graph = gen_erdos_renyi(5, 1.0, seed=1)
-    datasets = tuple(LocalDataset(points=shared.points, node_id=i) for i in range(5))
+    datasets = (LocalDataset(points=shared.points),) * 5
     spec = mean_objective_constants(shared.n_points, domain)
     config = RunConfig(
         graph=graph,
@@ -130,8 +123,8 @@ def test_identical_nodes_stay_identical_without_noise():
         schedule=noiseless_schedule(20, spec),
         noise_seed=0,
     )
-    state, _ = run_gradient_phase(config)
-    assert np.allclose(state.x, state.x[0][None, :], atol=1e-14)
+    x, _ = run_gradient_phase(config)
+    assert np.allclose(x, x[0][None, :], atol=1e-14)
 
 
 def test_iterates_stay_in_the_box_under_heavy_noise():
@@ -148,17 +141,17 @@ def test_gradient_phase_is_deterministic():
     config = make_config()
     first, m1 = run_gradient_phase(config)
     second, m2 = run_gradient_phase(config)
-    assert np.array_equal(first.x, second.x)
+    assert np.array_equal(first, second)
     assert np.array_equal(m1.normalized_error, m2.normalized_error)
     different = run_gradient_phase(replace(config, noise_seed=99))[0]
-    assert not np.array_equal(first.x, different.x)
+    assert not np.array_equal(first, different)
 
 
 def test_round_matches_sequential_reference_in_any_node_order():
     """One engine round equals a per-node loop over the same broadcast
     snapshot, whatever order the nodes are visited in."""
     config = make_config(horizon=1, strict_first_broadcast=True)
-    state, _ = run_gradient_phase(config)
+    end, _ = run_gradient_phase(config)
 
     def reference(order):
         y = np.zeros((config.n_nodes, config.domain.dimension))  # strict round 1
@@ -173,13 +166,13 @@ def test_round_matches_sequential_reference_in_any_node_order():
     forward = reference(range(config.n_nodes))
     shuffled = reference([3, 0, 5, 1, 4, 2])
     assert np.array_equal(forward, shuffled)
-    assert np.allclose(state.x, forward, atol=1e-14)
+    assert np.allclose(end, forward, atol=1e-14)
 
 
 def test_noise_stream_is_node_major_per_round():
     """Replaying the documented draw order reproduces the run exactly."""
     config = make_config(horizon=3)
-    state, _ = run_gradient_phase(config)
+    end, _ = run_gradient_phase(config)
     n, p = config.n_nodes, config.domain.dimension
     rng = derive_rng(config.noise_seed)
     x = np.zeros((n, p))
@@ -192,7 +185,7 @@ def test_noise_stream_is_node_major_per_round():
             [mean_objective_grad(z[i], config.datasets[i]) for i in range(n)]
         )
         x = project_box(z - float(config.schedule.step_sizes[t - 1]) * grads, config.domain)
-    assert np.array_equal(state.x, x)
+    assert np.array_equal(end, x)
 
 
 def test_noise_rows_pair_each_iterate_with_its_scale():
@@ -293,9 +286,9 @@ def test_batched_gradient_phases_equal_single_runs(monkeypatch):
     probes = ends[np.arange(len(configs)), [c.probe_node for c in configs]]
     normalized, consensus, probe, mean_iterate = _errors(ends, probes, x_star, denom)
     for s, config in enumerate(configs):
-        state, metrics = run_gradient_phase(config)
-        assert state.t == metrics.t[-1] == 9
-        np.testing.assert_allclose(ends[s], state.x, rtol=1e-12, atol=0.0)
+        end, metrics = run_gradient_phase(config)
+        assert metrics.t[-1] == 9
+        np.testing.assert_allclose(ends[s], end, rtol=1e-12, atol=0.0)
         for name, values in (
             ("normalized_error", normalized),
             ("consensus_dev", consensus),
@@ -403,26 +396,24 @@ def test_strict_first_broadcast_only_changes_round_one_message():
     strict = replace(noisy, strict_first_broadcast=True)
     noiseless = make_config(horizon=1, noiseless=True)
     assert np.array_equal(noiseless.schedule.step_sizes, noisy.schedule.step_sizes)
-    state_noisy, _ = run_gradient_phase(noisy)
-    state_strict, _ = run_gradient_phase(strict)
-    state_noiseless, _ = run_gradient_phase(noiseless)
-    assert np.array_equal(state_strict.x, state_noiseless.x)
-    assert not np.array_equal(state_noisy.x, state_noiseless.x)
+    end_noisy, _ = run_gradient_phase(noisy)
+    end_strict, _ = run_gradient_phase(strict)
+    end_noiseless, _ = run_gradient_phase(noiseless)
+    assert np.array_equal(end_strict, end_noiseless)
+    assert not np.array_equal(end_noisy, end_noiseless)
 
 
 def test_agreement_phase_fixed_point_when_already_agreed():
     config = make_config(horizon=2, noiseless=True)
     vector = np.full((config.n_nodes, config.domain.dimension), 0.25)
-    state = SimState(t=2, x=vector)
-    final, metrics = run_agreement_phase(state, config)
-    assert metrics.agreement_rounds == 1
-    assert np.allclose(final.x, vector, atol=1e-14)
+    final, metrics = _agreement_phase(vector, config)
+    assert metrics.agreement_rounds == 1 and metrics.t.tolist() == [3]
+    assert np.allclose(final, vector, atol=1e-14)
 
 
 def test_agreement_phase_keeps_the_mean_and_contracts():
     config = make_config(horizon=25)
-    state, _ = run_gradient_phase(config)
-    _, metrics = run_agreement_phase(state, config)
+    _, metrics = _agreement_phase(run_gradient_phase(config)[0], config)
     assert metrics.agreement_rounds >= 2
     assert np.nanmax(metrics.mean_drift) <= 1e-10
     assert np.nanmax(metrics.contraction_ratio) <= 1.0 + 1e-8
@@ -432,9 +423,9 @@ def test_agreement_phase_keeps_the_mean_and_contracts():
 
 def test_agreement_phase_respects_the_round_cap():
     config = make_config(horizon=10, stage2_max_rounds=4, stage2_rel_tol=0.0)
-    state, _ = run_gradient_phase(config)
-    _, metrics = run_agreement_phase(state, config)
+    _, metrics = _agreement_phase(run_gradient_phase(config)[0], config)
     assert metrics.agreement_rounds == 4
+    assert metrics.t.tolist() == [11, 12, 13, 14]
 
 
 def assert_batch_equals_single_runs(states, configs):
@@ -442,14 +433,14 @@ def assert_batch_equals_single_runs(states, configs):
     seed, the round count and final iterates of the one-seed call."""
     rounds, final = _agreement_batch(np.array(states), configs)
     for s, (x, config) in enumerate(zip(states, configs)):
-        single, metrics = run_agreement_phase(SimState(t=config.horizon, x=x), config)
-        assert rounds[s] == metrics.agreement_rounds == single.t - config.horizon
-        assert np.array_equal(final[s], single.x), f"seed {s}"
+        single, metrics = _agreement_phase(x, config)
+        assert rounds[s] == metrics.agreement_rounds == metrics.t[-1] - config.horizon
+        assert np.array_equal(final[s], single), f"seed {s}"
     return rounds
 
 
 def gradient_ends(configs):
-    return [run_gradient_phase(config)[0].x for config in configs]
+    return [run_gradient_phase(config)[0] for config in configs]
 
 
 def test_batched_agreement_equals_single_runs_on_different_graphs():
@@ -594,7 +585,7 @@ def test_config_validation():
             noise_seed=0,
         )
     stray = LocalDataset(points=np.full((5, 3), 2.0))  # outside the unit box
-    with pytest.raises(ValueError, match="domain box"):
+    with pytest.raises(ValueError, match="dataset of node 5 leaves the domain box"):
         RunConfig(
             graph=config.graph,
             domain=config.domain,
@@ -658,4 +649,3 @@ def test_metrics_match_the_per_round_formulas():
             np.testing.assert_allclose(
                 actual, np.array(expected), rtol=1e-14, atol=0.0, err_msg=name
             )
-    assert metrics.probe_node == blockwise.probe_node == 2

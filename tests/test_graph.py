@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from dpconsensus.experiments import preset_sweep
 from dpconsensus.graph import CommGraph, GraphError, gen_erdos_renyi
 
 
@@ -86,19 +87,36 @@ def test_an_accepted_graph_logs_its_attempts(caplog, monkeypatch):
     ]
 
 
+PRESET_EDGE_PROBS = preset_sweep("p_c").values
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_weight_invariants_across_seeds(seed):
-    graph = gen_erdos_renyi(10, 0.6, seed=seed)
-    w = graph.weights
-    ones = np.ones(10)
-    assert np.max(np.abs(w @ ones - ones)) <= 1e-12
-    assert np.max(np.abs(w.T @ ones - ones)) <= 1e-12
-    assert w.min() >= 0.0
-    assert np.array_equal(w, w.T)
-    off = w.copy()
-    np.fill_diagonal(off, 0.0)
-    assert not np.any((off != 0.0) & ~graph.adjacency)
-    assert 0.0 <= graph.beta < 1.0
+    """The derived weights are doubly stochastic, nonnegative, symmetric and
+    zero on non-edges, and beta lies in [0, 1), at every edge probability of
+    the preset sweep."""
+    for p_c in PRESET_EDGE_PROBS:
+        graph = gen_erdos_renyi(10, p_c, seed=seed)
+        w = graph.weights
+        ones = np.ones(10)
+        assert np.max(np.abs(w @ ones - ones)) <= 1e-12
+        assert np.max(np.abs(w.T @ ones - ones)) <= 1e-12
+        assert w.min() >= 0.0
+        assert np.array_equal(w, w.T)
+        off = w.copy()
+        np.fill_diagonal(off, 0.0)
+        assert not np.any((off != 0.0) & ~graph.adjacency)
+        assert 0.0 <= graph.beta < 1.0
+
+
+def test_a_graph_is_determined_by_its_adjacency():
+    for p_c in PRESET_EDGE_PROBS:
+        for seed in range(5):
+            graph = gen_erdos_renyi(10, p_c, seed=seed)
+            rebuilt = CommGraph(graph.adjacency)
+            assert rebuilt.n_nodes == graph.n_nodes == 10
+            assert rebuilt.weights.tobytes() == graph.weights.tobytes()
+            assert rebuilt.beta == graph.beta
 
 
 def test_beta_shrinks_with_connectivity_on_average():
@@ -119,11 +137,25 @@ def test_beta_is_the_second_largest_weight_eigenvalue_magnitude():
             assert graph.beta == pytest.approx(magnitudes[-2], abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "adjacency,match",
+    [
+        (np.zeros((1, 1), dtype=bool), "needs >= 2 nodes, got 1"),
+        (np.ones((2, 3), dtype=bool), r"must be square, got shape \(2, 3\)"),
+        (np.ones(4, dtype=bool), r"must be square, got shape \(4,\)"),
+        (np.array([[0, 1], [1, 0]]), "must be boolean"),
+    ],
+)
+def test_commgraph_rejects_malformed_adjacency_by_name(adjacency, match):
+    with pytest.raises(GraphError, match=match):
+        CommGraph(adjacency)
+
+
 def test_commgraph_rejects_asymmetric_adjacency():
     adjacency = np.zeros((3, 3), dtype=bool)
     adjacency[0, 1] = True  # missing the mirror edge
-    with pytest.raises(GraphError):
-        CommGraph(n_nodes=3, adjacency=adjacency, weights=np.eye(3), beta=0.5)
+    with pytest.raises(GraphError, match="symmetric"):
+        CommGraph(adjacency)
 
 
 def test_commgraph_rejects_disconnected_adjacency():
@@ -131,4 +163,4 @@ def test_commgraph_rejects_disconnected_adjacency():
     adjacency[0, 1] = adjacency[1, 0] = True
     adjacency[2, 3] = adjacency[3, 2] = True
     with pytest.raises(GraphError, match="connected"):
-        CommGraph(n_nodes=4, adjacency=adjacency, weights=np.eye(4), beta=0.5)
+        CommGraph(adjacency)

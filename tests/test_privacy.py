@@ -140,13 +140,12 @@ def test_schedule_rejects_non_finite_values(name, bad):
     fields = {"step_sizes": np.ones(3), "scales": np.ones(3), "sensitivities": np.ones(3)}
     fields[name] = np.array([1.0, bad, 1.0])
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        NoiseSchedule(horizon=3, **fields)
+        NoiseSchedule(**fields)
 
 
 def test_halving_noise_scales_quadruples_the_spend():
     schedule = calibrate_noise_schedule(100, BUDGET_4, UNIT_SPEC)
     halved = NoiseSchedule(
-        horizon=100,
         step_sizes=schedule.step_sizes,
         scales=schedule.scales / 2.0,
         sensitivities=schedule.sensitivities,
@@ -186,17 +185,32 @@ def test_schedule_rows_are_one_based(tmp_path):
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="step sizes must be positive"):
         NoiseSchedule(
-            horizon=0, step_sizes=np.ones(0), scales=np.ones(0), sensitivities=np.ones(0)
-        )
-    with pytest.raises(ValueError):
-        NoiseSchedule(
-            horizon=2,
             step_sizes=np.array([1.0, 0.0]),
             scales=np.ones(2),
             sensitivities=np.ones(2),
         )
+
+
+@pytest.mark.parametrize(
+    "shapes,match",
+    [
+        ((0, 0, 0), r"step_sizes must be a nonempty vector, got shape \(0,\)"),
+        (((2, 2), 2, 2), r"step_sizes must be a nonempty vector, got shape \(2, 2\)"),
+        ((3, 2, 3), r"scales must have shape \(3,\), as step_sizes, got \(2,\)"),
+        ((2, 2, 4), r"sensitivities must have shape \(2,\), as step_sizes, got \(4,\)"),
+    ],
+)
+def test_schedule_rejects_empty_or_unequal_arrays_by_name(shapes, match):
+    with pytest.raises(ValueError, match=match):
+        NoiseSchedule(*(np.ones(shape) for shape in shapes))
+
+
+def test_schedule_horizon_is_the_number_of_step_sizes():
+    assert calibrate_noise_schedule(7, BUDGET_4, UNIT_SPEC).horizon == 7
+    assert noiseless_schedule(7, UNIT_SPEC).horizon == 7
+    assert NoiseSchedule(np.ones(5), np.zeros(5), np.ones(5)).horizon == 5
 
 
 def _loss_tail_quadrature(alpha, epsilon, points=400_001):
@@ -256,7 +270,6 @@ def test_exact_delta_is_within_delta_whenever_the_budget_check_passes(
     spends = utilization * privacy_allowance(budget) * shares
     horizon = len(spends)
     schedule = NoiseSchedule(
-        horizon=horizon,
         step_sizes=np.ones(horizon),
         scales=np.ones(horizon),
         sensitivities=np.sqrt(spends),
