@@ -324,7 +324,7 @@ def _cmd_bound(args: argparse.Namespace, resolved: dict[str, object]) -> int:
         for i in range(n_runs)
     ]
     report = mean_error_bound(inputs)
-    comparison = empirical_vs_bound(_gradient_phases(configs), inputs, min_runs=min(n_runs, 50))
+    comparison = empirical_vs_bound(_gradient_phases(configs), inputs, report)
     payload = {
         "terms": report.terms,
         "constants": report.constants,
@@ -338,6 +338,16 @@ def _cmd_bound(args: argparse.Namespace, resolved: dict[str, object]) -> int:
         f"pass={comparison.passed} ({out})"
     )
     return 0
+
+
+# command name -> (handler, help text)
+_COMMANDS: dict[str, tuple[Callable, str]] = {
+    "run": (_cmd_run, "single simulation"),
+    "schedule": (_cmd_schedule, "noise schedule table"),
+    "sweep": (_cmd_sweep, "axis sweep"),
+    "audit": (_cmd_audit, "privacy-loss audit"),
+    "bound": (_cmd_bound, "error bound vs simulation"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -369,27 +379,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
         name: sub.add_parser(name, parents=[common], help=text)
-        for name, text in (
-            ("run", "single simulation"),
-            ("schedule", "noise schedule table"),
-            ("sweep", "axis sweep"),
-            ("audit", "privacy-loss audit"),
-            ("bound", "error bound vs simulation"),
-        )
+        for name, (_, text) in _COMMANDS.items()
     }
     for flag, (key, names) in _SHORTHANDS.items():
         for name in names:
             commands[name].add_argument(f"--{flag}", help=f"shorthand for {key}")
     return parser
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "schedule": _cmd_schedule,
-    "sweep": _cmd_sweep,
-    "audit": _cmd_audit,
-    "bound": _cmd_bound,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -402,7 +397,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             if getattr(args, flag, None) is not None
         ]
         resolved = resolve_config(args.config, [*args.overrides, *shorthands])
-        return _COMMANDS[args.command](args, resolved)
+        handler, _ = _COMMANDS[args.command]
+        return handler(args, resolved)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

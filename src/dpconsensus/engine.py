@@ -9,8 +9,12 @@ weights, projects onto the box, and takes a projected local gradient step:
     x_i(t) = proj(z_i(t) - eta_t grad_i(z_i(t)))
 
 The noise protecting iterate x_i(t) has scale M_t = ``schedule.scales[t-1]``
-and rides on the round-(t+1) broadcast; this is the pairing the budget
-accounting assumes (round-t sensitivity over M_t).  The round-1 broadcast
+and, for t < T, rides on the round-(t+1) broadcast; this is the pairing the
+budget accounting assumes (round-t sensitivity over M_t).  The accounting
+also charges round T, but the agreement phase's first broadcast sends x(T)
+without its noise, which only the audit reads; an observer of every
+message can then recover each node's local mean (see the README's known
+privacy limitation).  The round-1 broadcast
 carries x(0) = 0, which touches no data: by default it still gets scale-M_1
 noise for a uniform message shape, and ``strict_first_broadcast`` sends the
 literal zero instead.  Both choices spend the same budget.  The pairing and
@@ -72,9 +76,10 @@ _REL_CHANGE_FLOOR = 1e-12
 _BLOCK_FLOATS = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Everything one simulation needs, RNG stream included."""
+    """Everything one simulation needs, RNG stream included; ``==`` is
+    identity, since the graph, data and schedule hold arrays."""
 
     graph: CommGraph
     domain: BoxDomain
@@ -118,12 +123,12 @@ class RunConfig:
         return grand_mean(self.datasets)
 
     def agreement_round_cap(self) -> int:
-        """Default cap 10 * log(1/tol) / log(1/beta) on agreement rounds."""
+        """Default cap 10 * log(1/tol) / log(1/beta) on agreement rounds; a
+        zero tolerance counts as 1e-15, and beta < 1 for every ``CommGraph``."""
         if self.stage2_max_rounds is not None:
             return self.stage2_max_rounds
         tol = max(self.stage2_rel_tol, 1e-15)
-        beta = min(max(self.graph.beta, 1e-12), 1.0 - 1e-12)
-        return int(math.ceil(10.0 * math.log(1.0 / tol) / math.log(1.0 / beta)))
+        return int(math.ceil(10.0 * math.log(1.0 / tol) / math.log(1.0 / self.graph.beta)))
 
 
 @dataclass(frozen=True)

@@ -210,15 +210,12 @@ def build_run_config(
 
 def bound_inputs(base: ExperimentConfig, config: engine.RunConfig) -> BoundInputs:
     """Closed-form bound inputs for ``config`` as built from ``base``."""
-    x_star = config.minimizer()
     return BoundInputs(
-        s0=float(config.n_nodes * (x_star @ x_star)),  # iterates start at the origin
         spec=mean_objective_constants(base.points_per_node, base.domain),
         beta=config.graph.beta,
         budget=base.budget,
         horizon=config.horizon,
-        x_star=x_star,
-        n_nodes=config.n_nodes,
+        x_star=config.minimizer(),
         noise_grad_bound=base.noise_grad_bound,
     )
 

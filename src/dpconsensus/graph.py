@@ -30,20 +30,24 @@ _log = logging.getLogger(__name__)
 # exactly zero off its diagonal wherever the adjacency has no edge.
 _ZERO_CLAMP = 1e-15
 
+# Samples ``gen_erdos_renyi`` draws before giving up on a connected graph.
+_MAX_ATTEMPTS = 10_000
+
 
 class GraphError(ValueError):
     """Invalid topology or failed graph construction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
     """Connected communication graph; its mixing matrix and contraction rate
-    are derived from the adjacency alone.
+    are derived from the adjacency alone.  ``==`` is identity.
 
     Attributes:
         adjacency: symmetric boolean matrix, zero diagonal, at least 2 nodes.
         weights: doubly stochastic mixing matrix (Laplacian rule).
-        beta: second largest eigenvalue magnitude of ``weights``.
+        beta: second largest eigenvalue magnitude of ``weights``; lambda_max(L)
+            maps to 1/3 and the graph is connected, so 1/3 <= beta < 1.
     """
 
     adjacency: np.ndarray = field(repr=False)
@@ -103,9 +107,7 @@ def _laplacian_mixing(adjacency: np.ndarray) -> tuple[np.ndarray, float]:
     return weights, beta
 
 
-def gen_erdos_renyi(
-    n: int, p_c: float, seed: int, max_attempts: int = 10_000
-) -> CommGraph:
+def gen_erdos_renyi(n: int, p_c: float, seed: int) -> CommGraph:
     """Sample a connected Erdos-Renyi graph G(n, p_c).
 
     Each unordered pair is an edge independently with probability ``p_c``.
@@ -115,13 +117,13 @@ def gen_erdos_renyi(
 
     Raises:
         GraphError: if n < 2, p_c is not in (0, 1], or no connected sample
-            appears within ``max_attempts`` draws (p_c too small for n).
+            appears within ``_MAX_ATTEMPTS`` draws (p_c too small for n).
     """
     if n < 2:
         raise GraphError(f"need n >= 2 nodes, got {n}")
     if not 0.0 < p_c <= 1.0:
         raise GraphError(f"edge probability must lie in (0, 1], got {p_c}")
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = derive_rng(seed, attempt)
         upper = np.triu(rng.random((n, n)) < p_c, 1)
         adjacency = upper | upper.T
@@ -129,6 +131,6 @@ def gen_erdos_renyi(
             _log.debug("G(%d, %g) seed %d: connected after %d attempts", n, p_c, seed, attempt + 1)
             return CommGraph(adjacency)
     raise GraphError(
-        f"no connected G({n}, {p_c}) sample in {max_attempts} attempts; "
+        f"no connected G({n}, {p_c}) sample in {_MAX_ATTEMPTS} attempts; "
         "edge probability is too small for this node count"
     )

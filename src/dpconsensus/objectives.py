@@ -54,10 +54,10 @@ class BoxDomain:
         return 2.0 * self.half_width * math.sqrt(self.dimension)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalDataset:
     """Sensitive points held by one node, one point per row; the node is the
-    dataset's position in ``RunConfig.datasets``."""
+    dataset's position in ``RunConfig.datasets``.  ``==`` is identity."""
 
     points: np.ndarray = field(repr=False)
 

@@ -137,14 +137,14 @@ def exact_delta(alpha: float, epsilon: float) -> float:
     return 0.5 * math.erfc(lower / math.sqrt(2.0)) - density * _mills_ratio(upper)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Per-round step sizes, Gaussian noise scales and sensitivity bounds.
 
     ``scales[t-1]`` is the standard deviation of the noise attached to the
     round-t iterate; ``sensitivities[t-1]`` is the configured bound on that
     iterate's gap between neighboring runs.  The three arrays are nonempty
-    vectors of one length, the horizon T.
+    vectors of one length, the horizon T.  ``==`` is identity.
     """
 
     step_sizes: np.ndarray = field(repr=False)

@@ -204,7 +204,7 @@ def test_criterion_6_bound_dominance(bound_runs):
     passed = True
     for horizon in (100, 1000):
         _, inputs, runs = bound_runs[horizon]
-        comparison = empirical_vs_bound(runs, inputs)
+        comparison = empirical_vs_bound(runs, inputs, mean_error_bound(inputs))
         details.append(
             f"T={horizon}: empirical {comparison.empirical_mean:.4g} <= "
             f"bound {comparison.bound_total:.4g}"

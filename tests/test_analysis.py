@@ -24,13 +24,11 @@ UNIT_SPEC = ObjectiveSpec(grad_bound=1.0, smoothness=1.0, strong_convexity=1.0, 
 
 def make_inputs(**kwargs) -> BoundInputs:
     defaults = dict(
-        s0=10.0,
         spec=UNIT_SPEC,
         beta=1 / 3,
         budget=PrivacyBudget(epsilon=1.0, delta=1e-3),
         horizon=100,
-        x_star=np.zeros(4),
-        n_nodes=10,
+        x_star=np.full(4, 0.5),
     )
     defaults.update(kwargs)
     defaults.setdefault("noise_grad_bound", defaults["spec"].grad_bound)
@@ -42,7 +40,7 @@ def test_constants_match_direct_formulas():
     kappa = noise_budget(inputs.budget, 1.0)
     report = mean_error_bound(inputs)
     mixing = 1.0 / (1.0 - 1 / 3)
-    assert report.constants["init"] == pytest.approx(1.0, rel=1e-12)  # s0 / n_nodes
+    assert report.constants["init"] == pytest.approx(1.0, rel=1e-12)  # ||x*||^2
     assert report.constants["grad"] == pytest.approx(1.0 + mixing, rel=1e-12)
     assert report.constants["trans"] == pytest.approx(
         2.0 * math.sqrt(8.0) / math.sqrt(kappa) * (4.0 + 3.0 * mixing), rel=1e-12
@@ -155,17 +153,15 @@ def test_zero_noise_runs_stay_below_the_noiseless_bound():
         dimension=3,
     )
     inputs = BoundInputs(
-        s0=float(config.n_nodes * (x_star @ x_star)),
         spec=spec,
         beta=config.graph.beta,
         budget=None,  # drops the noise terms
         horizon=60,
         x_star=x_star,
         noise_grad_bound=spec.grad_bound,
-        n_nodes=config.n_nodes,
     )
     ends = _gradient_phases([replace(config, noise_seed=s) for s in range(50)])
-    comparison = empirical_vs_bound(ends, inputs)
+    comparison = empirical_vs_bound(ends, inputs, mean_error_bound(inputs))
     assert comparison.passed
     assert comparison.margin > 0.0
 
@@ -176,14 +172,12 @@ def test_comparison_detects_violations():
     config = make_config(n_nodes=6, points=30, dimension=3, horizon=40)
     x_star = config.minimizer()
     inputs = BoundInputs(
-        s0=float(config.n_nodes * (x_star @ x_star)),
         spec=replace(UNIT_SPEC, dimension=3),
         beta=config.graph.beta,
         budget=PrivacyBudget(4.0, 1e-3),
         horizon=40,
         x_star=x_star,
         noise_grad_bound=UNIT_SPEC.grad_bound,
-        n_nodes=config.n_nodes,
     )
     configs = [replace(config, noise_seed=s) for s in range(50)]
     ends = _gradient_phases(configs)
@@ -193,7 +187,7 @@ def test_comparison_detects_violations():
         terms={k: v * 1e-12 for k, v in report.terms.items()},
         total=report.total * 1e-12,
     )
-    comparison = empirical_vs_bound(ends, inputs)
+    comparison = empirical_vs_bound(ends, inputs, report)
     assert comparison.passed
     assert not empirical_vs_bound(ends, inputs, bound=tiny).passed
     # The end iterates give the single runs' mean-iterate errors at round T.
@@ -202,24 +196,15 @@ def test_comparison_detects_violations():
     assert comparison.empirical_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_comparison_requires_enough_runs():
-    config = make_config(n_nodes=4, points=10, dimension=2, horizon=5)
-    ends = _gradient_phases([config])
-    inputs = make_inputs(spec=replace(UNIT_SPEC, dimension=2), x_star=np.zeros(2))
-    with pytest.raises(ValueError, match="need at least 50 runs, got 1"):
-        empirical_vs_bound(ends, inputs)
-
-
 def test_comparison_rejects_an_empty_run_list():
     inputs = make_inputs()
     for ends in ([], np.empty((0, 10, 4))):
-        for min_runs in (0, 1, 50):
-            with pytest.raises(ValueError, match="at least one run"):
-                empirical_vs_bound(ends, inputs, min_runs=min_runs)
+        with pytest.raises(ValueError, match="at least one run"):
+            empirical_vs_bound(ends, inputs, mean_error_bound(inputs))
 
 
 def test_inputs_validation():
     with pytest.raises(ValueError):
         make_inputs(beta=1.0)
     with pytest.raises(ValueError):
-        make_inputs(s0=-1.0)
+        make_inputs(horizon=0)

@@ -276,6 +276,29 @@ def test_bound_command_compares_bound_and_simulation(tmp_path):
     assert payload["total"] == pytest.approx(sum(payload["terms"].values()))
 
 
+def test_bound_command_evaluates_the_bound_once(tmp_path, monkeypatch):
+    import dpconsensus.analysis as analysis
+    import dpconsensus.cli as cli
+
+    calls, evaluate = [], analysis.mean_error_bound
+
+    def counting(inputs):
+        calls.append(inputs)
+        return evaluate(inputs)
+
+    monkeypatch.setattr(analysis, "mean_error_bound", counting)
+    monkeypatch.setattr(cli, "mean_error_bound", counting)
+    out = tmp_path / "bound.json"
+    assert run_cli("bound", *TINY, "--set", "bound.n_runs=50", "--output", str(out)) == 0
+    assert len(calls) == 1
+
+
+def test_bound_command_averages_fewer_than_fifty_runs(tmp_path):
+    out = tmp_path / "bound.json"
+    assert run_cli("bound", *TINY, "--set", "bound.n_runs=10", "--output", str(out)) == 0
+    assert json.loads(out.read_text())["n_runs"] == 10
+
+
 def test_set_flag_requires_key_value(capsys):
     assert run_cli("run", "--set", "horizon") == 1
     assert "--set" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from dpconsensus.experiments import preset_sweep
+from dpconsensus.experiments import ExperimentConfig, build_run_config, preset_sweep
 from dpconsensus.graph import CommGraph, GraphError, gen_erdos_renyi
 
 
@@ -67,9 +67,12 @@ def test_invalid_generation_arguments(n, p_c):
         gen_erdos_renyi(n, p_c, seed=0)
 
 
-def test_hopeless_edge_probability_reports_attempts():
-    with pytest.raises(GraphError, match="attempts"):
-        gen_erdos_renyi(20, 1e-6, seed=0, max_attempts=25)
+def test_hopeless_edge_probability_reports_attempts(monkeypatch):
+    import dpconsensus.graph as graph
+
+    monkeypatch.setattr(graph, "_MAX_ATTEMPTS", 25)
+    with pytest.raises(GraphError, match="in 25 attempts"):
+        gen_erdos_renyi(20, 1e-6, seed=0)
 
 
 def test_an_accepted_graph_logs_its_attempts(caplog, monkeypatch):
@@ -93,7 +96,7 @@ PRESET_EDGE_PROBS = preset_sweep("p_c").values
 @pytest.mark.parametrize("seed", range(20))
 def test_weight_invariants_across_seeds(seed):
     """The derived weights are doubly stochastic, nonnegative, symmetric and
-    zero on non-edges, and beta lies in [0, 1), at every edge probability of
+    zero on non-edges, and beta lies in [1/3, 1), at every edge probability of
     the preset sweep."""
     for p_c in PRESET_EDGE_PROBS:
         graph = gen_erdos_renyi(10, p_c, seed=seed)
@@ -106,7 +109,20 @@ def test_weight_invariants_across_seeds(seed):
         off = w.copy()
         np.fill_diagonal(off, 0.0)
         assert not np.any((off != 0.0) & ~graph.adjacency)
-        assert 0.0 <= graph.beta < 1.0
+        assert 1 / 3 - 1e-15 <= graph.beta < 1.0
+
+
+def test_model_types_compare_by_identity():
+    """``==`` on the types that hold arrays is identity, not an error, and
+    they hash, so configs can go in a set."""
+    graph = gen_erdos_renyi(4, 1.0, seed=1)
+    assert graph == graph
+    assert graph != gen_erdos_renyi(4, 1.0, seed=1)
+    config = build_run_config(ExperimentConfig(n_nodes=4, horizon=3), 1, 2, 3)
+    twin = build_run_config(ExperimentConfig(n_nodes=4, horizon=3), 1, 2, 3)
+    assert config.datasets[0] == config.datasets[0] != twin.datasets[0]
+    assert config.schedule == config.schedule != twin.schedule
+    assert len({config, config, twin}) == 2
 
 
 def test_a_graph_is_determined_by_its_adjacency():
