@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundInputs:
     """Everything the closed-form bounds depend on.
 
@@ -45,6 +45,7 @@ class BoundInputs:
     half-diameter R*sqrt(p) while the Lipschitz constant of the local
     objectives is n_i times larger).
     ``budget=None`` drops the privacy-noise terms (noise-free runs).
+    ``==`` is identity, since ``x_star`` is an array.
     """
 
     spec: ObjectiveSpec

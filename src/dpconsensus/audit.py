@@ -54,9 +54,10 @@ _AUDIT_STREAM = 0xA0D17
 _MIN_TAIL_SAMPLES = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborEdit:
-    """Single-point dataset edit: replace one point of one node."""
+    """Single-point dataset edit: replace one point of one node; ``==`` is
+    identity, since the replacement is an array."""
 
     node_id: int
     point_index: int
@@ -124,17 +125,18 @@ def coupled_runs(
     count, total = float(data.n_points), data.points.sum(axis=0)
 
     gap_sq, inner = np.empty((2, len(noise_seeds), config.horizon))
-    for first, noise, z, x in _gradient_blocks([config], noise_seeds):
-        rounds = slice(first - 1, first - 1 + x.shape[1])
+    for first, _, noise, z, x in _gradient_blocks([config], noise_seeds):
+        rounds = slice(first - 1, first - 1 + len(x))
+        # Node k's rows of the block, as seed-major copies (S, K, p).
+        noise_k, z_k, x_k = (np.moveaxis(a[:, node], -1, 0).copy() for a in (noise, z, x))
         # Counterfactual iterates of the edited node from the same consensus
         # points (both runs see identical broadcasts by the coupling); x(0) =
         # 0 in both runs, so round t's gap is x_k(t) - x'_k(t).
-        z_k = z[:, :, node]
         steps = schedule.step_sizes[rounds, None]
         x_alt = project_box(z_k - steps * (count * z_k - total + grad_shift), config.domain)
-        gaps = x[:, :, node] - x_alt
+        gaps = x_k - x_alt
         gap_sq[:, rounds] = np.einsum("stp,stp->st", gaps, gaps)
-        inner[:, rounds] = np.einsum("stp,stp->st", noise[:, :, node], gaps)
+        inner[:, rounds] = np.einsum("stp,stp->st", noise_k, gaps)
 
     # Summed once over whole rows: adding up block sums instead would change
     # the order of the sums and move their last ulp.

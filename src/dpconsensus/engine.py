@@ -19,14 +19,21 @@ carries x(0) = 0, which touches no data: by default it still gets scale-M_1
 noise for a uniform message shape, and ``strict_first_broadcast`` sends the
 literal zero instead.  Both choices spend the same budget.  The pairing and
 the round loop live in one place, ``_gradient_blocks``, which runs a batch
-of noise seeds side by side (states ``(S, n, p)``) and yields the phase one
-block of rounds at a time; a single run, the sweeps, ``bound`` and the
-privacy-loss audit all go through it.  A single run reduces each block to
-the per-round metrics of its iterates, and the audit (the one reader of the
-consensus points) to its loss terms and gap norms, as it arrives; the
-sweeps and ``bound`` read only the end-of-phase error, so they keep only
-each batch's last iterates.  A fixed float budget bounds one block, not a
-whole trajectory, so the memory of a sweep's batch does not grow with T.
+of noise seeds side by side and yields the phase one block of rounds at a
+time; a single run, the sweeps, ``bound`` and the privacy-loss audit all go
+through it.  Its states are seed-minor, ``(n, p, S)``: a shared graph mixes
+every seed with one matrix product, and elementwise steps run over long
+rows.  The box binds only in early rounds, so a block is stepped without
+projection and checked once; only a block in which some seed leaves the box
+is stepped again from its start, projecting every round, which gives the
+same numbers as projecting throughout.  Each caller takes seed-major copies
+of what it reads: a single run reduces each block to the per-round metrics
+of its iterates, and the audit (the one reader of the consensus points) to
+its loss terms and gap norms, as it arrives; the sweeps and ``bound`` read
+only the end-of-phase error, so they keep only each batch's last iterates.
+A fixed float budget bounds one block, not a whole trajectory, so the
+memory of a sweep's batch does not grow with T; a cap on the rounds of a
+block sets how many seeds a batch holds apart from its length.
 
 Agreement phase (rounds t > T): exact broadcasts and pure consensus
 averaging without projection, until the per-node relative change drops
@@ -67,13 +74,16 @@ _log = logging.getLogger(__name__)
 _REL_CHANGE_FLOOR = 1e-12
 
 # Float budget of one block of a batch, S seeds by K rounds of n * p floats
-# each; the block's noise, consensus points and iterates take one budget
-# each.  N seeds run as max(1, N // size) near-equal batches, for size =
-# isqrt(budget // (n * p)), so a batch holds size to 2 * size - 1 seeds (or
-# all N when fewer) and its blocks are about square: 20 seeds by 20 rounds
-# with 10 nodes in 4 dimensions, at any T.  Fewer seeds per batch mean more
-# rounds to step in Python, fewer rounds per block more draw calls per seed.
-_BLOCK_FLOATS = 1 << 14
+# each; the block's noise draws, noise, consensus points and iterates take
+# one budget each.  A block holds at most _BLOCK_ROUNDS rounds, so N seeds
+# run as max(1, N // size) near-equal batches, for size = budget // (n * p *
+# _BLOCK_ROUNDS): a batch holds size to 2 * size - 1 seeds (or all N when
+# fewer).  With 10 nodes in 4 dimensions size is 81, and 20 seeds step in
+# blocks of 20 rounds at any T.  Fewer seeds per batch mean more rounds to
+# step in Python, longer blocks more stepping to redo when a seed leaves the
+# box.
+_BLOCK_FLOATS = 1 << 16
+_BLOCK_ROUNDS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +141,7 @@ class RunConfig:
         return int(math.ceil(10.0 * math.log(1.0 / tol) / math.log(1.0 / self.graph.beta)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunMetrics:
     """Per-round time series; parallel arrays, one entry per executed round.
 
@@ -140,7 +150,8 @@ class RunMetrics:
     normalized squared error of the run's ``RunConfig.probe_node``.
     ``mean_drift`` (infinity-norm drift of the mean iterate from its
     stage-1 endpoint) and ``contraction_ratio`` (consensus deviation over
-    its geometric bound beta^(t-T) * ||x(T)||) are NaN in stage 1.
+    its geometric bound beta^(t-T) * ||x(T)||) are NaN in stage 1.  ``==``
+    is identity, since every series is an array.
     """
 
     stage: np.ndarray
@@ -215,91 +226,143 @@ def _metrics(
 
 def _batches(items: Sequence, config: RunConfig) -> Iterator[Sequence]:
     """``items`` in order as max(1, N // size) batches whose lengths differ by
-    at most one, for size = isqrt(``_BLOCK_FLOATS`` // (n * p)) of ``config``."""
-    size = max(1, math.isqrt(_BLOCK_FLOATS // (config.n_nodes * config.domain.dimension)))
-    count = max(1, len(items) // size)
+    at most one, for size = ``_BLOCK_FLOATS`` // (n * p * ``_BLOCK_ROUNDS``)
+    of ``config``: the most seeds whose blocks still hold that many rounds."""
+    per_seed = config.n_nodes * config.domain.dimension * _BLOCK_ROUNDS
+    count = max(1, len(items) // max(1, _BLOCK_FLOATS // per_seed))
     for i in range(count):
         yield items[len(items) * i // count:len(items) * (i + 1) // count]
 
 
 def _project(points: np.ndarray, domain: BoxDomain, noise_seeds: Sequence[int]) -> np.ndarray:
-    """``project_box`` over a batch ``(S, n, p)``; a non-finite coordinate
+    """``project_box`` over a batch ``(n, p, S)``; a non-finite coordinate
     names the noise seed(s) whose member diverged."""
     try:
         return project_box(points, domain)
     except ValueError as exc:
-        diverged = np.flatnonzero(~np.isfinite(points).all(axis=(1, 2)))
+        diverged = np.flatnonzero(~np.isfinite(points).all(axis=(0, 1)))
         seeds = [noise_seeds[s] for s in diverged]
         raise ValueError(f"non-finite coordinates in the run of noise seed(s) {seeds}") from exc
 
 
 def _gradient_blocks(
     configs: Sequence[RunConfig], noise_seeds: Sequence[int]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Rounds 1..T of the noisy gradient phase for a batch of S noise seeds,
-    yielded as blocks ``(first, noise, z, x)`` of K consecutive rounds.
+    yielded as blocks ``(first, clipped, noise, z, x)`` of K consecutive
+    rounds.
 
     ``configs`` is one config, whose graph and data every seed shares, or
     one config per seed; stacked configs must share the domain, the schedule
     and the first-broadcast rule, and the configs' own ``noise_seed`` is not
-    read.  For round t = first + k of a block, ``z[s, k]`` and ``x[s, k]``
-    (shape ``(S, K, n, p)``) are seed s's projected consensus points and new
-    iterate x(t), and ``noise[s, k]`` is the noise attached to x(t), with
-    scale M_t, which the round-(t+1) broadcast carries.  No gradient round
-    sends x(T), so only the audit reads the last row.  The noise of x(0),
-    which round 1 broadcasts, has scale M_1, or is exactly zero under
-    ``strict_first_broadcast``, and is not yielded.
+    read.  For round t = first + k of a block, ``z[k, ..., s]`` and
+    ``x[k, ..., s]`` (shape ``(K, n, p, S)``, seed-minor) are seed s's
+    projected consensus points and new iterate x(t), and ``noise[k, ..., s]``
+    is the noise attached to x(t), with scale M_t, which the round-(t+1)
+    broadcast carries.  No gradient round sends x(T), so only the audit reads
+    the last row.  The noise of x(0), which round 1 broadcasts, has scale
+    M_1, or is exactly zero under ``strict_first_broadcast``, and is not
+    yielded.  ``clipped[s]`` says whether the box projection binds for seed
+    s anywhere in the block.
 
-    K is the most rounds whose S * K * n * p floats fit ``_BLOCK_FLOATS``
-    (at least one); the last block may be shorter.  Each seed draws its
-    noise from its own stream, round-major then node-major, a block at a
-    time: the same numbers as one draw of (T+1) * n * p standard normals,
-    so a seed draws alike in any batch and any block.  The next block
-    overwrites the arrays of the last one.
+    K is at most ``_BLOCK_ROUNDS`` and the most rounds whose S * K * n * p
+    floats fit ``_BLOCK_FLOATS`` (at least one); the last block may be
+    shorter.  Each seed draws its noise from its own stream, round-major
+    then node-major, a block at a time: the same numbers as one draw of
+    (T+1) * n * p standard normals, so a seed draws alike in any batch and
+    any block.  The next block overwrites the arrays of the last one.
     """
-    first_config = configs[0]
     if len(configs) not in (1, len(noise_seeds)):
         raise ValueError(f"{len(configs)} configs for {len(noise_seeds)} noise seeds")
+    first_config = configs[0]
     domain, schedule = first_config.domain, first_config.schedule
-    for config in configs[1:]:
-        if not (
-            config.domain == domain
-            and config.strict_first_broadcast == first_config.strict_first_broadcast
-            and np.array_equal(config.schedule.step_sizes, schedule.step_sizes)
-            and np.array_equal(config.schedule.scales, schedule.scales)
-        ):
+    for index, config in enumerate(configs[1:], 1):
+        differs = [name for name, same in (
+            ("domain", config.domain == domain),
+            ("step sizes", np.array_equal(config.schedule.step_sizes, schedule.step_sizes)),
+            ("scales", np.array_equal(config.schedule.scales, schedule.scales)),
+            ("first-broadcast rule",
+             config.strict_first_broadcast == first_config.strict_first_broadcast),
+        ) if not same]
+        if differs:
             raise ValueError(
-                "a batch's configs must share the domain, schedule and first broadcast"
+                "a batch's configs must share the domain, schedule and first broadcast; "
+                f"config {index} differs in {', '.join(differs)}"
             )
     first_scale = 0.0 if first_config.strict_first_broadcast else schedule.scales[0]
     scales = np.concatenate([[first_scale], schedule.scales])  # of x(0) .. x(T)
     horizon, n_seeds = first_config.horizon, len(noise_seeds)
-    nodes = (first_config.n_nodes, domain.dimension)
-    block = min(horizon, max(1, _BLOCK_FLOATS // (n_seeds * math.prod(nodes))))
-    # One config broadcasts over the seeds as a leading axis of length 1.
-    weights = np.array([c.graph.weights for c in configs])
-    counts = np.array([[[d.n_points] for d in c.datasets] for c in configs], dtype=float)
+    n, p = first_config.n_nodes, domain.dimension
+    block = min(horizon, _BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (n_seeds * n * p)))
+    # One config's graph mixes every seed with one product; per-seed graphs
+    # mix a seed-major view with the stacked product.
+    if len(configs) == 1:
+        weights = first_config.graph.weights
+
+        def mix(y: np.ndarray) -> np.ndarray:
+            return (weights @ y.reshape(n, -1)).reshape(y.shape)
+    else:
+        stacked = np.array([c.graph.weights for c in configs])
+
+        def mix(y: np.ndarray) -> np.ndarray:
+            return (stacked @ y.transpose(2, 0, 1)).transpose(1, 2, 0)
+    # Node counts (n, 1, C) and sums (n, p, C), for one config or one per seed.
+    counts = np.array([[d.n_points for d in c.datasets] for c in configs], dtype=float).T[:, None]
     sums = np.array([[d.points.sum(axis=0) for d in c.datasets] for c in configs])
+    sums = sums.transpose(1, 2, 0)
     rngs = [derive_rng(seed) for seed in noise_seeds]
     # Row k + 1 of the noise buffer belongs to the block's new iterate k;
     # row 0 to the iterate its first round broadcasts: x(0) in the first
     # block, drawn with it, and the last block's last iterate afterwards.
-    noise = np.empty((n_seeds, block + 1, *nodes))
-    z, x = np.empty((2, n_seeds, block, *nodes))
-    previous = np.zeros((n_seeds, *nodes))
+    # Each seed draws into its own row of ``draws``.
+    draws = np.empty((n_seeds, block + 1, n, p))
+    noise = np.empty((block + 1, n, p, n_seeds))
+    z, x = np.empty((2, block, n, p, n_seeds))
+    start = np.zeros((n, p, n_seeds))  # the iterate the block starts from
+    reruns, clipped_seeds = 0, np.zeros(n_seeds, dtype=bool)
     for first in range(1, horizon + 1, block):
         rounds = min(block, horizon + 1 - first)
         drawn = 0 if first == 1 else 1
-        for rng, seed_noise in zip(rngs, noise):
-            rng.standard_normal(out=seed_noise[drawn:rounds + 1])
-        noise[:, drawn:rounds + 1] *= scales[first - 1 + drawn:first + rounds, None, None]
-        for k, step in enumerate(schedule.step_sizes[first - 1:first - 1 + rounds]):
-            z[:, k] = _project(weights @ (previous + noise[:, k]), domain, noise_seeds)
-            x[:, k] = previous = _project(
-                z[:, k] - float(step) * (counts * z[:, k] - sums), domain, noise_seeds
-            )
-        yield first, noise[:, 1:rounds + 1], z[:, :rounds], x[:, :rounds]
-        noise[:, 0] = noise[:, rounds]
+        for rng, seed_draws in zip(rngs, draws):
+            rng.standard_normal(out=seed_draws[drawn:rounds + 1])
+        np.multiply(
+            draws[:, drawn:rounds + 1].transpose(1, 2, 3, 0),
+            scales[first - 1 + drawn:first + rounds, None, None, None],
+            out=noise[drawn:rounds + 1],
+        )
+        # Step the block without projection, and check it once: while no
+        # seed leaves the box the projection is the identity.  Otherwise
+        # rerun the block from its start, projecting every round.  Seeds do
+        # not mix, so a seed leaves the box iff the projection binds for it.
+        # An unprojected step may overflow where a projected one would not;
+        # a non-finite point of the projected rerun still raises.
+        for project in (False, True):
+            previous = start
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, step in enumerate(schedule.step_sizes[first - 1:first - 1 + rounds]):
+                    z[k] = mix(previous + noise[k])
+                    if project:
+                        z[k] = _project(z[k], domain, noise_seeds)
+                    x[k] = z[k] - float(step) * (counts * z[k] - sums)
+                    if project:
+                        x[k] = _project(x[k], domain, noise_seeds)
+                    previous = x[k]
+            if not project:
+                inside = [
+                    (np.abs(a[:rounds]) <= domain.half_width).all(axis=(0, 1, 2)) for a in (z, x)
+                ]
+                clipped = ~(inside[0] & inside[1])
+                if not clipped.any():
+                    break
+                reruns += 1
+        clipped_seeds |= clipped
+        yield first, clipped, noise[1:rounds + 1], z[:rounds], x[:rounds]
+        start[...] = x[rounds - 1]
+        noise[0] = noise[rounds]
+    _log.debug(
+        "gradient batch: %d seeds, %d blocks, %d rerun with projection, %d seeds clipped",
+        n_seeds, math.ceil(horizon / block), reruns, np.count_nonzero(clipped_seeds),
+    )
 
 
 def _gradient_phases(configs: Sequence[RunConfig]) -> np.ndarray:
@@ -315,7 +378,7 @@ def _gradient_phases(configs: Sequence[RunConfig]) -> np.ndarray:
     for batch in _batches(configs, configs[0]):
         for *_, x in _gradient_blocks(batch, [c.noise_seed for c in batch]):
             pass
-        ends.append(x[:, -1].copy())
+        ends.append(x[-1].transpose(2, 0, 1).copy())
     return np.concatenate(ends)
 
 
@@ -330,7 +393,7 @@ def run_gradient_phase(config: RunConfig) -> tuple[np.ndarray, RunMetrics]:
     reference = _reference(config)
     errors = (*np.empty((3, horizon)), np.empty((horizon, config.domain.dimension)))
     for first, *_, x in _gradient_blocks([config], [config.noise_seed]):
-        x, rounds = x[0], slice(first - 1, first - 1 + x.shape[1])
+        x, rounds = x[..., 0], slice(first - 1, first - 1 + len(x))
         for out, values in zip(errors, _errors(x, x[:, probe], *reference)):
             out[rounds] = values
     return x[-1].copy(), _metrics(1, 1, errors)

@@ -303,6 +303,17 @@ def test_criterion_7_loss_follows_its_gaussian_law(criterion_7_samples):
     assert ks <= ks_critical, ks
 
 
+def test_criterion_7_law_holds_at_the_papers_horizon():
+    """Criterion 7's law check, unchanged, at the paper's horizon T = 1000 on
+    2,000 samples of the planted worst-case instance: the same 1e-9 bound on
+    the deterministic part, z-slack of 4 on the noise variance and 1% KS
+    level.  The edited node's two local steps from one consensus point do
+    not clip here, so the law holds exactly as at T = 100."""
+    config = plant_point(_default_cell(1000)[0])
+    dets, noises = collect_samples(config, worst_case_edit(config), 2000, master_seed=MASTER_SEED)
+    test_criterion_7_loss_follows_its_gaussian_law((config, dets, noises))
+
+
 def _trend_violations(means: list[float], strict: bool) -> int:
     return sum(
         1 for a, b in zip(means, means[1:]) if (b >= a if strict else b > a)

@@ -13,7 +13,9 @@ from dpconsensus.analysis import (
     empirical_vs_bound,
     mean_error_bound,
 )
-from dpconsensus.engine import _gradient_phases, run_gradient_phase
+from dpconsensus.audit import worst_case_edit
+from dpconsensus.engine import _gradient_phases, run, run_gradient_phase
+from dpconsensus.experiments import ExperimentConfig, bound_inputs, build_run_config
 from dpconsensus.objectives import ObjectiveSpec
 from dpconsensus.privacy import PrivacyBudget, noise_budget
 
@@ -208,3 +210,18 @@ def test_inputs_validation():
         make_inputs(beta=1.0)
     with pytest.raises(ValueError):
         make_inputs(horizon=0)
+
+
+def test_result_types_compare_by_identity():
+    """``==`` on the result types that hold arrays is identity, not an
+    error: two ``BoundInputs`` of one config, two ``RunMetrics`` of one run
+    and two equal edits are distinct."""
+    base = ExperimentConfig(n_nodes=4, horizon=3)
+    config = build_run_config(base, 1, 2, 3)
+    inputs = bound_inputs(base, config)
+    assert inputs == inputs != bound_inputs(base, config)
+    metrics = run(config)
+    assert metrics == metrics != run(config)
+    edit = worst_case_edit(config)
+    assert edit == edit != worst_case_edit(config)
+    assert len({inputs, metrics, edit}) == 3

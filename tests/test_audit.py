@@ -82,13 +82,14 @@ def test_samples_are_deterministic_per_master_seed(audit_setup):
 @pytest.mark.parametrize("seeds_per_batch", [None, 8])
 def test_collect_samples_equals_its_per_sample_losses(audit_setup, monkeypatch, seeds_per_batch):
     """37 samples, which no batch size used here divides: in one batch of 37
-    at the default budget's size of 22 seeds, and in batches of 9 + 9 + 9 +
+    at the default budget's size of 102 seeds, and in batches of 9 + 9 + 9 +
     10 at a budget of 8 seeds by 8 rounds."""
     config, edit = audit_setup
     expected_lengths = [37]
     if seeds_per_batch is not None:
         per_round = config.n_nodes * config.domain.dimension
         monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", seeds_per_batch**2 * per_round)
+        monkeypatch.setattr("dpconsensus.engine._BLOCK_ROUNDS", seeds_per_batch)
         expected_lengths = [9, 9, 9, 10]
     assert [len(batch) for batch in _batches(range(37), config)] == expected_lengths
     deterministic, noise = collect_samples(config, edit, 37, master_seed=11)

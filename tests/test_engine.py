@@ -22,6 +22,7 @@ from dpconsensus.engine import (
     run,
     run_gradient_phase,
 )
+from dpconsensus.experiments import ExperimentConfig, build_run_config, single_run_seeds
 from dpconsensus.graph import CommGraph, gen_erdos_renyi
 from dpconsensus.objectives import (
     BoxDomain,
@@ -44,7 +45,8 @@ def trajectory(configs, noise_seeds):
     """The kernel's blocks joined along the rounds: arrays ``(noise, z, x)``
     of shape ``(S, T, n, p)``, noise row t-1 attached to iterate x(t)."""
     blocks = [
-        tuple(a.copy() for a in arrays) for _, *arrays in _gradient_blocks(configs, noise_seeds)
+        tuple(np.moveaxis(a, -1, 0).copy() for a in arrays)
+        for _, _, *arrays in _gradient_blocks(configs, noise_seeds)
     ]
     return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*blocks))
 
@@ -53,6 +55,7 @@ def block_rounds(monkeypatch, rounds, n_seeds, config):
     """Set the block budget to ``rounds`` rounds of ``n_seeds`` seeds."""
     floats = rounds * n_seeds * config.n_nodes * config.domain.dimension
     monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", floats)
+    monkeypatch.setattr("dpconsensus.engine._BLOCK_ROUNDS", rounds)
 
 
 def make_config(
@@ -236,6 +239,91 @@ def test_streamed_blocks_equal_the_one_block_trajectory(horizon, block, n_seeds,
         assert np.array_equal(joined, alone), name
 
 
+def projected_reference(config, seed):
+    """Rounds 1..T of one seed, projecting every round: noise, z and x of
+    shape ``(T, n, p)``, and whether the projection binds in each round."""
+    n, p = config.n_nodes, config.domain.dimension
+    scales = config.schedule.scales
+    noise = derive_rng(seed).standard_normal((config.horizon + 1, n, p))
+    noise *= np.concatenate([[0.0 if config.strict_first_broadcast else scales[0]], scales])[
+        :, None, None
+    ]
+    counts = np.array([[d.n_points] for d in config.datasets], dtype=float)
+    sums = np.array([d.points.sum(axis=0) for d in config.datasets])
+    x, rows = np.zeros((n, p)), []
+    for t, step in enumerate(config.schedule.step_sizes):
+        z_free = config.graph.weights @ (x + noise[t])
+        z = project_box(z_free, config.domain)
+        x_free = z - float(step) * (counts * z - sums)
+        x = project_box(x_free, config.domain)
+        rows.append((z, x, not (np.array_equal(z, z_free) and np.array_equal(x, x_free))))
+    z, x, binds = map(np.array, zip(*rows))
+    return noise[1:], z, x, binds
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_projection_free_blocks_equal_projecting_every_round(monkeypatch, stacked, strict):
+    """The kernel steps a block without projection and steps it again,
+    projected, only if some seed leaves the box.  Its yields equal a loop
+    that projects every round bit for bit, and its clip flag says exactly
+    in which blocks the projection binds for a seed.  The batch holds the
+    first seed that clips in block 1 only, in later blocks only, and never,
+    under one shared graph or one graph per seed."""
+    horizon, rounds = 8, 2
+
+    def config_of(seed):
+        graph_seed = 3 + seed % 3 if stacked else 3
+        return make_config(horizon=horizon, epsilon=1.0, strict_first_broadcast=strict,
+                           graph_seed=graph_seed, noise_seed=seed)
+
+    references, kinds = {}, {}
+    for seed in range(300):
+        references[seed] = projected_reference(config_of(seed), seed)
+        blocks = references[seed][3].reshape(-1, rounds).any(axis=1)
+        kind = "never" if not blocks.any() else "first" if not blocks[1:].any() else (
+            "later" if not blocks[0] else "both")
+        kinds.setdefault(kind, seed)
+        if {"first", "later", "never"} <= kinds.keys():
+            break
+    seeds = [kinds["first"], kinds["later"], kinds["never"]]
+    configs = [config_of(s) for s in seeds] if stacked else [config_of(0)]
+    block_rounds(monkeypatch, rounds, len(seeds), configs[0])
+    firsts = []
+    for first, clipped, *arrays in _gradient_blocks(configs, seeds):
+        firsts.append(first)
+        block = slice(first - 1, first - 1 + rounds)
+        for s, seed in enumerate(seeds):
+            *expected, binds = references[seed]
+            for name, got, want in zip(("noise", "z", "x"), arrays, expected):
+                assert np.array_equal(got[..., s], want[block]), (name, first, seed)
+            assert clipped[s] == binds[block].any(), (first, seed)
+    assert firsts == [1, 3, 5, 7]
+
+
+def test_a_gradient_batch_logs_its_blocks_and_clipped_seeds(caplog):
+    """One DEBUG record per gradient batch: its seeds, blocks, blocks
+    stepped again with projection and seeds that clipped, as the kernel's
+    clip flags give them.  At T=100 most seeds clip at epsilon 1 and none at
+    epsilon 4."""
+    graph_seed, data_seed, _ = single_run_seeds(42)
+    for epsilon in (1.0, 4.0):
+        base = ExperimentConfig(epsilon=epsilon, horizon=100)
+        config = build_run_config(base, graph_seed, data_seed, noise_seed=0)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="dpconsensus.engine"):
+            flags = np.array([c.copy() for _, c, *_ in _gradient_blocks([config], range(20))])
+        assert flags.shape == (5, 20)
+        reruns, clipped = np.count_nonzero(flags.any(axis=1)), np.count_nonzero(flags.any(axis=0))
+        message = (f"gradient batch: 20 seeds, 5 blocks, {reruns} rerun with projection, "
+                   f"{clipped} seeds clipped")
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [(logging.DEBUG, message)]
+        if epsilon == 1.0:
+            assert clipped > 10 and 0 < reruns < 5
+        else:
+            assert clipped == reruns == 0
+
+
 def _assert_rows_close(batch, singles):
     """Every array of an S-seed kernel call equals the matching one-seed
     call row for row, within 1e-12 relative."""
@@ -347,13 +435,19 @@ def test_a_batch_rejects_configs_that_cannot_share_its_rounds():
     config = make_config(horizon=6)
     with pytest.raises(ValueError, match="2 configs for 3 noise seeds"):
         trajectory([config, config], [1, 2, 3])
-    for other in (
-        make_config(horizon=7),
-        make_config(horizon=6, epsilon=2.0),
-        replace(config, strict_first_broadcast=True),
+    for other, differs in (
+        (make_config(horizon=7), "step sizes, scales"),
+        (make_config(horizon=6, epsilon=2.0), "scales"),
+        (replace(config, strict_first_broadcast=True), "first-broadcast rule"),
+        (replace(config, domain=BoxDomain(half_width=2.0, dimension=3)), "domain"),
     ):
-        with pytest.raises(ValueError, match="must share the domain, schedule and first broadcast"):
+        with pytest.raises(
+            ValueError, match="must share the domain, schedule and first broadcast"
+        ) as caught:
             trajectory([config, other], [1, 2])
+        assert str(caught.value).endswith(f"; config 1 differs in {differs}")
+    with pytest.raises(ValueError, match="config 2 differs in scales$"):
+        trajectory([config, config, make_config(horizon=6, epsilon=2.0)], [1, 2, 3])
 
 
 def test_a_diverging_batch_member_is_named_by_its_noise_seed(monkeypatch):
@@ -509,8 +603,9 @@ def test_an_agreement_batch_logs_one_debug_record(caplog):
         make_config(horizon=8, graph_seed=g, noise_seed=g + 1, stage2_max_rounds=cap)
         for g, cap in ((0, 3), (1, None), (2, 1000))
     ]
+    states = np.array(gradient_ends(configs))
     caplog.set_level(logging.DEBUG, logger="dpconsensus.engine")
-    rounds, _ = _agreement_batch(np.array(gradient_ends(configs)), configs)
+    rounds, _ = _agreement_batch(states, configs)
     assert rounds[0] == 3 and 3 < rounds[1] < 1000 and rounds[2] < 1000
     records = [r for r in caplog.records if r.name == "dpconsensus.engine"]
     message = f"agreement batch: 3 seeds, {rounds.max()} rounds at most, 1 at their round cap"
