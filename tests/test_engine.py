@@ -244,10 +244,9 @@ def projected_reference(config, seed):
     shape ``(T, n, p)``, and whether the projection binds in each round."""
     n, p = config.n_nodes, config.domain.dimension
     scales = config.schedule.scales
+    first = 0.0 if config.strict_first_broadcast else scales[0]
     noise = derive_rng(seed).standard_normal((config.horizon + 1, n, p))
-    noise *= np.concatenate([[0.0 if config.strict_first_broadcast else scales[0]], scales])[
-        :, None, None
-    ]
+    noise *= np.concatenate([[first], scales])[:, None, None]
     counts = np.array([[d.n_points] for d in config.datasets], dtype=float)
     sums = np.array([d.points.sum(axis=0) for d in config.datasets])
     x, rows = np.zeros((n, p)), []
