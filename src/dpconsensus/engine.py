@@ -21,12 +21,15 @@ literal zero instead.  Both choices spend the same budget.  The pairing and
 the round loop live in one place, ``_gradient_blocks``, which runs a batch
 of noise seeds side by side and yields the phase one block of rounds at a
 time; a single run, the sweeps, ``bound`` and the privacy-loss audit all go
-through it.  Its states are seed-minor, ``(n, p, S)``: a shared graph mixes
-every seed with one matrix product, and elementwise steps run over long
-rows.  The box binds only in early rounds, so a block is stepped without
-projection and checked once; only a block in which some seed leaves the box
-is stepped again from its start, projecting every round, which gives the
-same numbers as projecting throughout.  Each caller takes seed-major copies
+through it.  A batch's configs share the domain, the step sizes and the
+first-broadcast rule (``_batch_mismatch`` is that rule); their graphs, data
+and noise scales may differ, so a sweep runs all the values of a privacy
+or connectivity axis as one batch.  Its states are seed-minor,
+``(n, p, S)``: a shared graph mixes every seed with one matrix product, and
+elementwise steps run over long rows.  The box binds only in early rounds,
+so a block is stepped without projection and checked once; only a block in
+which some seed leaves the box is stepped again from its start, projecting
+every round, which gives the same numbers as projecting throughout.  Each caller takes seed-major copies
 of what it reads: a single run reduces each block to the per-round metrics
 of its iterates, and the audit (the one reader of the consensus points) to
 its loss terms and gap norms, as it arrives; the sweeps and ``bound`` read
@@ -245,6 +248,41 @@ def _project(points: np.ndarray, domain: BoxDomain, noise_seeds: Sequence[int]) 
         raise ValueError(f"non-finite coordinates in the run of noise seed(s) {seeds}") from exc
 
 
+def _batch_mismatch(config: RunConfig, first: RunConfig) -> list[str]:
+    """The fields that keep ``config`` out of a kernel batch led by
+    ``first``: the domain, the step sizes and the first-broadcast rule must
+    be shared.  Noise scales, graphs and data may differ."""
+    return [name for name, same in (
+        ("domain", config.domain == first.domain),
+        ("step sizes", np.array_equal(config.schedule.step_sizes, first.schedule.step_sizes)),
+        ("first-broadcast rule", config.strict_first_broadcast == first.strict_first_broadcast),
+    ) if not same]
+
+
+def _scale_columns(configs: Sequence[RunConfig]) -> tuple[np.ndarray, slice | np.ndarray]:
+    """Noise scales of x(0) .. x(T), shape ``(T+1, C)``, one column per
+    distinct scale vector of ``configs`` (compared by value), and the index
+    of each config's column: a slice over the one column when C = 1, so a
+    single schedule broadcasts over the seeds as it is."""
+    vectors: list[np.ndarray] = []
+    column = np.empty(len(configs), dtype=np.intp)
+    for s, config in enumerate(configs):
+        scales = config.schedule.scales
+        # Consecutive configs mostly share a schedule: look from the newest column back.
+        column[s] = next(
+            (c for c in reversed(range(len(vectors)))
+             if vectors[c] is scales or np.array_equal(vectors[c], scales)),
+            len(vectors),
+        )
+        if column[s] == len(vectors):
+            vectors.append(scales)
+    columns = np.empty((len(vectors[0]) + 1, len(vectors)))
+    for c, scales in enumerate(vectors):
+        columns[1:, c] = scales
+    columns[0] = 0.0 if configs[0].strict_first_broadcast else columns[1]
+    return columns, slice(None) if len(vectors) == 1 else column
+
+
 def _gradient_blocks(
     configs: Sequence[RunConfig], noise_seeds: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -253,17 +291,20 @@ def _gradient_blocks(
     rounds.
 
     ``configs`` is one config, whose graph and data every seed shares, or
-    one config per seed; stacked configs must share the domain, the schedule
-    and the first-broadcast rule, and the configs' own ``noise_seed`` is not
-    read.  For round t = first + k of a block, ``z[k, ..., s]`` and
-    ``x[k, ..., s]`` (shape ``(K, n, p, S)``, seed-minor) are seed s's
-    projected consensus points and new iterate x(t), and ``noise[k, ..., s]``
-    is the noise attached to x(t), with scale M_t, which the round-(t+1)
-    broadcast carries.  No gradient round sends x(T), so only the audit reads
-    the last row.  The noise of x(0), which round 1 broadcasts, has scale
-    M_1, or is exactly zero under ``strict_first_broadcast``, and is not
-    yielded.  ``clipped[s]`` says whether the box projection binds for seed
-    s anywhere in the block.
+    one config per seed; stacked configs must share the domain, the step
+    sizes and the first-broadcast rule (``_batch_mismatch``), but each may
+    have its own graph, data and noise scales, and the configs' own
+    ``noise_seed`` is not read.  For round t = first + k of a block,
+    ``z[k, ..., s]`` and ``x[k, ..., s]`` (shape ``(K, n, p, S)``,
+    seed-minor) are seed s's projected consensus points and new iterate
+    x(t), and ``noise[k, ..., s]`` is the noise attached to x(t), with seed
+    s's scale M_t, which the round-(t+1) broadcast carries.  No gradient
+    round sends x(T), so only the audit reads the last row.  The noise of
+    x(0), which round 1 broadcasts, has scale M_1, or is exactly zero under
+    ``strict_first_broadcast``, and is not yielded.  ``clipped[s]`` says
+    whether the box projection binds for seed s anywhere in the block.
+    The kernel holds one column of scales per distinct scale vector, not one
+    per seed, and each block gathers its seeds' scales from them.
 
     K is at most ``_BLOCK_ROUNDS`` and the most rounds whose S * K * n * p
     floats fit ``_BLOCK_FLOATS`` (at least one); the last block may be
@@ -277,20 +318,13 @@ def _gradient_blocks(
     first_config = configs[0]
     domain, schedule = first_config.domain, first_config.schedule
     for index, config in enumerate(configs[1:], 1):
-        differs = [name for name, same in (
-            ("domain", config.domain == domain),
-            ("step sizes", np.array_equal(config.schedule.step_sizes, schedule.step_sizes)),
-            ("scales", np.array_equal(config.schedule.scales, schedule.scales)),
-            ("first-broadcast rule",
-             config.strict_first_broadcast == first_config.strict_first_broadcast),
-        ) if not same]
+        differs = _batch_mismatch(config, first_config)
         if differs:
             raise ValueError(
-                "a batch's configs must share the domain, schedule and first broadcast; "
+                "a batch's configs must share the domain, step sizes and first broadcast; "
                 f"config {index} differs in {', '.join(differs)}"
             )
-    first_scale = 0.0 if first_config.strict_first_broadcast else schedule.scales[0]
-    scales = np.concatenate([[first_scale], schedule.scales])  # of x(0) .. x(T)
+    scales, column = _scale_columns(configs)
     horizon, n_seeds = first_config.horizon, len(noise_seeds)
     n, p = first_config.n_nodes, domain.dimension
     block = min(horizon, _BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (n_seeds * n * p)))
@@ -327,7 +361,7 @@ def _gradient_blocks(
             rng.standard_normal(out=seed_draws[drawn:rounds + 1])
         np.multiply(
             draws[:, drawn:rounds + 1].transpose(1, 2, 3, 0),
-            scales[first - 1 + drawn:first + rounds, None, None, None],
+            scales[first - 1 + drawn:first + rounds, None, None, column],
             out=noise[drawn:rounds + 1],
         )
         # Step the block without projection, and check it once: while no

@@ -6,6 +6,13 @@ connectivity, or data volume per node) over a value grid, runs every
 function of the sweep spec and master seed: cell streams are derived by
 documented splitting, workers never share state, and rows are assembled in
 axis-value x seed order regardless of completion order.
+
+Cells run as tasks: the cells of consecutive values whose configs can share
+one kernel batch form one task, whose gradient phases and agreement phase
+each run once for all its cells.  The privacy and connectivity axes change
+only noise scales or graphs, so each is one task; T and points_per_node
+change the step sizes, so each of their values is one.  Worker processes
+split each task's cells, not its values, into contiguous parts.
 """
 
 from __future__ import annotations
@@ -287,12 +294,12 @@ class SweepResult:
         return {"axis": self.spec.axis, "per_value": per_value}
 
 
-def _groups(
+def _values(
     spec: SweepSpec, master_seed: int
-) -> Iterator[tuple[str, float, list[engine.RunConfig]]]:
-    """One task ``(axis, value, run configs in seed order)`` per axis value.
+) -> Iterator[tuple[float, list[engine.RunConfig]]]:
+    """Each axis value with its run configs, in seed order.
 
-    Every config of a task shares the value's horizon and schedule.  Graphs
+    Every config of a value shares the value's horizon and schedule.  Graphs
     and datasets are built at the first value, and again at each later one
     only when the axis regenerates them: otherwise their streams do not
     depend on the value, so every value reuses the same inputs.
@@ -311,19 +318,46 @@ def _groups(
         if regen_data or not data:
             data = [_datasets(base, d) for _, d, _ in seeds]
         schedule = _schedule(base)
-        configs = [
+        yield value, [
             _run_config(base, graph, datasets, schedule, noise_seed)
             for graph, datasets, (_, _, noise_seed) in zip(graphs, data, seeds)
         ]
-        yield spec.axis, value, configs
 
 
-def _run_group(task: tuple[str, float, list[engine.RunConfig]]) -> list[SweepRow]:
-    """Rows of one axis value: the gradient phases run as memory-bounded
+# One task: the axis, each cell's (value, seed index) and its run config.
+_Task = tuple[str, list[tuple[float, int]], list[engine.RunConfig]]
+
+
+def _tasks(spec: SweepSpec, master_seed: int, parts: int) -> Iterator[_Task]:
+    """The sweep's cells in value x seed order, as tasks of consecutive axis
+    values whose configs can share a kernel batch (``engine._batch_mismatch``),
+    each split into ``parts`` contiguous near-equal tasks (fewer when it has
+    fewer cells).  A value's cells share its domain, schedule and
+    first-broadcast rule, so its first config stands for all of them.
+    """
+    def split(cells: list[tuple[float, int]], configs: list[engine.RunConfig]) -> Iterator[_Task]:
+        for i in range(parts):
+            part = slice(len(cells) * i // parts, len(cells) * (i + 1) // parts)
+            if cells[part]:
+                yield spec.axis, cells[part], configs[part]
+
+    cells: list[tuple[float, int]] = []
+    configs: list[engine.RunConfig] = []
+    for value, value_configs in _values(spec, master_seed):
+        if configs and engine._batch_mismatch(value_configs[0], configs[0]):
+            yield from split(cells, configs)
+            cells, configs = [], []
+        cells += [(value, seed_index) for seed_index in range(len(value_configs))]
+        configs += value_configs
+    yield from split(cells, configs)
+
+
+def _run_task(task: _Task) -> list[SweepRow]:
+    """Rows of one task's cells: the gradient phases run as memory-bounded
     batches of seeds, whose end iterates give each seed's errors and start
-    the value's agreement phases, run side by side as one stack that yields
+    the task's agreement phases, run side by side as one stack that yields
     only each seed's round count."""
-    axis, value, configs = task
+    axis, cells, configs = task
     ends = engine._gradient_phases(configs)
     # Per seed, as a single run divides: a vectorised dot product moves the
     # last ulp of some errors.
@@ -336,25 +370,26 @@ def _run_group(task: tuple[str, float, list[engine.RunConfig]]) -> list[SweepRow
             axis=axis,
             value=value,
             seed=seed_index,
-            normalized_error=float(normalized[seed_index]),
-            probe_error=float(probe[seed_index]),
-            stage2_rounds=int(rounds[seed_index]),
+            normalized_error=float(normalized[cell]),
+            probe_error=float(probe[cell]),
+            stage2_rounds=int(rounds[cell]),
         )
-        for seed_index in range(len(configs))
+        for cell, (value, seed_index) in enumerate(cells)
     ]
 
 
 def sweep(spec: SweepSpec, master_seed: int, jobs: int = 1) -> SweepResult:
     """Run every (value, seed) cell; rows in deterministic cell order.
 
-    ``jobs > 1`` runs the axis values in that many worker processes.
+    ``jobs > 1`` splits each task's cells into that many contiguous parts
+    and runs them in that many worker processes.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    groups = _groups(spec, master_seed)
+    tasks = _tasks(spec, master_seed, jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for group in pool.map(_run_group, groups) for row in group]
+            rows = [row for task_rows in pool.map(_run_task, tasks) for row in task_rows]
     else:
-        rows = [row for group in map(_run_group, groups) for row in group]
+        rows = [row for task_rows in map(_run_task, tasks) for row in task_rows]
     return SweepResult(spec=spec, master_seed=master_seed, rows=tuple(rows))

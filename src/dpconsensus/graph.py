@@ -33,6 +33,11 @@ _ZERO_CLAMP = 1e-15
 # Samples ``gen_erdos_renyi`` draws before giving up on a connected graph.
 _MAX_ATTEMPTS = 10_000
 
+# Most samples ``gen_erdos_renyi`` tests at once; its chunks double from one
+# up to this, so a dense graph draws one stream and a sparse one needs few
+# chunks.
+_CHUNK_CAP = 32
+
 
 class GraphError(ValueError):
     """Invalid topology or failed graph construction."""
@@ -75,17 +80,20 @@ class CommGraph:
         return self.adjacency.shape[0]
 
 
-def connected(adjacency: np.ndarray) -> bool:
-    """Whether the graph has a single component (BFS from node 0)."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = np.nonzero(adjacency[frontier].any(axis=0) & ~seen)[0]
-        seen[nxt] = True
-        frontier = nxt.tolist()
-    return bool(seen.all())
+def connected(adjacency: np.ndarray) -> np.ndarray:
+    """Whether each graph of a stack ``(..., n, n)`` of symmetric boolean
+    adjacencies has a single component; a bool array of shape ``(...)``.
+
+    Squares the reachability matrix I + A ceil(log2 n) times, which covers
+    every path of up to n - 1 edges, and reads whether node 0 reaches every
+    node.  Each product is turned back into 0/1, so its entries stay at most
+    n and no inf * 0 turns into a NaN.
+    """
+    n = adjacency.shape[-1]
+    reach = (adjacency | np.eye(n, dtype=bool)).astype(np.float32)
+    for _ in range((n - 1).bit_length()):
+        reach = (reach @ reach > 0).astype(np.float32)
+    return reach[..., 0, :].all(axis=-1)
 
 
 def _laplacian_mixing(adjacency: np.ndarray) -> tuple[np.ndarray, float]:
@@ -111,9 +119,13 @@ def gen_erdos_renyi(n: int, p_c: float, seed: int) -> CommGraph:
     """Sample a connected Erdos-Renyi graph G(n, p_c).
 
     Each unordered pair is an edge independently with probability ``p_c``.
-    Disconnected samples are rejected and redrawn (the attempt counter is
-    mixed into the stream), so the law is Erdos-Renyi conditioned on
-    connectivity.  Deterministic given ``(n, p_c, seed)``.
+    Disconnected samples are rejected and redrawn, so the law is Erdos-Renyi
+    conditioned on connectivity.  Attempt a draws its uniforms from its own
+    stream ``derive_rng(seed, a)``, and the first connected attempt is
+    accepted, so the graph is deterministic given ``(n, p_c, seed)``.
+    Attempts are drawn and tested for connectivity a chunk at a time; chunks
+    double from one up to ``_CHUNK_CAP``, and the last stops at
+    ``_MAX_ATTEMPTS`` streams.
 
     Raises:
         GraphError: if n < 2, p_c is not in (0, 1], or no connected sample
@@ -123,13 +135,24 @@ def gen_erdos_renyi(n: int, p_c: float, seed: int) -> CommGraph:
         raise GraphError(f"need n >= 2 nodes, got {n}")
     if not 0.0 < p_c <= 1.0:
         raise GraphError(f"edge probability must lie in (0, 1], got {p_c}")
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = derive_rng(seed, attempt)
-        upper = np.triu(rng.random((n, n)) < p_c, 1)
-        adjacency = upper | upper.T
-        if connected(adjacency):
-            _log.debug("G(%d, %g) seed %d: connected after %d attempts", n, p_c, seed, attempt + 1)
-            return CommGraph(adjacency)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    drawn, chunk = 0, 1
+    while drawn < _MAX_ATTEMPTS:
+        chunk = min(chunk, _MAX_ATTEMPTS - drawn)
+        uniforms = np.empty((chunk, n, n))
+        for attempt, out in enumerate(uniforms, drawn):
+            derive_rng(seed, attempt).random(out=out)
+        edges = (uniforms < p_c) & upper
+        adjacency = edges | edges.transpose(0, 2, 1)
+        drawn += chunk
+        hits = np.flatnonzero(connected(adjacency))
+        if hits.size:
+            _log.debug(
+                "G(%d, %g) seed %d: connected after %d attempts (%d streams drawn)",
+                n, p_c, seed, drawn - chunk + hits[0] + 1, drawn,
+            )
+            return CommGraph(adjacency[hits[0]].copy())
+        chunk = min(2 * chunk, _CHUNK_CAP)
     raise GraphError(
         f"no connected G({n}, {p_c}) sample in {_MAX_ATTEMPTS} attempts; "
         "edge probability is too small for this node count"

@@ -22,7 +22,13 @@ from dpconsensus.engine import (
     run,
     run_gradient_phase,
 )
-from dpconsensus.experiments import ExperimentConfig, build_run_config, single_run_seeds
+from dpconsensus import experiments
+from dpconsensus.experiments import (
+    ExperimentConfig,
+    build_run_config,
+    preset_sweep,
+    single_run_seeds,
+)
 from dpconsensus.graph import CommGraph, gen_erdos_renyi
 from dpconsensus.objectives import (
     BoxDomain,
@@ -435,18 +441,91 @@ def test_a_batch_rejects_configs_that_cannot_share_its_rounds():
     with pytest.raises(ValueError, match="2 configs for 3 noise seeds"):
         trajectory([config, config], [1, 2, 3])
     for other, differs in (
-        (make_config(horizon=7), "step sizes, scales"),
-        (make_config(horizon=6, epsilon=2.0), "scales"),
+        (make_config(horizon=7), "step sizes"),
         (replace(config, strict_first_broadcast=True), "first-broadcast rule"),
         (replace(config, domain=BoxDomain(half_width=2.0, dimension=3)), "domain"),
     ):
         with pytest.raises(
-            ValueError, match="must share the domain, schedule and first broadcast"
+            ValueError, match="must share the domain, step sizes and first broadcast"
         ) as caught:
             trajectory([config, other], [1, 2])
         assert str(caught.value).endswith(f"; config 1 differs in {differs}")
-    with pytest.raises(ValueError, match="config 2 differs in scales$"):
-        trajectory([config, config, make_config(horizon=6, epsilon=2.0)], [1, 2, 3])
+    with pytest.raises(ValueError, match="config 2 differs in step sizes$"):
+        trajectory([config, config, make_config(horizon=7)], [1, 2, 3])
+
+
+def test_configs_with_different_noise_scales_share_a_batch(monkeypatch):
+    """Configs that differ only in their noise scales, graphs and data
+    batch together, in any order and in blocks of two rounds, and each
+    seed's rows equal its single run bit for bit; equal scale vectors held
+    by different schedules count as one."""
+    horizon = 6
+    configs = [
+        make_config(horizon=horizon, epsilon=epsilon, graph_seed=g, noise_seed=s)
+        for epsilon, g, s in ((4.0, 3, 5), (1.0, 3, 6), (4.0, 8, 7), (0.5, 9, 8), (1.0, 3, 9))
+    ]
+    twin = configs[0].schedule
+    configs[2] = replace(configs[2], schedule=replace(twin, scales=twin.scales.copy()))
+    seeds = [c.noise_seed for c in configs]
+    for rounds in (horizon, 2):
+        block_rounds(monkeypatch, rounds, len(configs), configs[0])
+        batch = trajectory(configs, seeds)
+        for s, config in enumerate(configs):
+            for name, stacked, alone in zip(("noise", "z", "x"), batch,
+                                            trajectory([config], [seeds[s]])):
+                assert np.array_equal(stacked[s], alone[0]), (name, s)
+    assert not np.array_equal(configs[0].schedule.scales, configs[1].schedule.scales)
+
+
+def pathwise_end(config, noise_seed):
+    """x(T) of an unclipped run in closed form.  With every node holding
+    n_pts points and eta_t = 1/(n_pts t), each node's gradient factor is
+    c_t = 1 - eta_t n_pts = (t-1)/t, a scalar that commutes with W, so with
+    S the node sums and nu(t) = M_t times row t of the seed's own standard
+    normals (the noise attached to x(t)),
+
+        x(T) = sum_{t>=2} ((t-1)/T) W^(T-t+1) nu(t-1) + sum_t (t/T) eta_t W^(T-t) S,
+
+    evaluated in W's eigenbasis without a round loop."""
+    horizon, n, p = config.horizon, config.n_nodes, config.domain.dimension
+    n_pts = config.datasets[0].n_points
+    assert all(d.n_points == n_pts for d in config.datasets)
+    t = np.arange(1, horizon + 1)
+    eta = 1.0 / (n_pts * t)
+    np.testing.assert_allclose(config.schedule.step_sizes, eta, rtol=1e-14, atol=0.0)
+    eigenvalues, basis = np.linalg.eigh(config.graph.weights)
+    draws = derive_rng(noise_seed).standard_normal((horizon + 1, n, p))
+    noise = draws[1:horizon] * config.schedule.scales[:horizon - 1, None, None]  # nu(t-1), t >= 2
+    later = t[1:]
+    noise_coeff = ((later - 1) / horizon)[:, None] * eigenvalues ** (horizon - later + 1)[:, None]
+    data_coeff = ((t / horizon) * eta)[:, None] * eigenvalues ** (horizon - t)[:, None]
+    sums = np.array([d.points.sum(axis=0) for d in config.datasets])
+    spectral = np.einsum("tk,tkp->kp", noise_coeff, basis.T @ noise)
+    spectral += data_coeff.sum(axis=0)[:, None] * (basis.T @ sums)
+    return basis @ spectral
+
+
+@pytest.mark.parametrize("horizon", [100, 1000])
+def test_unclipped_end_iterates_equal_the_pathwise_closed_form(horizon):
+    """The epsilon preset's five values, 20 seeds each, run as one batch
+    with one scale column per value.  On every seed that the kernel's clip
+    flags mark unclipped in every block, its end iterate equals the closed
+    form of ``pathwise_end`` to 1e-12, whatever the kernel's loop, layout or
+    batching; the check covers seeds of several noise scales."""
+    spec = replace(preset_sweep("epsilon"), base=ExperimentConfig(horizon=horizon))
+    (task,) = experiments._tasks(spec, 42, 1)
+    _, cells, configs = task
+    seeds = [c.noise_seed for c in configs]
+    clipped = np.zeros(len(configs), dtype=bool)
+    for _, flags, _, _, x in _gradient_blocks(configs, seeds):
+        clipped |= flags
+    ends = np.moveaxis(x[-1], -1, 0)
+    unclipped = np.flatnonzero(~clipped)
+    values = {cells[s][0] for s in unclipped}
+    assert len(unclipped) >= 40 and len(values) >= 3, values
+    for s in unclipped:
+        error = np.max(np.abs(ends[s] - pathwise_end(configs[s], seeds[s])))
+        assert error <= 1e-12, (cells[s], error)
 
 
 def test_a_diverging_batch_member_is_named_by_its_noise_seed(monkeypatch):

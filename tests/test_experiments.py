@@ -178,13 +178,6 @@ def test_sweep_rejects_a_non_positive_worker_count(jobs):
         sweep(spec, master_seed=1, jobs=jobs)
 
 
-def test_parallel_sweep_matches_sequential():
-    spec = SweepSpec(base=TINY, axis="p_c", values=(0.6, 1.0), n_seeds=2)
-    sequential = sweep(spec, master_seed=33, jobs=1)
-    parallel = sweep(spec, master_seed=33, jobs=2)
-    assert sequential.rows == parallel.rows
-
-
 # Two values per axis for the tiny sweeps below.
 TINY_VALUES = {
     "T": (4.0, 8.0),
@@ -193,6 +186,17 @@ TINY_VALUES = {
     "p_c": (0.6, 1.0),
     "points_per_node": (10.0, 20.0),
 }
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("axis", sorted(AXES))
+def test_parallel_sweep_matches_sequential(axis, jobs):
+    """Workers run contiguous parts of each task's cells; at 3 jobs a task
+    of 2 values by 2 seeds splits into more parts than it has values."""
+    spec = SweepSpec(base=TINY, axis=axis, values=TINY_VALUES[axis], n_seeds=2)
+    sequential = sweep(spec, master_seed=33, jobs=1)
+    parallel = sweep(spec, master_seed=33, jobs=jobs)
+    assert sequential.rows == parallel.rows
 
 
 @pytest.mark.parametrize("axis", sorted(AXES))
@@ -222,10 +226,12 @@ def test_sweep_rows_equal_per_cell_runs(axis, monkeypatch):
             assert row.probe_error == pytest.approx(probe, rel=1e-12, abs=0.0)
 
 
-def test_the_epsilon_preset_runs_each_value_as_one_batch(monkeypatch):
-    # 20 or 21 seeds at T=1000: the block budget bounds rounds, not whole
-    # trajectories, so a value's seeds share one batch of 1000 round steps,
-    # and a 21st seed joins that batch rather than stepping them alone again.
+def test_the_epsilon_preset_runs_all_values_as_one_batch(monkeypatch):
+    """The epsilon values differ only in their noise scales, so 20 or 21
+    seeds at 5 values run as one kernel batch of 100 or 105 seeds at
+    T=1000; the block budget bounds rounds, not whole trajectories, so a
+    21st seed joins that batch rather than stepping alone.  The T values
+    change the step sizes, so each still runs as its own batch."""
     batches = []
     kernel = engine._gradient_blocks
 
@@ -238,7 +244,11 @@ def test_the_epsilon_preset_runs_each_value_as_one_batch(monkeypatch):
         spec = replace(preset_sweep("epsilon"), n_seeds=n_seeds)
         batches.clear()
         sweep(spec, master_seed=42)
-        assert batches == [(n_seeds, 1000)] * len(spec.values)
+        assert batches == [(len(spec.values) * n_seeds, 1000)]
+    spec = preset_sweep("T")
+    batches.clear()
+    sweep(spec, master_seed=42)
+    assert batches == [(spec.n_seeds, int(value)) for value in spec.values]
 
 
 def _count_calls(monkeypatch, name):

@@ -5,9 +5,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpconsensus.experiments import ExperimentConfig, build_run_config, preset_sweep
-from dpconsensus.graph import CommGraph, GraphError, gen_erdos_renyi
+from dpconsensus.graph import CommGraph, GraphError, connected, gen_erdos_renyi
 
 
 def test_two_node_graph_is_the_single_edge():
@@ -75,19 +77,79 @@ def test_hopeless_edge_probability_reports_attempts(monkeypatch):
         gen_erdos_renyi(20, 1e-6, seed=0)
 
 
+def bfs_connected(adjacency):
+    """Whether node 0 reaches every node, by breadth-first search."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [j for i in frontier for j in np.flatnonzero(adjacency[i]) if j not in seen]
+        seen.update(frontier)
+    return len(seen) == len(adjacency)
+
+
+@pytest.mark.parametrize("max_attempts", [1, 5, 31, 70])
+def test_a_failed_sample_draws_exactly_max_attempts_streams(monkeypatch, max_attempts):
+    """Chunks of attempts stop at ``_MAX_ATTEMPTS`` streams: each attempt
+    number is drawn once, and none beyond the cap."""
+    import dpconsensus.graph as graph
+
+    streams, derive_rng = [], graph.derive_rng
+    monkeypatch.setattr(graph, "derive_rng", lambda *key: streams.append(key) or derive_rng(*key))
+    monkeypatch.setattr(graph, "_MAX_ATTEMPTS", max_attempts)
+    with pytest.raises(GraphError, match=f"in {max_attempts} attempts"):
+        gen_erdos_renyi(20, 1e-6, seed=3)
+    assert streams == [(3, a) for a in range(max_attempts)]
+
+
 def test_an_accepted_graph_logs_its_attempts(caplog, monkeypatch):
-    """One DEBUG record per accepted graph, counting every stream drawn,
-    the rejected samples' and the accepted one's."""
+    """One DEBUG record per accepted graph: the accepted attempt's number,
+    the first connected one of the attempt streams, and every stream drawn,
+    which the chunks may carry past it."""
     import dpconsensus.graph as graph
 
     streams, derive_rng = [], graph.derive_rng
     monkeypatch.setattr(graph, "derive_rng", lambda *key: streams.append(key) or derive_rng(*key))
     caplog.set_level(logging.DEBUG, logger="dpconsensus.graph")
-    gen_erdos_renyi(10, 0.1, seed=7)
-    assert len(streams) > 1
+    accepted = gen_erdos_renyi(10, 0.1, seed=7)
+    attempt = 0
+    while True:
+        upper = np.triu(derive_rng(7, attempt).random((10, 10)) < 0.1, 1)
+        attempt += 1
+        if bfs_connected(upper | upper.T):
+            break
+    assert np.array_equal(accepted.adjacency, upper | upper.T)
+    assert attempt > 1 and len(streams) >= attempt
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-        (logging.DEBUG, f"G(10, 0.1) seed 7: connected after {len(streams)} attempts")
+        (logging.DEBUG,
+         f"G(10, 0.1) seed 7: connected after {attempt} attempts ({len(streams)} streams drawn)")
     ]
+
+
+@st.composite
+def adjacency_stacks(draw):
+    """Stacks of symmetric boolean adjacencies with a zero diagonal: random
+    edges, with a complete graph and one with an isolated node among them."""
+    n = draw(st.integers(2, 12))
+    count = draw(st.integers(1, 6))
+    p = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    upper = np.triu(np.random.default_rng(seed).random((count, n, n)) < p, 1)
+    stack = upper | upper.transpose(0, 2, 1)
+    extra = draw(st.sampled_from(["none", "complete", "isolated"]))
+    if extra == "complete":
+        stack[0] = ~np.eye(n, dtype=bool)
+    elif extra == "isolated":
+        node = draw(st.integers(0, n - 1))
+        stack[-1, node] = stack[-1, :, node] = False
+    return stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=adjacency_stacks())
+def test_stacked_connectivity_equals_breadth_first_search(stack):
+    got = connected(stack)
+    assert got.shape == stack.shape[:1]
+    assert got.tolist() == [bfs_connected(a) for a in stack]
+    assert [bool(connected(a)) for a in stack] == got.tolist()
 
 
 PRESET_EDGE_PROBS = preset_sweep("p_c").values
