@@ -19,6 +19,7 @@ from dpconsensus.engine import (
     _gradient_blocks,
     _gradient_phases,
     _reference,
+    _scale_columns,
     run,
     run_gradient_phase,
 )
@@ -466,6 +467,9 @@ def test_configs_with_different_noise_scales_share_a_batch(monkeypatch):
     ]
     twin = configs[0].schedule
     configs[2] = replace(configs[2], schedule=replace(twin, scales=twin.scales.copy()))
+    assert configs[2].schedule.scales is not twin.scales
+    columns, column = _scale_columns(configs)
+    assert columns.shape == (horizon + 1, 3) and column.tolist() == [0, 1, 0, 2, 1]
     seeds = [c.noise_seed for c in configs]
     for rounds in (horizon, 2):
         block_rounds(monkeypatch, rounds, len(configs), configs[0])
@@ -474,7 +478,6 @@ def test_configs_with_different_noise_scales_share_a_batch(monkeypatch):
             for name, stacked, alone in zip(("noise", "z", "x"), batch,
                                             trajectory([config], [seeds[s]])):
                 assert np.array_equal(stacked[s], alone[0]), (name, s)
-    assert not np.array_equal(configs[0].schedule.scales, configs[1].schedule.scales)
 
 
 def pathwise_end(config, noise_seed):
