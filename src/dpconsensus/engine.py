@@ -22,9 +22,10 @@ the round loop live in one place, ``_gradient_blocks``, which runs a batch
 of noise seeds side by side and yields the phase one block of rounds at a
 time; a single run, the sweeps, ``bound`` and the privacy-loss audit all go
 through it.  A batch's configs share the domain, the step sizes and the
-first-broadcast rule (``_batch_mismatch`` is that rule); their graphs, data
-and noise scales may differ, so a sweep runs all the values of a privacy
-or connectivity axis as one batch.  Its states are seed-minor,
+first-broadcast rule (``_batch_mismatch`` is that rule, by which
+``_gradient_phases`` groups consecutive configs); their graphs, data and
+noise scales may differ, so a sweep runs all the values of a privacy or
+connectivity axis as one batch.  Its states are seed-minor,
 ``(n, p, S)``: a shared graph mixes every seed with one matrix product, and
 elementwise steps run over long rows.  The box binds only in early rounds,
 so a block is stepped without projection and checked once; only a block in
@@ -400,20 +401,27 @@ def _gradient_blocks(
 
 
 def _gradient_phases(configs: Sequence[RunConfig]) -> np.ndarray:
-    """End iterates x(T), stacked ``(N, n, p)``, of the gradient phases of
-    configs that can share a batch, each under its own noise seed.
+    """End iterates x(T), stacked ``(N, n, p)`` in input order, of the
+    gradient phases of ``configs``, each under its own noise seed.
 
-    They run in max(1, N // size) batches of near-equal length
-    (``_batches``), of which only the last iterates are kept.
+    Consecutive configs that ``_batch_mismatch`` lets share a batch form
+    one group; a group of G configs runs in max(1, G // size) batches of
+    near-equal length (``_batches``), of which only the last iterates are
+    kept.
     """
-    if not configs:
-        return np.empty((0, 0, 0))
+    groups: list[list[RunConfig]] = []
+    for config in configs:
+        if groups and not _batch_mismatch(config, groups[-1][0]):
+            groups[-1].append(config)
+        else:
+            groups.append([config])
     ends = []
-    for batch in _batches(configs, configs[0]):
-        for *_, x in _gradient_blocks(batch, [c.noise_seed for c in batch]):
-            pass
-        ends.append(x[-1].transpose(2, 0, 1).copy())
-    return np.concatenate(ends)
+    for group in groups:
+        for batch in _batches(group, group[0]):
+            for *_, x in _gradient_blocks(batch, [c.noise_seed for c in batch]):
+                pass
+            ends.append(x[-1].transpose(2, 0, 1).copy())
+    return np.concatenate(ends) if ends else np.empty((0, 0, 0))
 
 
 def run_gradient_phase(config: RunConfig) -> tuple[np.ndarray, RunMetrics]:

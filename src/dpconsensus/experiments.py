@@ -7,19 +7,20 @@ function of the sweep spec and master seed: cell streams are derived by
 documented splitting, workers never share state, and rows are assembled in
 axis-value x seed order regardless of completion order.
 
-Cells run as tasks: the cells of consecutive values whose configs can share
-one kernel batch form one task, whose gradient phases and agreement phase
-each run once for all its cells.  The privacy and connectivity axes change
-only noise scales or graphs, so each is one task; T and points_per_node
-change the step sizes, so each of their values is one.  Worker processes
-split each task's cells, not its values, into contiguous parts.
+A sweep splits its seed indices into contiguous near-equal parts, one per
+worker process (one part when ``jobs = 1``).  Each part builds the graphs
+and datasets of its own seeds and runs every axis value for them; the
+engine batches consecutive configs that can share a kernel batch, so the
+privacy and connectivity axes run each part's cells as one batch, and T and
+points_per_node one batch per value.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator
+from functools import partial
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .objectives import (
     gen_truncated_gaussian,
     mean_objective_constants,
 )
-from .privacy import NoiseSchedule, PrivacyBudget, calibrate_noise_schedule
+from .privacy import NoiseSchedule, PrivacyBudget, calibrate_noise_schedule, noise_budget
 from .rng import derive_seed
 
 __all__ = [
@@ -105,6 +106,13 @@ class ExperimentConfig:
             raise ValueError(f"n_points must be >= 1, got {self.points_per_node}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        noise_budget(self.budget, self.noise_grad_bound)  # a finite, positive bound
+        if not 0.0 <= self.stage2_rel_tol < 1.0:
+            raise ValueError(f"stage2_rel_tol must lie in [0, 1), got {self.stage2_rel_tol}")
+        if self.stage2_max_rounds is not None and self.stage2_max_rounds < 1:
+            raise ValueError("stage2_max_rounds must be >= 1 when given")
+        if not 0 <= self.probe_node < self.n_nodes:
+            raise ValueError(f"probe_node {self.probe_node} is not a node of the graph")
 
     @property
     def budget(self) -> PrivacyBudget:
@@ -295,9 +303,10 @@ class SweepResult:
 
 
 def _values(
-    spec: SweepSpec, master_seed: int
+    spec: SweepSpec, master_seed: int, seeds: Sequence[int]
 ) -> Iterator[tuple[float, list[engine.RunConfig]]]:
-    """Each axis value with its run configs, in seed order.
+    """Each axis value with the run configs of the seed indices ``seeds``,
+    in that order.
 
     Every config of a value shares the value's horizon and schedule.  Graphs
     and datasets are built at the first value, and again at each later one
@@ -309,57 +318,30 @@ def _values(
     data: list[tuple[LocalDataset, ...]] = []
     for value_index, value in enumerate(spec.values):
         base = spec.base.with_value(spec.axis, value)
-        seeds = [
-            cell_seeds(master_seed, spec.axis, value_index, seed_index)
-            for seed_index in range(spec.n_seeds)
-        ]
+        streams = [cell_seeds(master_seed, spec.axis, value_index, s) for s in seeds]
         if regen_graph or not graphs:
-            graphs = [gen_erdos_renyi(base.n_nodes, base.edge_prob, g) for g, _, _ in seeds]
+            graphs = [gen_erdos_renyi(base.n_nodes, base.edge_prob, g) for g, _, _ in streams]
         if regen_data or not data:
-            data = [_datasets(base, d) for _, d, _ in seeds]
+            data = [_datasets(base, d) for _, d, _ in streams]
         schedule = _schedule(base)
         yield value, [
             _run_config(base, graph, datasets, schedule, noise_seed)
-            for graph, datasets, (_, _, noise_seed) in zip(graphs, data, seeds)
+            for graph, datasets, (_, _, noise_seed) in zip(graphs, data, streams)
         ]
 
 
-# One task: the axis, each cell's (value, seed index) and its run config.
-_Task = tuple[str, list[tuple[float, int]], list[engine.RunConfig]]
-
-
-def _tasks(spec: SweepSpec, master_seed: int, parts: int) -> Iterator[_Task]:
-    """The sweep's cells in value x seed order, as tasks of consecutive axis
-    values whose configs can share a kernel batch (``engine._batch_mismatch``),
-    each split into ``parts`` contiguous near-equal tasks (fewer when it has
-    fewer cells).  A value's cells share its domain, schedule and
-    first-broadcast rule, so its first config stands for all of them.
-    """
-    def split(cells: list[tuple[float, int]], configs: list[engine.RunConfig]) -> Iterator[_Task]:
-        for i in range(parts):
-            part = slice(len(cells) * i // parts, len(cells) * (i + 1) // parts)
-            if cells[part]:
-                yield spec.axis, cells[part], configs[part]
-
+def _run_seeds(spec: SweepSpec, master_seed: int, seeds: range) -> list[SweepRow]:
+    """Rows of every value's cells for the seed indices ``seeds``, value
+    by value: the gradient phases run as memory-bounded batches, whose end
+    iterates give each cell's errors and start the agreement phases, run
+    side by side as one stack that yields only each cell's round count."""
     cells: list[tuple[float, int]] = []
     configs: list[engine.RunConfig] = []
-    for value, value_configs in _values(spec, master_seed):
-        if configs and engine._batch_mismatch(value_configs[0], configs[0]):
-            yield from split(cells, configs)
-            cells, configs = [], []
-        cells += [(value, seed_index) for seed_index in range(len(value_configs))]
+    for value, value_configs in _values(spec, master_seed, seeds):
+        cells += [(value, seed_index) for seed_index in seeds]
         configs += value_configs
-    yield from split(cells, configs)
-
-
-def _run_task(task: _Task) -> list[SweepRow]:
-    """Rows of one task's cells: the gradient phases run as memory-bounded
-    batches of seeds, whose end iterates give each seed's errors and start
-    the task's agreement phases, run side by side as one stack that yields
-    only each seed's round count."""
-    axis, cells, configs = task
     ends = engine._gradient_phases(configs)
-    # Per seed, as a single run divides: a vectorised dot product moves the
+    # Per cell, as a single run divides: a vectorised dot product moves the
     # last ulp of some errors.
     x_star, denom = map(np.array, zip(*map(engine._reference, configs)))
     probes = ends[np.arange(len(configs)), [c.probe_node for c in configs]]
@@ -367,7 +349,7 @@ def _run_task(task: _Task) -> list[SweepRow]:
     rounds, _ = engine._agreement_batch(ends, configs)
     return [
         SweepRow(
-            axis=axis,
+            axis=spec.axis,
             value=value,
             seed=seed_index,
             normalized_error=float(normalized[cell]),
@@ -379,17 +361,22 @@ def _run_task(task: _Task) -> list[SweepRow]:
 
 
 def sweep(spec: SweepSpec, master_seed: int, jobs: int = 1) -> SweepResult:
-    """Run every (value, seed) cell; rows in deterministic cell order.
+    """Run every (value, seed) cell; rows in value x seed order.
 
-    ``jobs > 1`` splits each task's cells into that many contiguous parts
-    and runs them in that many worker processes.
+    The seed indices split into min(jobs, n_seeds) contiguous near-equal
+    parts, each run with all its values in a worker process of its own
+    when there is more than one part.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = _tasks(spec, master_seed, jobs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for task_rows in pool.map(_run_task, tasks) for row in task_rows]
+    n, count = spec.n_seeds, min(jobs, spec.n_seeds)
+    parts = [range(n * i // count, n * (i + 1) // count) for i in range(count)]
+    run_part = partial(_run_seeds, spec, master_seed)
+    if count > 1:
+        with ProcessPoolExecutor(max_workers=count) as pool:
+            rows = [row for part_rows in pool.map(run_part, parts) for row in part_rows]
     else:
-        rows = [row for task_rows in map(_run_task, tasks) for row in task_rows]
+        rows = run_part(parts[0])
+    order = {value: index for index, value in enumerate(spec.values)}
+    rows.sort(key=lambda row: (order[row.value], row.seed))
     return SweepResult(spec=spec, master_seed=master_seed, rows=tuple(rows))

@@ -388,6 +388,18 @@ def test_sweep_rejects_a_non_positive_worker_count(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_a_graph_error_in_a_sweep_worker_fails_by_name(tmp_path, capsys):
+    # Five nodes at edge probability 0.001 almost never form a connected graph.
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", *TINY, "--axis", "p_c", "--set", "sweep.values=0.001",
+        "--set", "sweep.n_seeds=2", "--jobs", "2", "--output", str(out),
+    )
+    assert code == 2
+    assert "failure: no connected G(5, 0.001) sample in 10000 attempts" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rejects_a_repeated_value_before_any_cell_runs(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = run_cli(

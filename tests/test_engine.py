@@ -394,6 +394,29 @@ def test_batched_gradient_phases_equal_single_runs(monkeypatch):
             )
 
 
+def test_gradient_phases_group_only_consecutive_configs_that_share_a_batch(monkeypatch):
+    """Horizons 6, 6, 8, 6 change the step sizes, so the configs run as
+    three groups, [6, 6], [8] and [6], in input order; each end iterate is
+    its single run's."""
+    configs = [
+        make_config(horizon=h, graph_seed=g, data_seed=g + 1, noise_seed=g + 2)
+        for g, h in enumerate((6, 6, 8, 6))
+    ]
+    batches = []
+    kernel = _gradient_blocks
+
+    def counted(batch, noise_seeds):
+        batches.append(list(noise_seeds))
+        return kernel(batch, noise_seeds)
+
+    monkeypatch.setattr("dpconsensus.engine._gradient_blocks", counted)
+    ends = _gradient_phases(configs)
+    assert batches == [[2, 3], [4], [5]]
+    assert ends.shape == (len(configs), 6, 3)
+    for end, config in zip(ends, configs):
+        assert np.array_equal(end, run_gradient_phase(config)[0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(n_items=st.integers(0, 200), size=st.integers(1, 15))
 def test_batches_split_items_in_order_into_near_equal_lengths(n_items, size):
@@ -516,8 +539,10 @@ def test_unclipped_end_iterates_equal_the_pathwise_closed_form(horizon):
     form of ``pathwise_end`` to 1e-12, whatever the kernel's loop, layout or
     batching; the check covers seeds of several noise scales."""
     spec = replace(preset_sweep("epsilon"), base=ExperimentConfig(horizon=horizon))
-    (task,) = experiments._tasks(spec, 42, 1)
-    _, cells, configs = task
+    cells, configs = [], []
+    for value, value_configs in experiments._values(spec, 42, range(spec.n_seeds)):
+        cells += [(value, seed_index) for seed_index in range(spec.n_seeds)]
+        configs += value_configs
     seeds = [c.noise_seed for c in configs]
     clipped = np.zeros(len(configs), dtype=bool)
     for _, flags, _, _, x in _gradient_blocks(configs, seeds):

@@ -1,5 +1,6 @@
 """Sweep machinery: seed splitting, determinism, presets, bound inputs."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -60,13 +61,40 @@ BAD_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("axis, values, message", BAD_GRIDS)
-def test_a_bad_grid_value_fails_before_any_cell_runs(axis, values, message, monkeypatch):
+def _record_cell_runs(monkeypatch):
+    """The calls that sampling a graph or running a gradient batch makes."""
     calls = []
     for target in ("dpconsensus.experiments.gen_erdos_renyi", "dpconsensus.engine._gradient_blocks"):
         monkeypatch.setattr(target, lambda *args, **kwargs: calls.append(args) or 1 / 0)
+    return calls
+
+
+@pytest.mark.parametrize("axis, values, message", BAD_GRIDS)
+def test_a_bad_grid_value_fails_before_any_cell_runs(axis, values, message, monkeypatch):
+    calls = _record_cell_runs(monkeypatch)
     with pytest.raises(ValueError, match=message):
         sweep(SweepSpec(base=TINY, axis=axis, values=values, n_seeds=2), master_seed=1)
+    assert calls == []
+
+
+# A bad base value per run-level field, with the error a run would raise
+# (the gradient bound's for every value that is not finite and positive);
+# TINY has 5 nodes.
+BAD_BASES = [
+    ({"probe_node": 5}, "probe_node 5 is not a node of the graph"),
+    ({"stage2_rel_tol": 1.5}, r"stage2_rel_tol must lie in \[0, 1\), got 1.5"),
+    ({"stage2_max_rounds": 0}, "stage2_max_rounds must be >= 1 when given"),
+    ({"calibration_grad_bound": -1.0}, "grad_bound must be finite and positive, got -1.0"),
+    ({"calibration_grad_bound": 0.0}, "grad_bound must be finite and positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("changes, message", BAD_BASES)
+def test_a_bad_base_value_fails_before_any_cell_runs(changes, message, monkeypatch):
+    calls = _record_cell_runs(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        base = replace(TINY, **changes)
+        sweep(SweepSpec(base=base, axis="epsilon", values=(4.0,), n_seeds=3), master_seed=1)
     assert calls == []
 
 
@@ -191,12 +219,34 @@ TINY_VALUES = {
 @pytest.mark.parametrize("jobs", [2, 3])
 @pytest.mark.parametrize("axis", sorted(AXES))
 def test_parallel_sweep_matches_sequential(axis, jobs):
-    """Workers run contiguous parts of each task's cells; at 3 jobs a task
-    of 2 values by 2 seeds splits into more parts than it has values."""
+    """Workers run every value for contiguous ranges of seeds; at 3 jobs
+    2 seeds split into two parts of one seed each, not three."""
     spec = SweepSpec(base=TINY, axis=axis, values=TINY_VALUES[axis], n_seeds=2)
     sequential = sweep(spec, master_seed=33, jobs=1)
     parallel = sweep(spec, master_seed=33, jobs=jobs)
     assert sequential.rows == parallel.rows
+
+
+def test_parallel_workers_build_every_graph_and_dataset(monkeypatch):
+    """At 2 jobs the calling process samples no graph and draws no dataset:
+    each worker builds its own seeds' inputs."""
+    spec = SweepSpec(base=TINY, axis="p_c", values=TINY_VALUES["p_c"], n_seeds=4)
+    sequential = sweep(spec, master_seed=33, jobs=1)
+    caller = os.getpid()
+
+    def only_in_workers(name):
+        original = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            if os.getpid() == caller:
+                raise AssertionError(f"{name} ran in the calling process")
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("gen_erdos_renyi", "gen_truncated_gaussian"):
+        monkeypatch.setattr(experiments, name, only_in_workers(name))
+    assert sweep(spec, master_seed=33, jobs=2).rows == sequential.rows
 
 
 @pytest.mark.parametrize("axis", sorted(AXES))

@@ -5,13 +5,14 @@ Usage::
     PYTHONPATH=<checkout>/src python tools/replay_outputs.py OUTDIR
 
 Runs ``dpconsensus.cli.main`` in-process for every command below and
-writes their 216 output files into OUTDIR, which must be empty or missing:
+writes their 226 output files into OUTDIR, which must be empty or missing:
 
 * each of the five preset sweeps at master seeds 42-61, as
   ``sweep_<axis>_<seed>.csv`` and ``sweep_<axis>_<seed>.summary.json``;
-* each preset sweep again at master seed 42 with ``--jobs 2``, which
-  splits its cells between two worker processes, as
-  ``sweep_<axis>_42_jobs2.csv`` and its ``.summary.json``;
+* each preset sweep again at master seed 42 with ``--jobs 2`` and with
+  ``--jobs 3``, which split its 20 seeds between two worker processes
+  (10/10) and three (6/7/7), as ``sweep_<axis>_42_jobs<k>.csv`` and its
+  ``.summary.json``;
 * ``run``, ``schedule``, ``schedule --T 200``, ``bound``, ``bound --T 200``
   and ``audit --T 100 --samples 2000``, at the default master seed 42.
 
@@ -56,9 +57,10 @@ def commands(outdir: Path):
         for seed in SWEEP_SEEDS:
             out = outdir / f"sweep_{axis}_{seed}.csv"
             yield ["sweep", "--axis", axis, "--seed", str(seed), "--output", str(out)]
-        out = outdir / f"sweep_{axis}_{SWEEP_SEEDS[0]}_jobs2.csv"
-        yield ["sweep", "--axis", axis, "--seed", str(SWEEP_SEEDS[0]), "--jobs", "2",
-               "--output", str(out)]
+        for jobs in ("2", "3"):
+            out = outdir / f"sweep_{axis}_{SWEEP_SEEDS[0]}_jobs{jobs}.csv"
+            yield ["sweep", "--axis", axis, "--seed", str(SWEEP_SEEDS[0]), "--jobs", jobs,
+                   "--output", str(out)]
     for name, args in SINGLE_COMMANDS:
         yield [*args, "--output", str(outdir / name)]
 
