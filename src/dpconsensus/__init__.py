@@ -13,7 +13,6 @@ from .analysis import (
     BoundInputs,
     BoundReport,
     ComparisonReport,
-    consensus_phase_bound,
     empirical_vs_bound,
     mean_error_bound,
 )

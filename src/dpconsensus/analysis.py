@@ -9,8 +9,7 @@ gradient rounds is bounded by
 
 with constants assembled from the objective's regularity constants, the
 mixing rate, and the privacy budget; C_floor is the non-vanishing privacy
-floor.  During the agreement phase the per-node error additionally carries
-a geometrically decaying term 2 * C_exp * beta^(2(t - T)).
+floor.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "BoundInputs",
     "BoundReport",
     "ComparisonReport",
-    "consensus_phase_bound",
     "empirical_vs_bound",
     "mean_error_bound",
 ]
@@ -115,19 +113,6 @@ def mean_error_bound(inputs: BoundInputs) -> BoundReport:
         "floor": constants["floor"],
     }
     return BoundReport(constants=constants, terms=terms, total=sum(terms.values()))
-
-
-def consensus_phase_bound(inputs: BoundInputs, t: int, x_t_norm_sq: float) -> float:
-    """Per-node bound 2*C_exp*beta^(2(t-T)) + 2*(gradient-phase bound) for t > T.
-
-    ``x_t_norm_sq`` is the squared Frobenius norm of the stacked iterates at
-    the end of the gradient phase; C_exp = 2 * x_t_norm_sq.
-    """
-    if t <= inputs.horizon:
-        raise ValueError(f"consensus-phase bound needs t > horizon, got t={t}")
-    c_exp = 2.0 * x_t_norm_sq
-    decay = inputs.beta ** (2 * (t - inputs.horizon))
-    return 2.0 * c_exp * decay + 2.0 * mean_error_bound(inputs).total
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import RunConfig, _batches, _gradient_blocks
+from .engine import RunConfig, batches, gradient_blocks
 from .objectives import LocalDataset, project_box
 from .privacy import PrivacyBudget
 from .rng import derive_seed
@@ -44,6 +44,7 @@ __all__ = [
     "collect_samples",
     "coupled_runs",
     "plant_point",
+    "require_tail_samples",
     "tail_audit",
     "worst_case_edit",
 ]
@@ -125,7 +126,7 @@ def coupled_runs(
     count, total = float(data.n_points), data.points.sum(axis=0)
 
     gap_sq, inner = np.empty((2, len(noise_seeds), config.horizon))
-    for first, _, noise, z, x in _gradient_blocks([config], noise_seeds):
+    for first, _, noise, z, x in gradient_blocks([config], noise_seeds):
         rounds = slice(first - 1, first - 1 + len(x))
         # Node k's rows of the block, as seed-major copies (S, K, p).
         noise_k, z_k, x_k = (np.moveaxis(a[:, node], -1, 0).copy() for a in (noise, z, x))
@@ -154,18 +155,19 @@ def collect_samples(
     Returns the deterministic parts and the noise parts as two arrays of
     length ``n_samples``; their sum is the privacy loss of each sample.
     Samples run in max(1, n_samples // size) kernel batches of near-equal
-    length (``engine._batches``); sample i draws the same stream whatever
+    length (``engine.batches``); sample i draws the same stream whatever
     its batch or ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     seeds = [derive_seed(master_seed, _AUDIT_STREAM, i) for i in range(n_samples)]
-    parts = [coupled_runs(config, edit, batch)[:2] for batch in _batches(seeds, config)]
+    parts = [coupled_runs(config, edit, batch)[:2] for batch in batches(seeds, config)]
     deterministic, noise = (np.concatenate(part) for part in zip(*parts))
     return deterministic, noise
 
 
-def _require_tail_samples(n: int) -> None:
+def require_tail_samples(n: int) -> None:
+    """Reject a tail audit of fewer samples than can resolve its bound."""
     if n < _MIN_TAIL_SAMPLES:
         raise ValueError(
             f"need at least {_MIN_TAIL_SAMPLES} samples for a meaningful tail audit, got {n}"
@@ -183,7 +185,7 @@ def tail_audit(totals: np.ndarray, budget: PrivacyBudget) -> AuditReport:
     alone.
     """
     n = totals.size
-    _require_tail_samples(n)
+    require_tail_samples(n)
     exceed_rate = float(np.mean(np.abs(totals) >= budget.epsilon))
     slack = 2.0 * math.sqrt(budget.delta * (1.0 - budget.delta) / n)
     bound = budget.delta + slack

@@ -30,14 +30,13 @@ from typing import Callable, Iterable, Sequence
 from . import __version__
 from .analysis import empirical_vs_bound, mean_error_bound
 from .audit import (
-    _require_tail_samples, collect_samples, plant_point, tail_audit, worst_case_edit
+    collect_samples, plant_point, require_tail_samples, tail_audit, worst_case_edit
 )
-from .engine import RunConfig, _gradient_phases, run
+from .engine import RunConfig, gradient_phases, run
 from .experiments import (
     AXES,
     ExperimentConfig,
     SweepSpec,
-    _schedule,
     bound_inputs,
     build_run_config,
     preset_sweep,
@@ -243,7 +242,7 @@ def _cmd_run(args: argparse.Namespace, resolved: dict[str, object]) -> int:
 
 def _cmd_schedule(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     base = _base_config(resolved)
-    schedule = _schedule(base)
+    schedule = base.schedule()
     report = budget_check(schedule, base.budget)
     out = Path(args.output or "schedule.csv")
     _write_csv(
@@ -289,7 +288,7 @@ def _cmd_sweep(args: argparse.Namespace, resolved: dict[str, object]) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
-    _require_tail_samples(resolved["audit.n_samples"])
+    require_tail_samples(resolved["audit.n_samples"])
     base = _base_config(resolved)
     config = _single_config(resolved, args.seed)
     config = plant_point(config, resolved["audit.node_id"], resolved["audit.point_index"])
@@ -324,7 +323,7 @@ def _cmd_bound(args: argparse.Namespace, resolved: dict[str, object]) -> int:
         for i in range(n_runs)
     ]
     report = mean_error_bound(inputs)
-    comparison = empirical_vs_bound(_gradient_phases(configs), inputs, report)
+    comparison = empirical_vs_bound(gradient_phases(configs), inputs, report)
     payload = {
         "terms": report.terms,
         "constants": report.constants,

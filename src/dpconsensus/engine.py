@@ -18,14 +18,14 @@ privacy limitation).  The round-1 broadcast
 carries x(0) = 0, which touches no data: by default it still gets scale-M_1
 noise for a uniform message shape, and ``strict_first_broadcast`` sends the
 literal zero instead.  Both choices spend the same budget.  The pairing and
-the round loop live in one place, ``_gradient_blocks``, which runs a batch
+the round loop live in one place, ``gradient_blocks``, which runs a batch
 of noise seeds side by side and yields the phase one block of rounds at a
 time; a single run, the sweeps, ``bound`` and the privacy-loss audit all go
 through it.  A batch's configs share the domain, the step sizes and the
-first-broadcast rule (``_batch_mismatch`` is that rule, by which
-``_gradient_phases`` groups consecutive configs); their graphs, data and
-noise scales may differ, so a sweep runs all the values of a privacy or
-connectivity axis as one batch.  Its states are seed-minor,
+first-broadcast rule, by which ``gradient_phases``, the one caller that
+passes the kernel more than one config, groups consecutive configs; their
+graphs, data and noise scales may differ, so a sweep runs all the values of
+a privacy or connectivity axis as one batch.  Its states are seed-minor,
 ``(n, p, S)``: a shared graph mixes every seed with one matrix product, and
 elementwise steps run over long rows.  The box binds only in early rounds,
 so a block is stepped without projection and checked once; only a block in
@@ -68,8 +68,13 @@ from .rng import derive_rng
 __all__ = [
     "RunConfig",
     "RunMetrics",
+    "batches",
+    "check_run_settings",
+    "gradient_blocks",
+    "gradient_phases",
     "run",
     "run_gradient_phase",
+    "run_outcomes",
 ]
 
 _log = logging.getLogger(__name__)
@@ -88,6 +93,19 @@ _REL_CHANGE_FLOOR = 1e-12
 # box.
 _BLOCK_FLOATS = 1 << 16
 _BLOCK_ROUNDS = 20
+
+
+def check_run_settings(config) -> None:
+    """Check the ``stage2_rel_tol``, ``stage2_max_rounds`` and ``probe_node``
+    of ``config`` against its ``n_nodes``: a ``RunConfig``, or a scalar
+    config with the same four attributes that expands to one."""
+    tol, cap = config.stage2_rel_tol, config.stage2_max_rounds
+    if not 0.0 <= tol < 1.0:  # the round cap needs log(1/tol) > 0
+        raise ValueError(f"stage2_rel_tol must lie in [0, 1), got {tol}")
+    if cap is not None and cap < 1:
+        raise ValueError("stage2_max_rounds must be >= 1 when given")
+    if not 0 <= config.probe_node < config.n_nodes:
+        raise ValueError(f"probe_node {config.probe_node} is not a node of the graph")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +135,7 @@ class RunConfig:
                 raise ValueError("dataset dimension does not match the domain")
             if not self.domain.contains(data.points):
                 raise ValueError(f"dataset of node {node} leaves the domain box")
-        if not 0.0 <= self.stage2_rel_tol < 1.0:  # the round cap needs log(1/tol) > 0
-            raise ValueError(f"stage2_rel_tol must lie in [0, 1), got {self.stage2_rel_tol}")
-        if self.stage2_max_rounds is not None and self.stage2_max_rounds < 1:
-            raise ValueError("stage2_max_rounds must be >= 1 when given")
-        if not 0 <= self.probe_node < self.graph.n_nodes:
-            raise ValueError(f"probe_node {self.probe_node} is not a node of the graph")
+        check_run_settings(self)
 
     @property
     def n_nodes(self) -> int:
@@ -228,7 +241,7 @@ def _metrics(
     )
 
 
-def _batches(items: Sequence, config: RunConfig) -> Iterator[Sequence]:
+def batches(items: Sequence, config: RunConfig) -> Iterator[Sequence]:
     """``items`` in order as max(1, N // size) batches whose lengths differ by
     at most one, for size = ``_BLOCK_FLOATS`` // (n * p * ``_BLOCK_ROUNDS``)
     of ``config``: the most seeds whose blocks still hold that many rounds."""
@@ -249,15 +262,15 @@ def _project(points: np.ndarray, domain: BoxDomain, noise_seeds: Sequence[int]) 
         raise ValueError(f"non-finite coordinates in the run of noise seed(s) {seeds}") from exc
 
 
-def _batch_mismatch(config: RunConfig, first: RunConfig) -> list[str]:
-    """The fields that keep ``config`` out of a kernel batch led by
-    ``first``: the domain, the step sizes and the first-broadcast rule must
-    be shared.  Noise scales, graphs and data may differ."""
-    return [name for name, same in (
-        ("domain", config.domain == first.domain),
-        ("step sizes", np.array_equal(config.schedule.step_sizes, first.schedule.step_sizes)),
-        ("first-broadcast rule", config.strict_first_broadcast == first.strict_first_broadcast),
-    ) if not same]
+def _shares_batch(config: RunConfig, first: RunConfig) -> bool:
+    """Whether ``config`` may join a kernel batch led by ``first``: the
+    domain, the step sizes and the first-broadcast rule must be shared.
+    Noise scales, graphs and data may differ."""
+    return (
+        config.domain == first.domain
+        and np.array_equal(config.schedule.step_sizes, first.schedule.step_sizes)
+        and config.strict_first_broadcast == first.strict_first_broadcast
+    )
 
 
 def _scale_columns(configs: Sequence[RunConfig]) -> tuple[np.ndarray, slice | np.ndarray]:
@@ -284,7 +297,7 @@ def _scale_columns(configs: Sequence[RunConfig]) -> tuple[np.ndarray, slice | np
     return columns, slice(None) if len(vectors) == 1 else column
 
 
-def _gradient_blocks(
+def gradient_blocks(
     configs: Sequence[RunConfig], noise_seeds: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Rounds 1..T of the noisy gradient phase for a batch of S noise seeds,
@@ -293,9 +306,10 @@ def _gradient_blocks(
 
     ``configs`` is one config, whose graph and data every seed shares, or
     one config per seed; stacked configs must share the domain, the step
-    sizes and the first-broadcast rule (``_batch_mismatch``), but each may
-    have its own graph, data and noise scales, and the configs' own
-    ``noise_seed`` is not read.  For round t = first + k of a block,
+    sizes and the first-broadcast rule (``gradient_phases`` groups them so,
+    and this kernel does not check it again), but each may have its own
+    graph, data and noise scales, and the configs' own ``noise_seed`` is not
+    read.  For round t = first + k of a block,
     ``z[k, ..., s]`` and ``x[k, ..., s]`` (shape ``(K, n, p, S)``,
     seed-minor) are seed s's projected consensus points and new iterate
     x(t), and ``noise[k, ..., s]`` is the noise attached to x(t), with seed
@@ -318,13 +332,6 @@ def _gradient_blocks(
         raise ValueError(f"{len(configs)} configs for {len(noise_seeds)} noise seeds")
     first_config = configs[0]
     domain, schedule = first_config.domain, first_config.schedule
-    for index, config in enumerate(configs[1:], 1):
-        differs = _batch_mismatch(config, first_config)
-        if differs:
-            raise ValueError(
-                "a batch's configs must share the domain, step sizes and first broadcast; "
-                f"config {index} differs in {', '.join(differs)}"
-            )
     scales, column = _scale_columns(configs)
     horizon, n_seeds = first_config.horizon, len(noise_seeds)
     n, p = first_config.n_nodes, domain.dimension
@@ -400,25 +407,25 @@ def _gradient_blocks(
     )
 
 
-def _gradient_phases(configs: Sequence[RunConfig]) -> np.ndarray:
+def gradient_phases(configs: Sequence[RunConfig]) -> np.ndarray:
     """End iterates x(T), stacked ``(N, n, p)`` in input order, of the
     gradient phases of ``configs``, each under its own noise seed.
 
-    Consecutive configs that ``_batch_mismatch`` lets share a batch form
-    one group; a group of G configs runs in max(1, G // size) batches of
-    near-equal length (``_batches``), of which only the last iterates are
-    kept.
+    Consecutive configs that share the domain, the step sizes and the
+    first-broadcast rule form one group; a group of G configs runs in
+    max(1, G // size) batches of near-equal length (``batches``), of which
+    only the last iterates are kept.
     """
     groups: list[list[RunConfig]] = []
     for config in configs:
-        if groups and not _batch_mismatch(config, groups[-1][0]):
+        if groups and _shares_batch(config, groups[-1][0]):
             groups[-1].append(config)
         else:
             groups.append([config])
     ends = []
     for group in groups:
-        for batch in _batches(group, group[0]):
-            for *_, x in _gradient_blocks(batch, [c.noise_seed for c in batch]):
+        for batch in batches(group, group[0]):
+            for *_, x in gradient_blocks(batch, [c.noise_seed for c in batch]):
                 pass
             ends.append(x[-1].transpose(2, 0, 1).copy())
     return np.concatenate(ends) if ends else np.empty((0, 0, 0))
@@ -434,7 +441,7 @@ def run_gradient_phase(config: RunConfig) -> tuple[np.ndarray, RunMetrics]:
     horizon, probe = config.horizon, config.probe_node
     reference = _reference(config)
     errors = (*np.empty((3, horizon)), np.empty((horizon, config.domain.dimension)))
-    for first, *_, x in _gradient_blocks([config], [config.noise_seed]):
+    for first, *_, x in gradient_blocks([config], [config.noise_seed]):
         x, rounds = x[..., 0], slice(first - 1, first - 1 + len(x))
         for out, values in zip(errors, _errors(x, x[:, probe], *reference)):
             out[rounds] = values
@@ -480,6 +487,21 @@ def _agreement_batch(
         len(configs), rounds.max(initial=0), np.count_nonzero(rounds >= caps),
     )
     return rounds, final
+
+
+def run_outcomes(configs: Sequence[RunConfig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both phases of each config under its own noise seed, reduced to its
+    end-of-gradient-phase normalized and probe errors and its agreement round
+    count, each of shape ``(N,)`` in input order: the end iterates of
+    ``gradient_phases`` start the agreement phases, run as one stack."""
+    ends = gradient_phases(configs)
+    # Per config, as a single run divides: a vectorised dot product moves the
+    # last ulp of some errors.
+    x_star, denom = map(np.array, zip(*map(_reference, configs)))
+    probes = ends[np.arange(len(configs)), [c.probe_node for c in configs]]
+    normalized, _, probe, _ = _errors(ends, probes, x_star, denom)
+    rounds, _ = _agreement_batch(ends, configs)
+    return normalized, probe, rounds
 
 
 def _agreement_phase(x: np.ndarray, config: RunConfig) -> tuple[np.ndarray, RunMetrics]:

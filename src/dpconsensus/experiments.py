@@ -104,15 +104,9 @@ class ExperimentConfig:
             raise GraphError(f"edge probability must lie in (0, 1], got {self.edge_prob}")
         if self.points_per_node < 1:
             raise ValueError(f"n_points must be >= 1, got {self.points_per_node}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         noise_budget(self.budget, self.noise_grad_bound)  # a finite, positive bound
-        if not 0.0 <= self.stage2_rel_tol < 1.0:
-            raise ValueError(f"stage2_rel_tol must lie in [0, 1), got {self.stage2_rel_tol}")
-        if self.stage2_max_rounds is not None and self.stage2_max_rounds < 1:
-            raise ValueError("stage2_max_rounds must be >= 1 when given")
-        if not 0 <= self.probe_node < self.n_nodes:
-            raise ValueError(f"probe_node {self.probe_node} is not a node of the graph")
+        self.schedule()  # a horizon >= 1, and scales within the float range
+        engine.check_run_settings(self)
 
     @property
     def budget(self) -> PrivacyBudget:
@@ -128,6 +122,14 @@ class ExperimentConfig:
         if self.calibration_grad_bound is not None:
             return self.calibration_grad_bound
         return self.domain.diameter / 2.0  # per-round gap is at most eta * diameter
+
+    def schedule(self) -> NoiseSchedule:
+        """The calibrated schedule, which depends on the data only through
+        ``points_per_node``."""
+        spec = mean_objective_constants(self.points_per_node, self.domain)
+        return calibrate_noise_schedule(
+            self.horizon, self.budget, replace(spec, grad_bound=self.noise_grad_bound)
+        )
 
     def with_value(self, axis: str, value: float) -> "ExperimentConfig":
         field_name, _, _ = AXES[axis]
@@ -185,15 +187,6 @@ def _datasets(base: ExperimentConfig, data_seed: int) -> tuple[LocalDataset, ...
     )
 
 
-def _schedule(base: ExperimentConfig) -> NoiseSchedule:
-    """The calibrated schedule, which depends on the data only through
-    ``points_per_node``."""
-    spec = mean_objective_constants(base.points_per_node, base.domain)
-    return calibrate_noise_schedule(
-        base.horizon, base.budget, replace(spec, grad_bound=base.noise_grad_bound)
-    )
-
-
 def _run_config(
     base: ExperimentConfig,
     graph: CommGraph,
@@ -220,7 +213,7 @@ def build_run_config(
     """Expand a scalar config into a runnable one (graph, data, schedule)."""
     graph = gen_erdos_renyi(base.n_nodes, base.edge_prob, graph_seed)
     datasets = _datasets(base, data_seed)
-    return _run_config(base, graph, datasets, _schedule(base), noise_seed)
+    return _run_config(base, graph, datasets, base.schedule(), noise_seed)
 
 
 def bound_inputs(base: ExperimentConfig, config: engine.RunConfig) -> BoundInputs:
@@ -323,7 +316,7 @@ def _values(
             graphs = [gen_erdos_renyi(base.n_nodes, base.edge_prob, g) for g, _, _ in streams]
         if regen_data or not data:
             data = [_datasets(base, d) for _, d, _ in streams]
-        schedule = _schedule(base)
+        schedule = base.schedule()
         yield value, [
             _run_config(base, graph, datasets, schedule, noise_seed)
             for graph, datasets, (_, _, noise_seed) in zip(graphs, data, streams)
@@ -332,21 +325,13 @@ def _values(
 
 def _run_seeds(spec: SweepSpec, master_seed: int, seeds: range) -> list[SweepRow]:
     """Rows of every value's cells for the seed indices ``seeds``, value
-    by value: the gradient phases run as memory-bounded batches, whose end
-    iterates give each cell's errors and start the agreement phases, run
-    side by side as one stack that yields only each cell's round count."""
+    by value, all run through one ``engine.run_outcomes`` call."""
     cells: list[tuple[float, int]] = []
     configs: list[engine.RunConfig] = []
     for value, value_configs in _values(spec, master_seed, seeds):
         cells += [(value, seed_index) for seed_index in seeds]
         configs += value_configs
-    ends = engine._gradient_phases(configs)
-    # Per cell, as a single run divides: a vectorised dot product moves the
-    # last ulp of some errors.
-    x_star, denom = map(np.array, zip(*map(engine._reference, configs)))
-    probes = ends[np.arange(len(configs)), [c.probe_node for c in configs]]
-    normalized, _, probe, _ = engine._errors(ends, probes, x_star, denom)
-    rounds, _ = engine._agreement_batch(ends, configs)
+    normalized, probe, rounds = engine.run_outcomes(configs)
     return [
         SweepRow(
             axis=spec.axis,

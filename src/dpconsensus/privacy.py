@@ -69,16 +69,29 @@ def privacy_allowance(budget: PrivacyBudget) -> float:
     return budget.epsilon**2 / (budget.epsilon + 2.0 * math.log(2.0 / budget.delta))
 
 
+def _at(budget: PrivacyBudget, grad_bound: float) -> str:
+    return (
+        f"at epsilon={budget.epsilon!r}, delta={budget.delta!r} and gradient bound {grad_bound!r}"
+    )
+
+
 def noise_budget(budget: PrivacyBudget, grad_bound: float) -> float:
     """Budget constant for the step-normalized spend sum_t eta_t^2 / M_t^2.
 
     Equals epsilon^2 / (4 G^2 (epsilon + 2 log(2/delta))): the allowance
     divided by the squared worst-case per-step sensitivity factor 2G.
     Increasing in epsilon and delta, decreasing in the gradient bound.
+    Raises ``ValueError`` where it overflows or underflows to zero.
     """
     if not (math.isfinite(grad_bound) and grad_bound > 0.0):
         raise ValueError(f"grad_bound must be finite and positive, got {grad_bound}")
-    return privacy_allowance(budget) / (4.0 * grad_bound**2)
+    try:
+        kappa = privacy_allowance(budget) / (4.0 * grad_bound**2)
+    except ArithmeticError:  # epsilon^2 or G^2 overflows, or G^2 underflows
+        kappa = math.nan
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise ValueError(f"the noise budget leaves the float range {_at(budget, grad_bound)}")
+    return kappa
 
 
 def lipschitz_step_sensitivity(
@@ -209,8 +222,10 @@ def calibrate_noise_schedule(
     M_t^2 = (2 / k) * ((mu + L) / (2 mu L))^2 * sqrt(T) / t^1.5 with
     k = :func:`noise_budget`, the minimizer of the dominant noise term
     subject to the aggregate allowance.  Sensitivities are the generic
-    2 * eta_t * G for ``spec.grad_bound``; the result always satisfies
-    :func:`budget_check` (verified before returning).
+    2 * eta_t * G for ``spec.grad_bound``; the result satisfies
+    :func:`budget_check` (verified before returning).  Raises
+    ``ValueError`` where a variance or the spend leaves the floating-point
+    range.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -219,15 +234,18 @@ def calibrate_noise_schedule(
     t = np.arange(1, horizon + 1, dtype=float)
     step_sizes = coeff / t
     variances = (2.0 / kappa) * coeff**2 * math.sqrt(horizon) / t**1.5
+    if not (np.isfinite(variances).all() and np.all(variances > 0.0)):
+        raise ValueError(f"a noise variance leaves the float range {_at(budget, spec.grad_bound)}")
     schedule = NoiseSchedule(
         step_sizes=step_sizes,
         scales=np.sqrt(variances),
         sensitivities=lipschitz_step_sensitivity(step_sizes, spec.grad_bound),
     )
     report = budget_check(schedule, budget)
-    if not report.passed:  # impossible by construction
-        raise AssertionError(
-            f"calibrated schedule violates its own budget: {report}"
+    if not report.passed:  # only where subnormal rounding breaks the closed form
+        raise ValueError(
+            f"rounding puts the spend {report.spent!r} over the allowance {report.allowance!r} "
+            + _at(budget, spec.grad_bound)
         )
     return schedule
 

@@ -31,7 +31,7 @@ import pytest
 from dpconsensus.analysis import BoundInputs, empirical_vs_bound, mean_error_bound
 from dpconsensus.audit import collect_samples, plant_point, tail_audit, worst_case_edit
 from dpconsensus.cli import main as cli_main
-from dpconsensus.engine import RunConfig, _gradient_phases, run
+from dpconsensus.engine import RunConfig, gradient_phases, run
 from dpconsensus.experiments import (
     ExperimentConfig,
     bound_inputs,
@@ -83,7 +83,7 @@ def bound_runs():
         configs = [
             replace(config, noise_seed=derive_seed(MASTER_SEED, 6, horizon, i)) for i in range(50)
         ]
-        out[horizon] = (config, inputs, _gradient_phases(configs))
+        out[horizon] = (config, inputs, gradient_phases(configs))
     return out
 
 

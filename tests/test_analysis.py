@@ -9,12 +9,11 @@ import pytest
 from dpconsensus.analysis import (
     BoundInputs,
     BoundReport,
-    consensus_phase_bound,
     empirical_vs_bound,
     mean_error_bound,
 )
 from dpconsensus.audit import worst_case_edit
-from dpconsensus.engine import _gradient_phases, run, run_gradient_phase
+from dpconsensus.engine import gradient_phases, run, run_gradient_phase
 from dpconsensus.experiments import ExperimentConfig, bound_inputs, build_run_config
 from dpconsensus.objectives import ObjectiveSpec
 from dpconsensus.privacy import PrivacyBudget, noise_budget
@@ -113,27 +112,6 @@ def test_total_monotone_in_budget_gradient_bound_and_dimension():
     assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
-def test_consensus_phase_bound_decays_geometrically():
-    inputs = make_inputs()
-    base = mean_error_bound(inputs).total
-    x_t_norm_sq = 3.0
-    c_exp = 2.0 * x_t_norm_sq
-    five = consensus_phase_bound(inputs, inputs.horizon + 5, x_t_norm_sq)
-    assert five == pytest.approx(2.0 * c_exp / 59049.0 + 2.0 * base, rel=1e-12)
-    # After ceil(log(1/tol) / (2 log(1/beta))) rounds the exponential term
-    # has dropped below tol * 2 * C_exp.
-    tol = 1e-6
-    rounds = math.ceil(math.log(1.0 / tol) / (2.0 * math.log(3.0)))
-    later = consensus_phase_bound(inputs, inputs.horizon + rounds, x_t_norm_sq)
-    assert later - 2.0 * base <= tol * 2.0 * c_exp
-
-
-def test_consensus_phase_bound_needs_a_later_round():
-    inputs = make_inputs()
-    with pytest.raises(ValueError):
-        consensus_phase_bound(inputs, inputs.horizon, 1.0)
-
-
 def test_mutated_report_moves_only_one_term():
     report = mean_error_bound(make_inputs())
     halved = report.mutated("floor", 0.5)
@@ -162,7 +140,7 @@ def test_zero_noise_runs_stay_below_the_noiseless_bound():
         x_star=x_star,
         noise_grad_bound=spec.grad_bound,
     )
-    ends = _gradient_phases([replace(config, noise_seed=s) for s in range(50)])
+    ends = gradient_phases([replace(config, noise_seed=s) for s in range(50)])
     comparison = empirical_vs_bound(ends, inputs, mean_error_bound(inputs))
     assert comparison.passed
     assert comparison.margin > 0.0
@@ -182,7 +160,7 @@ def test_comparison_detects_violations():
         noise_grad_bound=UNIT_SPEC.grad_bound,
     )
     configs = [replace(config, noise_seed=s) for s in range(50)]
-    ends = _gradient_phases(configs)
+    ends = gradient_phases(configs)
     report = mean_error_bound(inputs)
     tiny = BoundReport(
         constants=report.constants,

@@ -15,7 +15,7 @@ from dpconsensus.audit import (
     tail_audit,
     worst_case_edit,
 )
-from dpconsensus.engine import _batches
+from dpconsensus.engine import batches
 from dpconsensus.objectives import mean_objective_grad, project_box
 from dpconsensus.privacy import PrivacyBudget
 from dpconsensus.rng import derive_rng, derive_seed
@@ -91,7 +91,7 @@ def test_collect_samples_equals_its_per_sample_losses(audit_setup, monkeypatch, 
         monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", seeds_per_batch**2 * per_round)
         monkeypatch.setattr("dpconsensus.engine._BLOCK_ROUNDS", seeds_per_batch)
         expected_lengths = [9, 9, 9, 10]
-    assert [len(batch) for batch in _batches(range(37), config)] == expected_lengths
+    assert [len(batch) for batch in batches(range(37), config)] == expected_lengths
     deterministic, noise = collect_samples(config, edit, 37, master_seed=11)
     assert deterministic.shape == noise.shape == (37,)
     for i in range(37):

@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpconsensus
 from dpconsensus.cli import CliError, main, resolve_config
+from dpconsensus.experiments import ExperimentConfig
 
 # Small setting shared by the CLI tests; keys exercise every section.
 TINY = [
@@ -177,6 +181,71 @@ def test_non_finite_inputs_fail_by_name(tmp_path, capsys, setting, message):
     assert code == 2
     assert f"failure: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Values at the ends of the float range, alone or paired, that reached the
+# schedule and crashed there or failed without naming their inputs.
+OUT_OF_FLOAT_RANGE = [
+    ["privacy.epsilon=1e-300"],
+    ["privacy.epsilon=1e-159"],
+    ["privacy.epsilon=1e300"],
+    ["privacy.delta=1e-320"],
+    ["experiment.half_width=1e-170"],
+    ["experiment.half_width=1e300"],
+    ["privacy.calibration_grad_bound=1e-300"],
+    ["privacy.calibration_grad_bound=1e300"],
+    ["privacy.epsilon=1e10", "privacy.calibration_grad_bound=1e-150"],
+    ["privacy.epsilon=1e-9", "privacy.calibration_grad_bound=4e-162"],  # subnormal G^2
+]
+
+
+@pytest.mark.parametrize("values", OUT_OF_FLOAT_RANGE)
+@pytest.mark.parametrize("command", ["schedule", "sweep"])
+def test_values_out_of_float_range_fail_by_name(tmp_path, capsys, monkeypatch, command, values):
+    """Each exits 2 naming epsilon, delta and the gradient bound, writes no
+    file, and a sweep samples no graph."""
+    monkeypatch.setattr(
+        "dpconsensus.experiments.gen_erdos_renyi", lambda *a: pytest.fail("sampled a graph")
+    )
+    out = tmp_path / "out.csv"
+    overrides = [arg for value in values for arg in ("--set", value)]
+    assert run_cli(command, *overrides, "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ") and err.count("\n") == 1
+    for name in ("epsilon=", "delta=", "gradient bound "):
+        assert name in err
+    assert not out.exists()
+
+
+# Every float key of the configuration, with its ExperimentConfig field.
+FLOAT_FIELDS = {
+    "privacy.epsilon": "epsilon",
+    "privacy.delta": "delta",
+    "experiment.half_width": "half_width",
+    "privacy.calibration_grad_bound": "calibration_grad_bound",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(FLOAT_FIELDS)), st.floats(), min_size=1))
+def test_every_float_value_runs_or_fails_by_name(tmp_path_factory, values):
+    """Over the whole float range of one or more keys, subnormals,
+    infinities and NaN included, either the config rejects the values with a
+    ``ValueError`` and ``schedule`` exits 2, or ``schedule`` exits 0 with
+    finite, positive noise scales."""
+    out = tmp_path_factory.mktemp("schedule") / "schedule.csv"
+    overrides = [arg for key, value in values.items() for arg in ("--set", f"{key}={value!r}")]
+    argv = ["schedule", *overrides, "--output", str(out)]
+    try:
+        ExperimentConfig(**{FLOAT_FIELDS[key]: value for key, value in values.items()})
+    except ValueError:
+        assert main(argv) == 2
+        return
+    assert main(argv) == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    scales = np.array([float(row.split(",")[2]) for row in rows])
+    assert len(scales) == 1000
+    assert np.isfinite(scales).all() and (scales > 0.0).all()
 
 
 def test_run_seed_changes_the_output(tmp_path):

@@ -14,12 +14,12 @@ from dpconsensus.engine import (
     RunConfig,
     _agreement_batch,
     _agreement_phase,
-    _batches,
     _errors,
-    _gradient_blocks,
-    _gradient_phases,
     _reference,
     _scale_columns,
+    batches,
+    gradient_blocks,
+    gradient_phases,
     run,
     run_gradient_phase,
 )
@@ -53,7 +53,7 @@ def trajectory(configs, noise_seeds):
     of shape ``(S, T, n, p)``, noise row t-1 attached to iterate x(t)."""
     blocks = [
         tuple(np.moveaxis(a, -1, 0).copy() for a in arrays)
-        for _, _, *arrays in _gradient_blocks(configs, noise_seeds)
+        for _, _, *arrays in gradient_blocks(configs, noise_seeds)
     ]
     return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*blocks))
 
@@ -238,7 +238,7 @@ def test_streamed_blocks_equal_the_one_block_trajectory(horizon, block, n_seeds,
         block_rounds(patch, horizon, n_seeds, config)
         whole = trajectory([config], seeds)
         block_rounds(patch, rounds, n_seeds, config)
-        firsts = [first for first, *_ in _gradient_blocks([config], seeds)]
+        firsts = [first for first, *_ in gradient_blocks([config], seeds)]
         streamed = trajectory([config], seeds)
     assert firsts == list(range(1, horizon + 1, min(rounds, horizon)))
     for name, joined, alone in zip(("noise", "z", "x"), streamed, whole):
@@ -296,7 +296,7 @@ def test_projection_free_blocks_equal_projecting_every_round(monkeypatch, stacke
     configs = [config_of(s) for s in seeds] if stacked else [config_of(0)]
     block_rounds(monkeypatch, rounds, len(seeds), configs[0])
     firsts = []
-    for first, clipped, *arrays in _gradient_blocks(configs, seeds):
+    for first, clipped, *arrays in gradient_blocks(configs, seeds):
         firsts.append(first)
         block = slice(first - 1, first - 1 + rounds)
         for s, seed in enumerate(seeds):
@@ -318,7 +318,7 @@ def test_a_gradient_batch_logs_its_blocks_and_clipped_seeds(caplog):
         config = build_run_config(base, graph_seed, data_seed, noise_seed=0)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="dpconsensus.engine"):
-            flags = np.array([c.copy() for _, c, *_ in _gradient_blocks([config], range(20))])
+            flags = np.array([c.copy() for _, c, *_ in gradient_blocks([config], range(20))])
         assert flags.shape == (5, 20)
         reruns, clipped = np.count_nonzero(flags.any(axis=1)), np.count_nonzero(flags.any(axis=0))
         message = (f"gradient batch: 20 seeds, 5 blocks, {reruns} rerun with projection, "
@@ -371,8 +371,8 @@ def test_batched_gradient_phases_equal_single_runs(monkeypatch):
     # A budget of two seeds by two rounds (size 2) splits the seven runs into
     # batches of 2 + 2 + 3 and each batch into blocks of 2 rounds or fewer.
     block_rounds(monkeypatch, 2, 2, configs[0])
-    assert [len(batch) for batch in _batches(configs, configs[0])] == [2, 2, 3]
-    ends = _gradient_phases(configs)
+    assert [len(batch) for batch in batches(configs, configs[0])] == [2, 2, 3]
+    ends = gradient_phases(configs)
     assert ends.shape == (len(configs), 6, 3)
     # The end errors as a sweep takes them: on the stacked end iterates,
     # each seed against its own x* and denominator.
@@ -394,6 +394,19 @@ def test_batched_gradient_phases_equal_single_runs(monkeypatch):
             )
 
 
+def record_batches(monkeypatch):
+    """The noise seeds of each kernel batch, as the kernel is called."""
+    seen = []
+    kernel = gradient_blocks
+
+    def counted(batch, noise_seeds):
+        seen.append(list(noise_seeds))
+        return kernel(batch, noise_seeds)
+
+    monkeypatch.setattr("dpconsensus.engine.gradient_blocks", counted)
+    return seen
+
+
 def test_gradient_phases_group_only_consecutive_configs_that_share_a_batch(monkeypatch):
     """Horizons 6, 6, 8, 6 change the step sizes, so the configs run as
     three groups, [6, 6], [8] and [6], in input order; each end iterate is
@@ -402,16 +415,9 @@ def test_gradient_phases_group_only_consecutive_configs_that_share_a_batch(monke
         make_config(horizon=h, graph_seed=g, data_seed=g + 1, noise_seed=g + 2)
         for g, h in enumerate((6, 6, 8, 6))
     ]
-    batches = []
-    kernel = _gradient_blocks
-
-    def counted(batch, noise_seeds):
-        batches.append(list(noise_seeds))
-        return kernel(batch, noise_seeds)
-
-    monkeypatch.setattr("dpconsensus.engine._gradient_blocks", counted)
-    ends = _gradient_phases(configs)
-    assert batches == [[2, 3], [4], [5]]
+    seen = record_batches(monkeypatch)
+    ends = gradient_phases(configs)
+    assert seen == [[2, 3], [4], [5]]
     assert ends.shape == (len(configs), 6, 3)
     for end, config in zip(ends, configs):
         assert np.array_equal(end, run_gradient_phase(config)[0])
@@ -427,10 +433,10 @@ def test_batches_split_items_in_order_into_near_equal_lengths(n_items, size):
     items = list(range(n_items))
     with pytest.MonkeyPatch.context() as patch:
         block_rounds(patch, size, size, config)
-        batches = list(_batches(items, config))
-    assert [item for batch in batches for item in batch] == items
-    assert len(batches) == max(1, n_items // size)
-    lengths = [len(batch) for batch in batches]
+        split = list(batches(items, config))
+    assert [item for batch in split for item in batch] == items
+    assert len(split) == max(1, n_items // size)
+    lengths = [len(batch) for batch in split]
     assert max(lengths) - min(lengths) <= 1
     assert min(n_items, size) <= min(lengths) and max(lengths) <= 2 * size - 1
 
@@ -449,7 +455,7 @@ def test_a_batch_grows_with_the_horizon_by_its_noise_scales_alone():
         ]
         tracemalloc.start()
         try:
-            ends = _gradient_phases(configs)
+            ends = gradient_phases(configs)
             traced = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -460,22 +466,28 @@ def test_a_batch_grows_with_the_horizon_by_its_noise_scales_alone():
     assert peak(2000) - peak(1000) <= 2 * 1000 * 8
 
 
-def test_a_batch_rejects_configs_that_cannot_share_its_rounds():
+def test_gradient_phases_split_batches_at_each_field_they_must_share(monkeypatch):
+    """A horizon (so step sizes), a first-broadcast rule and a domain that
+    differ from their neighbours', interleaved with configs that agree, each
+    start a new batch; the end iterates come back in input order, each equal
+    to its single run.  The kernel itself checks only the config count."""
     config = make_config(horizon=6)
     with pytest.raises(ValueError, match="2 configs for 3 noise seeds"):
         trajectory([config, config], [1, 2, 3])
-    for other, differs in (
-        (make_config(horizon=7), "step sizes"),
-        (replace(config, strict_first_broadcast=True), "first-broadcast rule"),
-        (replace(config, domain=BoxDomain(half_width=2.0, dimension=3)), "domain"),
+    configs = [config, config]
+    for other in (
+        make_config(horizon=7),
+        replace(config, strict_first_broadcast=True),
+        replace(config, domain=BoxDomain(half_width=2.0, dimension=3)),
     ):
-        with pytest.raises(
-            ValueError, match="must share the domain, step sizes and first broadcast"
-        ) as caught:
-            trajectory([config, other], [1, 2])
-        assert str(caught.value).endswith(f"; config 1 differs in {differs}")
-    with pytest.raises(ValueError, match="config 2 differs in step sizes$"):
-        trajectory([config, config, make_config(horizon=7)], [1, 2, 3])
+        configs += [other, config]
+    configs = [replace(c, noise_seed=s) for s, c in enumerate(configs, 10)]
+    seen = record_batches(monkeypatch)
+    ends = gradient_phases(configs)
+    assert seen == [[10, 11], [12], [13], [14], [15], [16], [17]]
+    assert len(ends) == len(configs)
+    for end, single in zip(ends, configs):
+        assert np.array_equal(end, run_gradient_phase(single)[0])
 
 
 def test_configs_with_different_noise_scales_share_a_batch(monkeypatch):
@@ -545,7 +557,7 @@ def test_unclipped_end_iterates_equal_the_pathwise_closed_form(horizon):
         configs += value_configs
     seeds = [c.noise_seed for c in configs]
     clipped = np.zeros(len(configs), dtype=bool)
-    for _, flags, _, _, x in _gradient_blocks(configs, seeds):
+    for _, flags, _, _, x in gradient_blocks(configs, seeds):
         clipped |= flags
     ends = np.moveaxis(x[-1], -1, 0)
     unclipped = np.flatnonzero(~clipped)
@@ -578,7 +590,7 @@ def test_a_diverging_batch_member_is_named_by_its_noise_seed(monkeypatch):
     in_later_block = next(s for s, over in rows.items() if over.any() and not over[:2].any())
     with np.errstate(over="ignore", invalid="ignore"):
         for diverging in (in_first_block, in_later_block):
-            blocks = _gradient_blocks([config], [finite[0], diverging, finite[1]])
+            blocks = gradient_blocks([config], [finite[0], diverging, finite[1]])
             if diverging == in_later_block:
                 first, *_ = next(blocks)  # the first block is finite
                 assert first == 1

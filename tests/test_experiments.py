@@ -58,13 +58,15 @@ BAD_GRIDS = [
     ("p_c", (0.6, 0.0), r"edge probability must lie in \(0, 1\], got 0.0"),
     ("p_c", (0.6, 1.5), r"edge probability must lie in \(0, 1\], got 1.5"),
     ("points_per_node", (20.0, 0.0), "n_points must be >= 1, got 0"),
+    ("epsilon", (4.0, 1e-159), "a noise variance leaves the float range at epsilon=1e-159"),
+    ("epsilon", (4.0, 1e-300), "the noise budget leaves the float range at epsilon=1e-300"),
 ]
 
 
 def _record_cell_runs(monkeypatch):
     """The calls that sampling a graph or running a gradient batch makes."""
     calls = []
-    for target in ("dpconsensus.experiments.gen_erdos_renyi", "dpconsensus.engine._gradient_blocks"):
+    for target in ("dpconsensus.experiments.gen_erdos_renyi", "dpconsensus.engine.gradient_blocks"):
         monkeypatch.setattr(target, lambda *args, **kwargs: calls.append(args) or 1 / 0)
     return calls
 
@@ -86,6 +88,7 @@ BAD_BASES = [
     ({"stage2_max_rounds": 0}, "stage2_max_rounds must be >= 1 when given"),
     ({"calibration_grad_bound": -1.0}, "grad_bound must be finite and positive, got -1.0"),
     ({"calibration_grad_bound": 0.0}, "grad_bound must be finite and positive, got 0.0"),
+    ({"calibration_grad_bound": 1e-300}, "noise budget leaves the float range at .* 1e-300$"),
 ]
 
 
@@ -283,13 +286,13 @@ def test_the_epsilon_preset_runs_all_values_as_one_batch(monkeypatch):
     21st seed joins that batch rather than stepping alone.  The T values
     change the step sizes, so each still runs as its own batch."""
     batches = []
-    kernel = engine._gradient_blocks
+    kernel = engine.gradient_blocks
 
     def counted(configs, noise_seeds):
         batches.append((len(noise_seeds), configs[0].horizon))
         return kernel(configs, noise_seeds)
 
-    monkeypatch.setattr(engine, "_gradient_blocks", counted)
+    monkeypatch.setattr(engine, "gradient_blocks", counted)
     for n_seeds in (20, 21):
         spec = replace(preset_sweep("epsilon"), n_seeds=n_seeds)
         batches.clear()

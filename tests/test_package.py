@@ -34,6 +34,33 @@ def test_package_imports_only_exported_names():
                 )
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_uses_a_private_name_of_another():
+    """No ``from .x import _y`` and no ``x._y`` for a sibling module ``x``:
+    what a module needs of another is in that module's public interface."""
+    found = []
+    for path in sorted(Path(dpconsensus.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:  # from . import x
+                    siblings |= {alias.asname or alias.name for alias in node.names}
+                else:
+                    found += [f"{path.name}: from .{node.module} import {alias.name}"
+                              for alias in node.names if _is_private(alias.name)]
+        found += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in siblings and _is_private(node.attr)
+        ]
+    assert found == []
+
+
 def test_readme_library_tour_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
     assert len(blocks) == 1

@@ -1,6 +1,7 @@
 """Budget arithmetic, sensitivities and the calibrated noise schedule."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,30 @@ def test_budget_rejects_a_non_finite_epsilon_by_name(epsilon):
 def test_noise_budget_rejects_a_non_finite_grad_bound_by_name(grad_bound):
     with pytest.raises(ValueError, match=f"grad_bound must be finite and positive, got {grad_bound}"):
         noise_budget(BUDGET_4, grad_bound)
+
+
+# (epsilon, delta, G, the quantity that leaves the float range): epsilon^2
+# or G^2 under- or overflowing, 2/delta overflowing, and a noise budget
+# whose variances, or whose subnormal G^2, round out of range.
+OUT_OF_FLOAT_RANGE = [
+    (1e-300, 1e-3, 1.0, "the noise budget"),
+    (1e300, 1e-3, 1.0, "the noise budget"),
+    (4.0, 1e-320, 1.0, "the noise budget"),
+    (4.0, 1e-3, 1e-300, "the noise budget"),
+    (4.0, 1e-3, 1e300, "the noise budget"),
+    (1e10, 1e-3, 1e-150, "the noise budget"),
+    (1e-159, 1e-3, 1.0, "a noise variance"),
+    (1e-9, 1e-3, 4e-162, "rounding puts the spend"),
+]
+
+
+@pytest.mark.parametrize("epsilon, delta, grad_bound, quantity", OUT_OF_FLOAT_RANGE)
+def test_calibration_out_of_float_range_fails_by_name(epsilon, delta, grad_bound, quantity):
+    spec = ObjectiveSpec(grad_bound=grad_bound, smoothness=100.0, strong_convexity=100.0,
+                         dimension=4)
+    named = f"at epsilon={epsilon!r}, delta={delta!r} and gradient bound {grad_bound!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(quantity)}.* {re.escape(named)}$"):
+        calibrate_noise_schedule(1000, PrivacyBudget(epsilon, delta), spec)
 
 
 def test_generic_sensitivity():
