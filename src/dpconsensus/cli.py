@@ -32,7 +32,7 @@ from .analysis import empirical_vs_bound, mean_error_bound
 from .audit import (
     collect_samples, plant_point, require_tail_samples, tail_audit, worst_case_edit
 )
-from .engine import RunConfig, gradient_phases, run
+from .engine import gradient_phases, run
 from .experiments import (
     AXES,
     ExperimentConfig,
@@ -138,17 +138,6 @@ def _defaults(axis: str) -> dict[str, object]:
     }
 
 
-def _schema_help() -> str:
-    lines = [
-        "configuration keys (INI sections; override with --set KEY=VALUE); the experiment,",
-        "privacy, stage2 and sweep defaults come from preset_sweep(sweep.axis), here T:",
-    ]
-    for key, default in _defaults(_DEFAULT_AXIS).items():
-        shown = ",".join(repr(v) for v in default) if isinstance(default, tuple) else default
-        lines.append(f"  {key} = {shown}")
-    return "\n".join(lines)
-
-
 def _load_config_file(path: str) -> dict[str, str]:
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -218,13 +207,8 @@ def _write_json(path: Path, resolved: dict[str, object], seed: int, payload: dic
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _single_config(resolved: dict[str, object], seed: int) -> RunConfig:
-    graph_seed, data_seed, noise_seed = single_run_seeds(seed)
-    return build_run_config(_base_config(resolved), graph_seed, data_seed, noise_seed)
-
-
 def _cmd_run(args: argparse.Namespace, resolved: dict[str, object]) -> int:
-    config = _single_config(resolved, args.seed)
+    config = build_run_config(_base_config(resolved), *single_run_seeds(args.seed))
     metrics = run(config)
     out = Path(args.output or "run.csv")
     _write_csv(
@@ -242,7 +226,7 @@ def _cmd_run(args: argparse.Namespace, resolved: dict[str, object]) -> int:
 
 def _cmd_schedule(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     base = _base_config(resolved)
-    schedule = base.schedule()
+    schedule = base.schedule
     report = budget_check(schedule, base.budget)
     out = Path(args.output or "schedule.csv")
     _write_csv(
@@ -290,7 +274,7 @@ def _cmd_sweep(args: argparse.Namespace, resolved: dict[str, object]) -> int:
 def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     require_tail_samples(resolved["audit.n_samples"])
     base = _base_config(resolved)
-    config = _single_config(resolved, args.seed)
+    config = build_run_config(base, *single_run_seeds(args.seed))
     config = plant_point(config, resolved["audit.node_id"], resolved["audit.point_index"])
     edit = worst_case_edit(config, resolved["audit.node_id"], resolved["audit.point_index"])
     dets, noises = collect_samples(config, edit, resolved["audit.n_samples"], args.seed)
@@ -315,8 +299,9 @@ def _cmd_audit(args: argparse.Namespace, resolved: dict[str, object]) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace, resolved: dict[str, object]) -> int:
-    config = _single_config(resolved, args.seed)
-    inputs = bound_inputs(_base_config(resolved), config)
+    base = _base_config(resolved)
+    config = build_run_config(base, *single_run_seeds(args.seed))
+    inputs = bound_inputs(base, config)
     n_runs = resolved["bound.n_runs"]
     configs = [
         replace(config, noise_seed=derive_seed(args.seed, _BOUND_NOISE_STREAM, i))
@@ -354,11 +339,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+class _TopParser(_Parser):
+    def format_help(self) -> str:  # the key table builds a preset, so only help does
+        lines = [
+            "configuration keys (INI sections; override with --set KEY=VALUE); the experiment,",
+            "privacy, stage2 and sweep defaults come from preset_sweep(sweep.axis), here T:",
+        ]
+        for key, default in _defaults(_DEFAULT_AXIS).items():
+            shown = ",".join(repr(v) for v in default) if isinstance(default, tuple) else default
+            lines.append(f"  {key} = {shown}")
+        self.epilog = "\n".join(lines)
+        return super().format_help()
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = _TopParser(
         prog="dpconsensus",
         description=__doc__,
-        epilog=_schema_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -375,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a configuration key (repeatable)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     commands = {
         name: sub.add_parser(name, parents=[common], help=text)
         for name, (_, text) in _COMMANDS.items()

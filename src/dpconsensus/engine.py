@@ -414,8 +414,12 @@ def gradient_phases(configs: Sequence[RunConfig]) -> np.ndarray:
     Consecutive configs that share the domain, the step sizes and the
     first-broadcast rule form one group; a group of G configs runs in
     max(1, G // size) batches of near-equal length (``batches``), of which
-    only the last iterates are kept.
+    only the last iterates are kept.  All configs must share one
+    ``(n_nodes, dimension)``, checked before any block runs.
     """
+    shapes = sorted({(c.n_nodes, c.domain.dimension) for c in configs})
+    if len(shapes) > 1:
+        raise ValueError(f"configs must share one (n_nodes, dimension), got {shapes}")
     groups: list[list[RunConfig]] = []
     for config in configs:
         if groups and _shares_batch(config, groups[-1][0]):

@@ -7,19 +7,21 @@ function of the sweep spec and master seed: cell streams are derived by
 documented splitting, workers never share state, and rows are assembled in
 axis-value x seed order regardless of completion order.
 
-A sweep splits its seed indices into contiguous near-equal parts, one per
-worker process (one part when ``jobs = 1``).  Each part builds the graphs
-and datasets of its own seeds and runs every axis value for them; the
-engine batches consecutive configs that can share a kernel batch, so the
-privacy and connectivity axes run each part's cells as one batch, and T and
-points_per_node one batch per value.
+A sweep spec builds each value's config and noise schedule once, and every
+cell of the value shares them.  A sweep splits its seed indices into
+contiguous near-equal parts, one per worker process (one part when
+``jobs = 1``).  Each part builds the graphs and datasets of its own seeds
+and runs every axis value for them; the engine batches consecutive configs
+that can share a kernel batch, so the privacy and connectivity axes run
+each part's cells as one batch, and T and points_per_node one batch per
+value.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -105,7 +107,7 @@ class ExperimentConfig:
         if self.points_per_node < 1:
             raise ValueError(f"n_points must be >= 1, got {self.points_per_node}")
         noise_budget(self.budget, self.noise_grad_bound)  # a finite, positive bound
-        self.schedule()  # a horizon >= 1, and scales within the float range
+        self.schedule  # a horizon >= 1, and scales within the float range
         engine.check_run_settings(self)
 
     @property
@@ -123,9 +125,10 @@ class ExperimentConfig:
             return self.calibration_grad_bound
         return self.domain.diameter / 2.0  # per-round gap is at most eta * diameter
 
+    @cached_property
     def schedule(self) -> NoiseSchedule:
         """The calibrated schedule, which depends on the data only through
-        ``points_per_node``."""
+        ``points_per_node``; built once, by the constructor's check."""
         spec = mean_objective_constants(self.points_per_node, self.domain)
         return calibrate_noise_schedule(
             self.horizon, self.budget, replace(spec, grad_bound=self.noise_grad_bound)
@@ -142,10 +145,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A value grid over one axis of ``base``; ``configs[i]`` is
+    ``base.with_value(axis, values[i])``, built once, as the grid is checked."""
+
     base: ExperimentConfig
     axis: str
     values: tuple[float, ...]
     n_seeds: int = 20
+    configs: tuple[ExperimentConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
@@ -155,10 +162,12 @@ class SweepSpec:
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
         object.__setattr__(self, "values", tuple(self.values))
+        configs = []
         for i, value in enumerate(self.values):  # reject a bad grid before any cell runs
             if value in self.values[:i]:
                 raise ValueError(f"duplicate value {value!r} in values")
-            self.base.with_value(self.axis, value)
+            configs.append(self.base.with_value(self.axis, value))
+        object.__setattr__(self, "configs", tuple(configs))
 
 
 def preset_sweep(axis: str) -> SweepSpec:
@@ -191,14 +200,13 @@ def _run_config(
     base: ExperimentConfig,
     graph: CommGraph,
     datasets: tuple[LocalDataset, ...],
-    schedule: NoiseSchedule,
     noise_seed: int,
 ) -> engine.RunConfig:
     return engine.RunConfig(
         graph=graph,
         domain=base.domain,
         datasets=datasets,
-        schedule=schedule,
+        schedule=base.schedule,
         noise_seed=noise_seed,
         stage2_rel_tol=base.stage2_rel_tol,
         stage2_max_rounds=base.stage2_max_rounds,
@@ -213,7 +221,7 @@ def build_run_config(
     """Expand a scalar config into a runnable one (graph, data, schedule)."""
     graph = gen_erdos_renyi(base.n_nodes, base.edge_prob, graph_seed)
     datasets = _datasets(base, data_seed)
-    return _run_config(base, graph, datasets, base.schedule(), noise_seed)
+    return _run_config(base, graph, datasets, noise_seed)
 
 
 def bound_inputs(base: ExperimentConfig, config: engine.RunConfig) -> BoundInputs:
@@ -301,24 +309,22 @@ def _values(
     """Each axis value with the run configs of the seed indices ``seeds``,
     in that order.
 
-    Every config of a value shares the value's horizon and schedule.  Graphs
-    and datasets are built at the first value, and again at each later one
-    only when the axis regenerates them: otherwise their streams do not
-    depend on the value, so every value reuses the same inputs.
+    Every config of a value shares the schedule of its ``spec.configs``.
+    Graphs and datasets are built at the first value, and again at each
+    later one only when the axis regenerates them: otherwise their streams
+    do not depend on the value, so every value reuses the same inputs.
     """
     _, regen_graph, regen_data = AXES[spec.axis]
     graphs: list[CommGraph] = []
     data: list[tuple[LocalDataset, ...]] = []
-    for value_index, value in enumerate(spec.values):
-        base = spec.base.with_value(spec.axis, value)
+    for value_index, (value, base) in enumerate(zip(spec.values, spec.configs)):
         streams = [cell_seeds(master_seed, spec.axis, value_index, s) for s in seeds]
         if regen_graph or not graphs:
             graphs = [gen_erdos_renyi(base.n_nodes, base.edge_prob, g) for g, _, _ in streams]
         if regen_data or not data:
             data = [_datasets(base, d) for _, d, _ in streams]
-        schedule = base.schedule()
         yield value, [
-            _run_config(base, graph, datasets, schedule, noise_seed)
+            _run_config(base, graph, datasets, noise_seed)
             for graph, datasets, (_, _, noise_seed) in zip(graphs, data, streams)
         ]
 

@@ -65,8 +65,12 @@ class PrivacyBudget:
 
 
 def privacy_allowance(budget: PrivacyBudget) -> float:
-    """Aggregate allowance on sum_t Delta(t)^2 / M_t^2."""
-    return budget.epsilon**2 / (budget.epsilon + 2.0 * math.log(2.0 / budget.delta))
+    """Aggregate allowance on sum_t Delta(t)^2 / M_t^2; raises ``ValueError``
+    where epsilon^2 overflows."""
+    try:
+        return budget.epsilon**2 / (budget.epsilon + 2.0 * math.log(2.0 / budget.delta))
+    except OverflowError:
+        raise ValueError(f"the privacy allowance overflows at {budget}") from None
 
 
 def _at(budget: PrivacyBudget, grad_bound: float) -> str:
@@ -87,7 +91,7 @@ def noise_budget(budget: PrivacyBudget, grad_bound: float) -> float:
         raise ValueError(f"grad_bound must be finite and positive, got {grad_bound}")
     try:
         kappa = privacy_allowance(budget) / (4.0 * grad_bound**2)
-    except ArithmeticError:  # epsilon^2 or G^2 overflows, or G^2 underflows
+    except (ArithmeticError, ValueError):  # the allowance or G^2 overflows, or G^2 underflows
         kappa = math.nan
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise ValueError(f"the noise budget leaves the float range {_at(budget, grad_bound)}")

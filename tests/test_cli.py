@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpconsensus
+from dpconsensus import experiments
 from dpconsensus.cli import CliError, main, resolve_config
 from dpconsensus.experiments import ExperimentConfig
 
@@ -134,6 +135,47 @@ def test_csv_lines_end_in_newline_and_floats_round_trip(tmp_path):
                 assert repr(float(cells[i])) == cells[i], (command, columns[i], cells[i])
 
 
+# The benchmark workloads' command lines, and the other commands at their
+# defaults.
+COMMAND_LINES = {
+    "sweep_epsilon": [
+        "sweep", "--axis", "epsilon", "--T", "1000", "--set", "sweep.values=0.5,1,2,4,8",
+        "--set", "sweep.n_seeds=20", "--jobs", "1",
+    ],
+    "sweep_connectivity": [
+        "sweep", "--axis", "p_c", "--T", "50", "--set", "sweep.values=0.1,0.3,0.6,1.0",
+        "--set", "sweep.n_seeds=20", "--jobs", "1",
+    ],
+    "audit": ["audit", "--T", "100", "--samples", "2000", "--epsilon", "4", "--delta", "1e-3"],
+    "bound": ["bound"],
+    "run": ["run"],
+    "schedule": ["schedule"],
+}
+
+
+def test_each_command_calibrates_each_config_once(tmp_path, monkeypatch):
+    """One calibration per ExperimentConfig: the preset the defaults come
+    from (its base and one per value), the command's base and, for a sweep,
+    one per value.  ``--version`` builds none: the help's key table is built
+    only for help."""
+    calls, calibrate = [], experiments.calibrate_noise_schedule
+    monkeypatch.setattr(
+        experiments, "calibrate_noise_schedule", lambda *a: calls.append(a) or calibrate(*a)
+    )
+    counts = {}
+    for name, argv in COMMAND_LINES.items():
+        before = len(calls)
+        assert run_cli(*argv, "--seed", "42", "--output", str(tmp_path / name)) == 0
+        counts[name] = len(calls) - before
+    with pytest.raises(SystemExit):
+        run_cli("--version")
+    counts["--version"] = len(calls) - sum(counts.values())
+    assert counts == {
+        "sweep_epsilon": 12, "sweep_connectivity": 10, "audit": 5, "bound": 5, "run": 5,
+        "schedule": 5, "--version": 0,
+    }
+
+
 def test_sweep_defaults_come_from_the_preset_of_its_axis(tmp_path):
     # No horizon is given: the connectivity preset runs 50 rounds, the T
     # preset's base keeps the standard 1000.
@@ -181,6 +223,14 @@ def test_non_finite_inputs_fail_by_name(tmp_path, capsys, setting, message):
     assert code == 2
     assert f"failure: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_only_the_top_level_help_lists_configuration_keys(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("run", "--help")
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--seed" in out and "configuration keys" not in out
 
 
 # Values at the ends of the float range, alone or paired, that reached the

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from dpconsensus.engine import (
     gradient_phases,
     run,
     run_gradient_phase,
+    run_outcomes,
 )
 from dpconsensus import experiments
 from dpconsensus.experiments import (
@@ -488,6 +490,21 @@ def test_gradient_phases_split_batches_at_each_field_they_must_share(monkeypatch
     assert len(ends) == len(configs)
     for end, single in zip(ends, configs):
         assert np.array_equal(end, run_gradient_phase(single)[0])
+
+
+@pytest.mark.parametrize("phases", [gradient_phases, run_outcomes])
+@pytest.mark.parametrize(
+    "shapes", [((3, 3), (4, 3)), ((4, 3), (4, 4))], ids=["n_nodes", "dimension"]
+)
+def test_configs_of_mixed_shapes_fail_by_name_before_any_block_runs(monkeypatch, phases, shapes):
+    """Configs with different node counts, or different dimensions, cannot
+    be stacked: the call names the shapes before the kernel runs a block."""
+    configs = [make_config(n_nodes=n, dimension=p, horizon=4) for n, p in shapes]
+    seen = record_batches(monkeypatch)
+    named = re.escape(f"configs must share one (n_nodes, dimension), got {list(shapes)}")
+    with pytest.raises(ValueError, match=named):
+        phases(configs)
+    assert seen == []
 
 
 def test_configs_with_different_noise_scales_share_a_batch(monkeypatch):

@@ -1,6 +1,7 @@
 """Sweep machinery: seed splitting, determinism, presets, bound inputs."""
 
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +178,22 @@ def test_integer_axes_reject_non_integral_values(axis):
     # A sweep rejects the grid before running any cell.
     with pytest.raises(ValueError, match=f"axis {axis}.*2.7"):
         SweepSpec(base=TINY, axis=axis, values=(4.0, 2.7))
+
+
+def test_a_sweep_builds_each_value_config_and_schedule_once(monkeypatch):
+    """The spec keeps the value configs it checks, each with its schedule,
+    through pickling to a worker too; every run config of value i holds the
+    very schedule of ``spec.configs[i]``, and no config is built again."""
+    spec = SweepSpec(base=TINY, axis="epsilon", values=(1.0, 4.0), n_seeds=3)
+    assert "schedule" in vars(pickle.loads(pickle.dumps(spec)).configs[1])
+    fail = lambda *args: pytest.fail("built a config again")  # noqa: E731
+    monkeypatch.setattr(ExperimentConfig, "with_value", fail)
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", fail)
+    values = list(experiments._values(spec, 7, range(spec.n_seeds)))
+    assert [value for value, _ in values] == list(spec.values)
+    for (_, configs), value_config in zip(values, spec.configs):
+        assert len(configs) == spec.n_seeds
+        assert all(config.schedule is value_config.schedule for config in configs)
 
 
 def test_sweep_rows_are_deterministic_and_ordered():

@@ -66,6 +66,16 @@ def test_allowance_formulas():
     )
 
 
+def test_an_allowance_out_of_float_range_fails_by_name():
+    """epsilon^2 overflows above about 1.3e154; called directly, both the
+    allowance and the budget check name epsilon and delta."""
+    schedule = calibrate_noise_schedule(10, BUDGET_4, UNIT_SPEC)
+    named = re.escape("at PrivacyBudget(epsilon=1e+300, delta=0.001)")
+    for check in (privacy_allowance, lambda budget: budget_check(schedule, budget)):
+        with pytest.raises(ValueError, match=f"^the privacy allowance overflows {named}$"):
+            check(PrivacyBudget(epsilon=1e300, delta=1e-3))
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         PrivacyBudget(epsilon=0.0, delta=1e-3)

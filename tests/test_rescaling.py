@@ -49,7 +49,7 @@ def rescaled(base: ExperimentConfig, config, k: float):
         config,
         domain=scaled_base.domain,
         datasets=tuple(LocalDataset(k * d.points) for d in config.datasets),
-        schedule=scaled_base.schedule(),
+        schedule=scaled_base.schedule,
     )
     return scaled_base, scaled
 
