@@ -23,7 +23,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -35,11 +35,11 @@ from .audit import (
 from .engine import gradient_phases, run
 from .experiments import (
     AXES,
+    PRESETS,
     ExperimentConfig,
     SweepSpec,
     bound_inputs,
     build_run_config,
-    preset_sweep,
     single_run_seeds,
     sweep,
 )
@@ -103,7 +103,7 @@ _FIELDS: dict[str, tuple[Callable, str]] = {
     "stage2.max_rounds": (_optional_int, "stage2_max_rounds"),
 }
 # dotted key -> (parser, default) for the other keys; _defaults fills in
-# the None ones, like those of _FIELDS, from preset_sweep(sweep.axis).
+# the None ones, like those of _FIELDS, from PRESETS and the dataclasses.
 _OTHER: dict[str, tuple[Callable, object]] = {
     "sweep.axis": (_axis, None),
     "sweep.values": (_float_list, None),
@@ -127,14 +127,15 @@ _SHORTHANDS: dict[str, tuple[str, tuple[str, ...]]] = {
 
 
 def _defaults(axis: str) -> dict[str, object]:
-    """Every key's default: the experiment and sweep keys from the preset of ``axis``."""
-    preset = preset_sweep(axis)
+    """Every key's default, from ``PRESETS[axis]`` and the dataclass field defaults."""
+    values, overrides = PRESETS[axis]
+    base = {f.name: f.default for f in fields(ExperimentConfig)} | overrides
     return {
-        **{key: getattr(preset.base, name) for key, (_, name) in _FIELDS.items()},
+        **{key: base[name] for key, (_, name) in _FIELDS.items()},
         **{key: default for key, (_, default) in _OTHER.items()},
         "sweep.axis": axis,
-        "sweep.values": preset.values,
-        "sweep.n_seeds": preset.n_seeds,
+        "sweep.values": values,
+        "sweep.n_seeds": next(f.default for f in fields(SweepSpec) if f.name == "n_seeds"),
     }
 
 
@@ -190,14 +191,14 @@ def _write_csv(
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
+def _shown(value: object) -> object:
+    """A key's value as headers and help show it: a tuple as its comma-joined reprs."""
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else value
+
+
 def _header_lines(command: str, resolved: dict[str, object], seed: int) -> list[str]:
     lines = [f"dpconsensus {__version__} {command}", f"master_seed = {seed}"]
-    for key in sorted(resolved):
-        value = resolved[key]
-        if isinstance(value, tuple):
-            value = ",".join(repr(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return lines
+    return lines + [f"{key} = {_shown(resolved[key])}" for key in sorted(resolved)]
 
 
 def _write_json(path: Path, resolved: dict[str, object], seed: int, payload: dict) -> None:
@@ -339,23 +340,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-class _TopParser(_Parser):
-    def format_help(self) -> str:  # the key table builds a preset, so only help does
-        lines = [
-            "configuration keys (INI sections; override with --set KEY=VALUE); the experiment,",
-            "privacy, stage2 and sweep defaults come from preset_sweep(sweep.axis), here T:",
-        ]
-        for key, default in _defaults(_DEFAULT_AXIS).items():
-            shown = ",".join(repr(v) for v in default) if isinstance(default, tuple) else default
-            lines.append(f"  {key} = {shown}")
-        self.epilog = "\n".join(lines)
-        return super().format_help()
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _TopParser(
+    keys = [
+        "configuration keys (INI sections; override with --set KEY=VALUE); the experiment,",
+        "privacy, stage2 and sweep defaults come from preset_sweep(sweep.axis), here T:",
+        *(f"  {key} = {_shown(value)}" for key, value in _defaults(_DEFAULT_AXIS).items()),
+    ]
+    parser = _Parser(
         prog="dpconsensus",
         description=__doc__,
+        epilog="\n".join(keys),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -372,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a configuration key (repeatable)",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
     commands = {
         name: sub.add_parser(name, parents=[common], help=text)
         for name, (_, text) in _COMMANDS.items()
@@ -387,6 +381,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:  # every command takes --jobs; only sweep uses it
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         shorthands = [
             f"{key}={getattr(args, flag)}"
             for flag, (key, _) in _SHORTHANDS.items()

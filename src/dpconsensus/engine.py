@@ -14,13 +14,13 @@ budget accounting assumes (round-t sensitivity over M_t).  The accounting
 also charges round T, but the agreement phase's first broadcast sends x(T)
 without its noise, which only the audit reads; an observer of every
 message can then recover each node's local mean (see the README's known
-privacy limitation).  The round-1 broadcast
-carries x(0) = 0, which touches no data: by default it still gets scale-M_1
-noise for a uniform message shape, and ``strict_first_broadcast`` sends the
-literal zero instead.  Both choices spend the same budget.  The pairing and
-the round loop live in one place, ``gradient_blocks``, which runs a batch
-of noise seeds side by side and yields the phase one block of rounds at a
-time; a single run, the sweeps, ``bound`` and the privacy-loss audit all go
+privacy limitation).  The round-1 broadcast carries x(0) = 0, which
+touches no data: by default it still gets scale-M_1 noise for a uniform
+message shape, and ``strict_first_broadcast`` sends the literal zero
+instead.  Both choices spend the same budget.  The pairing and the round
+loop live in one place, ``gradient_blocks``, which runs a batch of noise
+seeds side by side and yields the phase one block of rounds at a time; a
+single run, the sweeps, ``bound`` and the privacy-loss audit all go
 through it.  A batch's configs share the domain, the step sizes and the
 first-broadcast rule, by which ``gradient_phases``, the one caller that
 passes the kernel more than one config, groups consecutive configs; their
@@ -30,11 +30,12 @@ a privacy or connectivity axis as one batch.  Its states are seed-minor,
 elementwise steps run over long rows.  The box binds only in early rounds,
 so a block is stepped without projection and checked once; only a block in
 which some seed leaves the box is stepped again from its start, projecting
-every round, which gives the same numbers as projecting throughout.  Each caller takes seed-major copies
-of what it reads: a single run reduces each block to the per-round metrics
-of its iterates, and the audit (the one reader of the consensus points) to
-its loss terms and gap norms, as it arrives; the sweeps and ``bound`` read
-only the end-of-phase error, so they keep only each batch's last iterates.
+every round, which gives the same numbers as projecting throughout.  Each
+caller takes seed-major copies of what it reads: a single run reduces
+each block to the per-round metrics of its iterates, and the audit (the
+one reader of the consensus points) to its loss terms and gap norms, as
+it arrives; the sweeps and ``bound`` read only the end-of-phase error, so
+they keep only each batch's last iterates.
 A fixed float budget bounds one block, not a whole trajectory, so the
 memory of a sweep's batch does not grow with T; a cap on the rounds of a
 block sets how many seeds a batch holds apart from its length.

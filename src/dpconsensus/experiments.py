@@ -41,6 +41,7 @@ from .rng import derive_seed
 __all__ = [
     "AXES",
     "ExperimentConfig",
+    "PRESETS",
     "SweepResult",
     "SweepRow",
     "SweepSpec",
@@ -66,6 +67,19 @@ AXES: dict[str, tuple[str, bool, bool]] = {
 }
 
 _INT_FIELDS = {"horizon", "points_per_node"}
+
+# axis -> (canonical value grid, ExperimentConfig overrides of the preset's
+# base).  The connectivity sweep runs at 50 gradient rounds: the topology
+# effect on a single node's error is proportional to the late-round noise
+# level, which at 1000 rounds has decayed to about one percent of the
+# privacy floor and is invisible; at 50 rounds it dominates.
+PRESETS: dict[str, tuple[tuple[float, ...], dict[str, object]]] = {
+    "T": ((10.0, 100.0, 1000.0), {}),
+    "epsilon": ((0.5, 1.0, 2.0, 4.0, 8.0), {}),
+    "delta_family": ((1e-3, 1e-6, 1e-9), {}),
+    "p_c": ((0.1, 0.3, 0.6, 1.0), {"horizon": 50}),
+    "points_per_node": ((25.0, 50.0, 100.0, 200.0), {}),
+}
 
 
 @dataclass(frozen=True)
@@ -171,22 +185,9 @@ class SweepSpec:
 
 
 def preset_sweep(axis: str) -> SweepSpec:
-    """Canonical value grid for each study axis.
-
-    The connectivity sweep runs at 50 gradient rounds: the topology effect
-    on a single node's error is proportional to the late-round noise level,
-    which at 1000 rounds has decayed to about one percent of the privacy
-    floor and is invisible; at 50 rounds it dominates.
-    """
-    values: dict[str, tuple[float, ...]] = {
-        "T": (10.0, 100.0, 1000.0),
-        "epsilon": (0.5, 1.0, 2.0, 4.0, 8.0),
-        "delta_family": (1e-3, 1e-6, 1e-9),
-        "p_c": (0.1, 0.3, 0.6, 1.0),
-        "points_per_node": (25.0, 50.0, 100.0, 200.0),
-    }
-    base = ExperimentConfig(horizon=50) if axis == "p_c" else ExperimentConfig()
-    return SweepSpec(base=base, axis=axis, values=values[axis])
+    """The preset sweep of ``axis``: its ``PRESETS`` grid over its base."""
+    values, overrides = PRESETS[axis]
+    return SweepSpec(base=ExperimentConfig(**overrides), axis=axis, values=values)
 
 
 def _datasets(base: ExperimentConfig, data_seed: int) -> tuple[LocalDataset, ...]:

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpconsensus
-from dpconsensus import experiments
+from dpconsensus import cli, experiments
 from dpconsensus.cli import CliError, main, resolve_config
-from dpconsensus.experiments import ExperimentConfig
+from dpconsensus.experiments import AXES, ExperimentConfig, SweepSpec, preset_sweep
 
 # Small setting shared by the CLI tests; keys exercise every section.
 TINY = [
@@ -154,10 +154,9 @@ COMMAND_LINES = {
 
 
 def test_each_command_calibrates_each_config_once(tmp_path, monkeypatch):
-    """One calibration per ExperimentConfig: the preset the defaults come
-    from (its base and one per value), the command's base and, for a sweep,
-    one per value.  ``--version`` builds none: the help's key table is built
-    only for help."""
+    """One calibration per ExperimentConfig: the command's base and, for a
+    sweep, one per value.  Resolving the keys and building the parser, with
+    its key table, build none, so ``--version`` calibrates nothing."""
     calls, calibrate = [], experiments.calibrate_noise_schedule
     monkeypatch.setattr(
         experiments, "calibrate_noise_schedule", lambda *a: calls.append(a) or calibrate(*a)
@@ -171,9 +170,26 @@ def test_each_command_calibrates_each_config_once(tmp_path, monkeypatch):
         run_cli("--version")
     counts["--version"] = len(calls) - sum(counts.values())
     assert counts == {
-        "sweep_epsilon": 12, "sweep_connectivity": 10, "audit": 5, "bound": 5, "run": 5,
-        "schedule": 5, "--version": 0,
+        "sweep_epsilon": 6, "sweep_connectivity": 5, "audit": 1, "bound": 1, "run": 1,
+        "schedule": 1, "--version": 0,
     }
+
+
+@pytest.mark.parametrize("axis", sorted(AXES))
+def test_resolved_defaults_are_the_preset_and_build_no_config(monkeypatch, axis):
+    with monkeypatch.context() as patched:
+        patched.setattr(
+            ExperimentConfig, "__post_init__", lambda self: pytest.fail("built a config")
+        )
+        resolved = resolve_config(None, [f"sweep.axis={axis}"])
+    spec = SweepSpec(
+        base=cli._base_config(resolved),
+        axis=axis,
+        values=resolved["sweep.values"],
+        n_seeds=resolved["sweep.n_seeds"],
+    )
+    preset = preset_sweep(axis)
+    assert (spec.base, spec.values, spec.n_seeds) == (preset.base, preset.values, preset.n_seeds)
 
 
 def test_sweep_defaults_come_from_the_preset_of_its_axis(tmp_path):
@@ -505,6 +521,14 @@ def test_sweep_rejects_a_non_positive_worker_count(tmp_path, capsys, jobs):
     assert code == 2
     assert f"failure: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "schedule", "bound", "audit"])
+def test_every_command_rejects_a_non_positive_worker_count(tmp_path, capsys, command):
+    code = run_cli(command, *TINY, "--jobs", "-5", "--output", str(tmp_path / "out"))
+    assert code == 2
+    assert "failure: jobs must be >= 1, got -5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_graph_error_in_a_sweep_worker_fails_by_name(tmp_path, capsys):

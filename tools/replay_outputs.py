@@ -5,7 +5,7 @@ Usage::
     PYTHONPATH=<checkout>/src python tools/replay_outputs.py OUTDIR
 
 Runs ``dpconsensus.cli.main`` in-process for every command below and
-writes their 226 output files into OUTDIR, which must be empty or missing:
+writes their 232 output files into OUTDIR, which must be empty or missing:
 
 * each of the five preset sweeps at master seeds 42-61, as
   ``sweep_<axis>_<seed>.csv`` and ``sweep_<axis>_<seed>.summary.json``;
@@ -14,7 +14,10 @@ writes their 226 output files into OUTDIR, which must be empty or missing:
   (10/10) and three (6/7/7), as ``sweep_<axis>_42_jobs<k>.csv`` and its
   ``.summary.json``;
 * ``run``, ``schedule``, ``schedule --T 200``, ``bound``, ``bound --T 200``
-  and ``audit --T 100 --samples 2000``, at the default master seed 42.
+  and ``audit --T 100 --samples 2000``, at the default master seed 42;
+* the top-level ``--help`` and each command's ``--help``, as ``help.txt``
+  and ``help_<command>.txt``, printed at ``COLUMNS=80`` because argparse
+  wraps help to the terminal's width.
 
 ``dpconsensus`` is imported from ``PYTHONPATH``, so the same script
 replays any checkout.  To check that a change keeps every output
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +52,11 @@ SINGLE_COMMANDS = (
     ("bound.json", ["bound"]),
     ("bound_T200.json", ["bound", "--T", "200"]),
     ("audit_T100.json", ["audit", "--T", "100", "--samples", "2000"]),
+)
+# (output file name, CLI arguments before --help)
+HELP_PAGES = (
+    ("help.txt", []),
+    *((f"help_{name}.txt", [name]) for name in ("run", "schedule", "sweep", "audit", "bound")),
 )
 
 
@@ -65,17 +74,32 @@ def commands(outdir: Path):
         yield [*args, "--output", str(outdir / name)]
 
 
+def run(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit status and what it printed to stdout; the
+    ``SystemExit`` that ``--help`` raises gives the status instead."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, printed.getvalue()
+
+
 def replay(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     if any(outdir.iterdir()):
         print(f"replay: {outdir} is not empty", file=sys.stderr)
         return 1
-    for argv in commands(outdir):
-        with contextlib.redirect_stdout(io.StringIO()):
-            status = main(argv)
+    os.environ["COLUMNS"] = "80"  # the width argparse wraps help to
+    pages = [([*args, "--help"], outdir / name) for name, args in HELP_PAGES]
+    for argv, page in [*((argv, None) for argv in commands(outdir)), *pages]:
+        status, printed = run(argv)
         if status != 0:
             print(f"replay: {' '.join(argv)} exited with {status}", file=sys.stderr)
             return status
+        if page is not None:
+            page.write_text(printed)
     written = sum(1 for path in outdir.iterdir() if path.is_file())
     print(f"replay: wrote {written} files to {outdir}")
     return 0
