@@ -36,7 +36,7 @@ import numpy as np
 from .engine import RunConfig, batches, gradient_blocks
 from .objectives import LocalDataset, project_box
 from .privacy import PrivacyBudget
-from .rng import derive_seed
+from .rng import derive_states
 
 __all__ = [
     "AuditReport",
@@ -156,11 +156,13 @@ def collect_samples(
     length ``n_samples``; their sum is the privacy loss of each sample.
     Samples run in max(1, n_samples // size) kernel batches of near-equal
     length (``engine.batches``); sample i draws the same stream whatever
-    its batch or ``n_samples``.
+    its batch or ``n_samples``: its noise seed is ``derive_seed(master_seed,
+    _AUDIT_STREAM, i)``, derived for all samples in one bulk call.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    seeds = [derive_seed(master_seed, _AUDIT_STREAM, i) for i in range(n_samples)]
+    seeds = derive_states(master_seed, (_AUDIT_STREAM,), range(n_samples), n_words=1)
+    seeds = seeds[:, 0].tolist()
     parts = [coupled_runs(config, edit, batch)[:2] for batch in batches(seeds, config)]
     deterministic, noise = (np.concatenate(part) for part in zip(*parts))
     return deterministic, noise

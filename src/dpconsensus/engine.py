@@ -45,11 +45,14 @@ averaging without projection, until the per-node relative change drops
 below ``stage2_rel_tol`` or a round cap is hit.  The phase leaves the mean
 iterate unchanged and contracts the consensus deviation geometrically.
 Its one loop, ``_agreement_batch``, likewise steps a stack of seeds side
-by side, each under its own graph, tolerance and cap, and drops a seed
-from the stack at the round where it stops.  A sweep reads only each
-seed's round count from it and keeps no per-round rows; a single run's
+by side, each under its own graph, tolerance and cap.  It steps a fixed
+block of rounds per Python iteration into one buffer and then tests every
+round of the block at once, so a block may step a seed past its stop; the
+seed leaves the stack with its iterates of the round where it stopped, and
+the rounds past it are discarded.  A sweep reads only each seed's round
+count from it and keeps no per-round rows; a single run's
 ``_agreement_phase`` is its one-seed call, which records the rows it
-reports and numbers them from round T + 1.
+reports, up to the stop, and numbers them from round T + 1.
 """
 
 from __future__ import annotations
@@ -94,6 +97,12 @@ _REL_CHANGE_FLOOR = 1e-12
 # box.
 _BLOCK_FLOATS = 1 << 16
 _BLOCK_ROUNDS = 20
+
+# Rounds the agreement loop steps per Python iteration before it tests them
+# all at once.  It is fixed, so the loop's memory does not depend on the
+# round caps; a block steps every seed still active through all its rounds,
+# up to _AGREEMENT_BLOCK - 1 past the round where a seed stops.
+_AGREEMENT_BLOCK = 16
 
 
 def check_run_settings(config) -> None:
@@ -453,6 +462,22 @@ def run_gradient_phase(config: RunConfig) -> tuple[np.ndarray, RunMetrics]:
     return x[-1].copy(), _metrics(1, 1, errors)
 
 
+def _stop_rows(xs: np.ndarray, tol: np.ndarray, rounds_left: np.ndarray) -> np.ndarray:
+    """For a stepped block ``xs`` of agreement rounds, rows 0..K of ``(K+1,
+    S, n, p)``, the row of each seed's first stopping round, or 0 where the
+    seed runs on: where its relative change drops below ``tol``, or where
+    it reaches ``rounds_left``, its cap less the rounds before the block.
+    The norms are the ``sqrt(add.reduce(v * v, axis=-1))`` that
+    ``np.linalg.norm(v, axis=-1)`` computes for real ``v``."""
+    change = xs[1:] - xs[:-1]
+    node_changes = np.sqrt(np.add.reduce(np.multiply(change, change, out=change), axis=-1))
+    squares = np.multiply(xs[:-1], xs[:-1], out=change)
+    node_norms = np.maximum(np.sqrt(np.add.reduce(squares, axis=-1)), _REL_CHANGE_FLOOR)
+    block = np.arange(1, len(change) + 1)[:, None]
+    done = (np.max(node_changes / node_norms, axis=-1) < tol) | (block >= rounds_left)
+    return np.where(done.any(axis=0), done.argmax(axis=0) + 1, 0)
+
+
 def _agreement_batch(
     states: np.ndarray, configs: Sequence[RunConfig], rows: list[np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -461,35 +486,50 @@ def _agreement_batch(
     ``agreement_round_cap()``; returns each seed's round count and final
     iterates.
 
-    Each round steps the seeds still active with one stacked product.  A
-    seed stops after the round where max_i ||x_i(t) - x_i(t-1)|| /
-    max(||x_i(t-1)||, 1e-12) drops below its tolerance, or at its cap, and
-    leaves the stack.  No per-round rows are kept unless ``rows`` is given:
-    each round's iterates of the seeds still active are then appended to
-    it, which is the trajectory of a one-seed call.
+    A seed stops after the first round where max_i ||x_i(t) - x_i(t-1)|| /
+    max(||x_i(t-1)||, 1e-12) drops below its tolerance, or at its cap.  The
+    seeds still active step ``_AGREEMENT_BLOCK`` rounds at a time, one
+    stacked product per round, into one buffer allocated per call; every
+    round of the block is then tested at once, with the norms that
+    ``np.linalg.norm`` computes, and the seeds that stopped in it leave the
+    stack with their iterates of the round where they stopped.  Rounds a
+    block steps past a seed's stop are discarded, so each seed gets exactly
+    the rounds and iterates of its one-seed call.  No per-round rows are
+    kept unless ``rows`` is given to a one-seed call: each block then
+    appends the seed's iterates up to its stop, ``(k, n, p)``, so that
+    their concatenation is its trajectory.
     """
     caps = np.array([c.agreement_round_cap() for c in configs])
     rounds, final = np.zeros_like(caps), np.empty_like(states)
-    # The seeds still active, with their iterates, weights, tolerances and caps.
-    active, x, t = np.arange(len(configs)), states, 0
+    # The seeds still active, with their weights, tolerances and caps.
+    active, t = np.arange(len(configs)), 0
     weights = np.array([c.graph.weights for c in configs])
     tol, cap = np.array([c.stage2_rel_tol for c in configs]), caps
+    # Row k holds the active seeds' iterates after round k of the block; row
+    # 0 the iterates the block starts from.
+    buffer = np.empty((_AGREEMENT_BLOCK + 1, *states.shape))
+    buffer[0] = states
+    stepped = 0  # seed rounds stepped, those past a stop included
     while active.size:
-        x_next = weights @ x
-        node_changes = np.linalg.norm(x_next - x, axis=2)
-        node_norms = np.maximum(np.linalg.norm(x, axis=2), _REL_CHANGE_FLOOR)
-        x, t = x_next, t + 1
+        xs = buffer[:, :active.size]
+        for k in range(_AGREEMENT_BLOCK):
+            np.matmul(weights, xs[k], out=xs[k + 1])
+        stepped += _AGREEMENT_BLOCK * active.size
+        stop = _stop_rows(xs, tol, cap - t)
+        stops = stop > 0
         if rows is not None:
-            rows.append(x)
-        done = (np.max(node_changes / node_norms, axis=1) < tol) | (t >= cap)
-        if done.any():
-            final[active[done]] = x[done]
-            rounds[active[done]] = t
-            keep = ~done
-            active, x, weights, tol, cap = (a[keep] for a in (active, x, weights, tol, cap))
+            rows.append(xs[1:(stop[0] or _AGREEMENT_BLOCK) + 1, 0].copy())
+        final[active[stops]] = xs[stop[stops], np.flatnonzero(stops)]
+        rounds[active[stops]] = t + stop[stops]
+        keep = ~stops
+        active, weights, tol, cap = (a[keep] for a in (active, weights, tol, cap))
+        buffer[0, :active.size] = xs[_AGREEMENT_BLOCK, keep]
+        t += _AGREEMENT_BLOCK
     _log.debug(
-        "agreement batch: %d seeds, %d rounds at most, %d at their round cap",
+        "agreement batch: %d seeds, %d rounds at most, %d at their round cap, "
+        "%d seed rounds stepped for %d kept",
         len(configs), rounds.max(initial=0), np.count_nonzero(rounds >= caps),
+        stepped, rounds.sum(),
     )
     return rounds, final
 

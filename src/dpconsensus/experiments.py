@@ -36,7 +36,7 @@ from .objectives import (
     mean_objective_constants,
 )
 from .privacy import NoiseSchedule, PrivacyBudget, calibrate_noise_schedule, noise_budget
-from .rng import derive_seed
+from .rng import derive_seed, derive_states
 
 __all__ = [
     "AXES",
@@ -169,8 +169,7 @@ class SweepSpec:
     configs: tuple[ExperimentConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.axis not in AXES:
-            raise ValueError(f"unknown axis {self.axis!r}; choose one of {sorted(AXES)}")
+        _check_axis(self.axis)
         if not self.values:
             raise ValueError("values must be nonempty")
         if self.n_seeds < 1:
@@ -184,8 +183,14 @@ class SweepSpec:
         object.__setattr__(self, "configs", tuple(configs))
 
 
+def _check_axis(axis: str) -> None:
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}; choose one of {sorted(AXES)}")
+
+
 def preset_sweep(axis: str) -> SweepSpec:
     """The preset sweep of ``axis``: its ``PRESETS`` grid over its base."""
+    _check_axis(axis)
     values, overrides = PRESETS[axis]
     return SweepSpec(base=ExperimentConfig(**overrides), axis=axis, values=values)
 
@@ -245,17 +250,27 @@ def cell_seeds(
     Noise streams are unique per cell.  Graph and data streams depend on the
     axis value only when the axis regenerates them, so e.g. the privacy axis
     sees identical graphs and datasets across its values and isolates the
-    budget effect.
+    budget effect.  Each seed is ``derive_seed(master_seed, label,
+    value_index or 0, seed_index)`` for its stream label.
     """
+    return _value_cell_seeds(master_seed, axis, value_index, [seed_index])[0]
+
+
+def _value_cell_seeds(
+    master_seed: int, axis: str, value_index: int, seed_indices: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """``cell_seeds`` of one value's cells, one bulk derivation per stream."""
     _, regen_graph, regen_data = AXES[axis]
-    graph_seed = derive_seed(
-        master_seed, _GRAPH_STREAM, value_index if regen_graph else 0, seed_index
+    prefixes = (
+        (_GRAPH_STREAM, value_index if regen_graph else 0),
+        (_DATA_STREAM, value_index if regen_data else 0),
+        (_NOISE_STREAM, value_index),
     )
-    data_seed = derive_seed(
-        master_seed, _DATA_STREAM, value_index if regen_data else 0, seed_index
-    )
-    noise_seed = derive_seed(master_seed, _NOISE_STREAM, value_index, seed_index)
-    return graph_seed, data_seed, noise_seed
+    columns = [
+        derive_states(master_seed, prefix, seed_indices, n_words=1)[:, 0].tolist()
+        for prefix in prefixes
+    ]
+    return list(zip(*columns))
 
 
 def single_run_seeds(master_seed: int) -> tuple[int, int, int]:
@@ -319,7 +334,7 @@ def _values(
     graphs: list[CommGraph] = []
     data: list[tuple[LocalDataset, ...]] = []
     for value_index, (value, base) in enumerate(zip(spec.values, spec.configs)):
-        streams = [cell_seeds(master_seed, spec.axis, value_index, s) for s in seeds]
+        streams = _value_cell_seeds(master_seed, spec.axis, value_index, seeds)
         if regen_graph or not graphs:
             graphs = [gen_erdos_renyi(base.n_nodes, base.edge_prob, g) for g, _, _ in streams]
         if regen_data or not data:

@@ -5,7 +5,9 @@ Laplacian rule W = I - (2 / (3 * lambda_max(L))) * L with L = D - A, which
 is symmetric, doubly stochastic and entrywise nonnegative for every
 connected graph.  The contraction rate of a consensus step is the second
 largest eigenvalue magnitude of W, strictly below one iff the graph is
-connected.
+connected.  ``gen_erdos_renyi`` samples by rejection: each attempt draws
+from its own stream, taken in turn from one lazy ``rng.derive_rngs`` over
+all attempts, bit for bit the streams of ``rng.derive_rng(seed, attempt)``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import derive_rng
+from .rng import derive_rngs
 
 __all__ = [
     "CommGraph",
@@ -125,7 +127,8 @@ def gen_erdos_renyi(n: int, p_c: float, seed: int) -> CommGraph:
     accepted, so the graph is deterministic given ``(n, p_c, seed)``.
     Attempts are drawn and tested for connectivity a chunk at a time; chunks
     double from one up to ``_CHUNK_CAP``, and the last stops at
-    ``_MAX_ATTEMPTS`` streams.
+    ``_MAX_ATTEMPTS`` streams.  The streams come in turn from one lazy
+    ``derive_rngs``, which hashes them a window of attempts at a time.
 
     Raises:
         GraphError: if n < 2, p_c is not in (0, 1], or no connected sample
@@ -136,12 +139,13 @@ def gen_erdos_renyi(n: int, p_c: float, seed: int) -> CommGraph:
     if not 0.0 < p_c <= 1.0:
         raise GraphError(f"edge probability must lie in (0, 1], got {p_c}")
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    attempts = derive_rngs(seed, (), range(_MAX_ATTEMPTS))
     drawn, chunk = 0, 1
     while drawn < _MAX_ATTEMPTS:
         chunk = min(chunk, _MAX_ATTEMPTS - drawn)
         uniforms = np.empty((chunk, n, n))
-        for attempt, out in enumerate(uniforms, drawn):
-            derive_rng(seed, attempt).random(out=out)
+        for out in uniforms:
+            next(attempts).random(out=out)
         edges = (uniforms < p_c) & upper
         adjacency = edges | edges.transpose(0, 2, 1)
         drawn += chunk

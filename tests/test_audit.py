@@ -107,6 +107,25 @@ def test_collect_samples_equals_its_per_sample_losses(audit_setup, monkeypatch, 
         assert np.array_equal(more[1][:n], noise[:n])
 
 
+@pytest.mark.parametrize("n_samples", [1, 3, 4, 200])
+def test_collect_samples_draws_the_derive_seed_streams(audit_setup, monkeypatch, n_samples):
+    """The samples' noise seeds, derived in one bulk call, in order across
+    the batches, are the seeds ``derive_seed`` gives one at a time."""
+    import dpconsensus.audit as audit
+
+    config, edit = audit_setup
+    seeds, runs = [], audit.coupled_runs
+
+    def recorded(config, edit, noise_seeds):
+        seeds.extend(noise_seeds)
+        return runs(config, edit, noise_seeds)
+
+    monkeypatch.setattr(audit, "coupled_runs", recorded)
+    collect_samples(config, edit, n_samples, master_seed=2**64 - 5)
+    assert seeds == [derive_seed(2**64 - 5, _AUDIT_STREAM, i) for i in range(n_samples)]
+    assert all(type(seed) is int for seed in seeds)
+
+
 def test_tail_audit_trivially_passes_on_zero_losses():
     zeros = np.zeros(1000)
     report = tail_audit(zeros, BUDGET)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpconsensus.engine import (
+    _AGREEMENT_BLOCK,
     RunConfig,
     _agreement_batch,
     _agreement_phase,
@@ -657,14 +658,37 @@ def test_agreement_phase_respects_the_round_cap():
     assert metrics.t.tolist() == [11, 12, 13, 14]
 
 
+def reference_agreement(x, config):
+    """A plain per-round agreement loop: the round count, the final iterates
+    and every round's iterates, stacked ``(rounds, n, p)``."""
+    trajectory = []
+    for t in range(1, config.agreement_round_cap() + 1):
+        x_next = config.graph.weights @ x
+        changes = np.linalg.norm(x_next - x, axis=1)
+        norms = np.maximum(np.linalg.norm(x, axis=1), 1e-12)
+        x = x_next
+        trajectory.append(x)
+        if np.max(changes / norms) < config.stage2_rel_tol:
+            break
+    return t, x, np.array(trajectory)
+
+
 def assert_batch_equals_single_runs(states, configs):
     """Run ``states`` through the batched agreement loop and assert, seed by
-    seed, the round count and final iterates of the one-seed call."""
+    seed, the round count and final iterates of the one-seed call and of the
+    plain per-round loop, bit for bit, and that a one-seed call's rows are
+    the plain loop's iterates, round for round."""
     rounds, final = _agreement_batch(np.array(states), configs)
     for s, (x, config) in enumerate(zip(states, configs)):
         single, metrics = _agreement_phase(x, config)
-        assert rounds[s] == metrics.agreement_rounds == metrics.t[-1] - config.horizon
+        expected_rounds, expected_final, trajectory = reference_agreement(x, config)
+        rows = []
+        _agreement_batch(x[None], [config], rows)
+        assert rounds[s] == metrics.agreement_rounds == expected_rounds, f"seed {s}"
+        assert metrics.t[-1] - config.horizon == expected_rounds, f"seed {s}"
         assert np.array_equal(final[s], single), f"seed {s}"
+        assert np.array_equal(single, expected_final), f"seed {s}"
+        assert np.array_equal(np.concatenate(rows), trajectory), f"seed {s}"
     return rounds
 
 
@@ -743,8 +767,47 @@ def test_an_agreement_batch_logs_one_debug_record(caplog):
     rounds, _ = _agreement_batch(states, configs)
     assert rounds[0] == 3 and 3 < rounds[1] < 1000 and rounds[2] < 1000
     records = [r for r in caplog.records if r.name == "dpconsensus.engine"]
-    message = f"agreement batch: 3 seeds, {rounds.max()} rounds at most, 1 at their round cap"
+    # Each seed stays in the stack for every block up to the one it stops in.
+    stepped = _AGREEMENT_BLOCK * sum(-(-r // _AGREEMENT_BLOCK) for r in rounds.tolist())
+    message = (
+        f"agreement batch: 3 seeds, {rounds.max()} rounds at most, 1 at their round cap, "
+        f"{stepped} seed rounds stepped for {rounds.sum()} kept"
+    )
     assert [(r.levelno, r.getMessage()) for r in records] == [(logging.DEBUG, message)]
+
+
+@pytest.mark.parametrize(
+    "cap", [1, _AGREEMENT_BLOCK - 1, _AGREEMENT_BLOCK, _AGREEMENT_BLOCK + 1, 3 * _AGREEMENT_BLOCK]
+)
+def test_blocked_agreement_stops_at_every_cap_like_the_plain_loop(cap):
+    """With a zero tolerance every seed runs to its cap, on either side of
+    a block boundary, and the rows a block steps past it are dropped."""
+    configs = [
+        make_config(horizon=8, graph_seed=g, noise_seed=g + 1, stage2_rel_tol=0.0,
+                    stage2_max_rounds=cap)
+        for g in range(3)
+    ]
+    rounds = assert_batch_equals_single_runs(gradient_ends(configs), configs)
+    assert rounds.tolist() == [cap] * 3
+
+
+@pytest.mark.parametrize("dimension", [1, 4, 9])
+def test_blocked_agreement_matches_the_plain_loop_across_blocks(dimension):
+    """Seeds under different graphs, tolerances and caps stop in different
+    blocks, one at a fixed point after its first round, with the plain
+    loop's rounds and iterates; the norms over 1, 4 and 9 coordinates sum
+    as ``np.linalg.norm`` does."""
+    stopping = [(1e-9, None), (1e-4, None), (1e-12, 2 * _AGREEMENT_BLOCK + 3), (0.0, 5)]
+    configs = [
+        make_config(horizon=8, dimension=dimension, graph_seed=g, noise_seed=g + 1,
+                    stage2_rel_tol=tol, stage2_max_rounds=cap)
+        for g, (tol, cap) in enumerate(stopping)
+    ]
+    agreed = make_config(horizon=8, dimension=dimension, noiseless=True)
+    states = [*gradient_ends(configs), np.full((agreed.n_nodes, dimension), 0.25)]
+    rounds = assert_batch_equals_single_runs(states, [*configs, agreed])
+    assert rounds[-1] == 1 and rounds[3] == 5
+    assert len({r // _AGREEMENT_BLOCK for r in rounds.tolist()}) > 1
 
 
 def test_full_run_concatenates_phases():

@@ -20,6 +20,7 @@ from dpconsensus.experiments import (
     single_run_seeds,
     sweep,
 )
+from dpconsensus.rng import derive_seed
 
 TINY = ExperimentConfig(n_nodes=5, points_per_node=20, dimension=2, horizon=8)
 
@@ -113,6 +114,15 @@ def test_preset_axes_cover_the_studies():
     assert preset_sweep("T").base.horizon == ExperimentConfig().horizon
 
 
+def test_an_unknown_preset_axis_fails_by_name_as_a_sweep_spec_does():
+    with pytest.raises(ValueError) as spec_error:
+        SweepSpec(base=ExperimentConfig(), axis="bogus", values=(1.0,))
+    with pytest.raises(ValueError) as preset_error:
+        preset_sweep("bogus")
+    assert str(preset_error.value) == str(spec_error.value)
+    assert "'bogus'" in str(preset_error.value) and "p_c" in str(preset_error.value)
+
+
 def test_privacy_axis_shares_graph_and_data_streams():
     for seed_index in range(3):
         g0, d0, n0 = cell_seeds(11, "epsilon", 0, seed_index)
@@ -133,6 +143,19 @@ def test_data_volume_axis_regenerates_only_the_data():
     g1, d1, _ = cell_seeds(11, "points_per_node", 1, 0)
     assert g0 == g1
     assert d0 != d1
+
+
+@pytest.mark.parametrize("axis", sorted(AXES))
+def test_cell_seeds_are_the_derive_seed_streams(axis):
+    """Stream labels 1, 2 and 3 (graph, data, noise); the graph and data
+    streams take the value index only on an axis that regenerates them."""
+    _, regen_graph, regen_data = AXES[axis]
+    for master_seed, value_index, seed_index in ((11, 0, 0), (2**64 - 1, 2, 19), (0, 3, 2**33)):
+        assert cell_seeds(master_seed, axis, value_index, seed_index) == (
+            derive_seed(master_seed, 1, value_index if regen_graph else 0, seed_index),
+            derive_seed(master_seed, 2, value_index if regen_data else 0, seed_index),
+            derive_seed(master_seed, 3, value_index, seed_index),
+        )
 
 
 def test_build_run_config_uses_the_instance_sensitivity():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dpconsensus.experiments import ExperimentConfig, build_run_config, preset_sweep
 from dpconsensus.graph import CommGraph, GraphError, connected, gen_erdos_renyi
+from dpconsensus.rng import derive_rng
 
 
 def test_two_node_graph_is_the_single_edge():
@@ -86,14 +87,27 @@ def bfs_connected(adjacency):
     return len(seen) == len(adjacency)
 
 
+def record_streams(monkeypatch, graph):
+    """The key of every stream ``graph`` draws, in order, recorded as it
+    takes the stream from its lazy bulk entry point ``derive_rngs``."""
+    streams, derive_rngs = [], graph.derive_rngs
+
+    def recorded(master_seed, key, indices):
+        for index, generator in zip(indices, derive_rngs(master_seed, key, indices)):
+            streams.append((master_seed, *key, index))
+            yield generator
+
+    monkeypatch.setattr(graph, "derive_rngs", recorded)
+    return streams
+
+
 @pytest.mark.parametrize("max_attempts", [1, 5, 31, 70])
 def test_a_failed_sample_draws_exactly_max_attempts_streams(monkeypatch, max_attempts):
     """Chunks of attempts stop at ``_MAX_ATTEMPTS`` streams: each attempt
     number is drawn once, and none beyond the cap."""
     import dpconsensus.graph as graph
 
-    streams, derive_rng = [], graph.derive_rng
-    monkeypatch.setattr(graph, "derive_rng", lambda *key: streams.append(key) or derive_rng(*key))
+    streams = record_streams(monkeypatch, graph)
     monkeypatch.setattr(graph, "_MAX_ATTEMPTS", max_attempts)
     with pytest.raises(GraphError, match=f"in {max_attempts} attempts"):
         gen_erdos_renyi(20, 1e-6, seed=3)
@@ -106,8 +120,7 @@ def test_an_accepted_graph_logs_its_attempts(caplog, monkeypatch):
     which the chunks may carry past it."""
     import dpconsensus.graph as graph
 
-    streams, derive_rng = [], graph.derive_rng
-    monkeypatch.setattr(graph, "derive_rng", lambda *key: streams.append(key) or derive_rng(*key))
+    streams = record_streams(monkeypatch, graph)
     caplog.set_level(logging.DEBUG, logger="dpconsensus.graph")
     accepted = gen_erdos_renyi(10, 0.1, seed=7)
     attempt = 0
