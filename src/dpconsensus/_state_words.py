@@ -2,8 +2,8 @@
 
 It subclasses ``numpy.random``'s ``ISeedSequence``, and importing
 ``numpy.random`` costs about 10 ms, which a command that draws no stream
-need not pay; so it lives apart from ``rng``, which imports it when
-``derive_rngs`` builds its first generator.
+need not pay; so it lives apart from ``rng``, which imports it when it
+builds its first generator.
 """
 
 from __future__ import annotations

@@ -37,8 +37,10 @@ one reader of the consensus points) to its loss terms and gap norms, as
 it arrives; the sweeps and ``bound`` read only the end-of-phase error, so
 they keep only each batch's last iterates.
 A fixed float budget bounds one block, not a whole trajectory, so the
-memory of a sweep's batch does not grow with T; a cap on the rounds of a
-block sets how many seeds a batch holds apart from its length.
+memory of a sweep's batch does not grow with T; batches are sized for a
+fixed number of rounds per seed, and blocks hold as many rounds as then fit,
+up to a cap.  A round writes into preallocated arrays and allocates none,
+and a batch's noise streams are seeded in bulk (``rng.seeded_rngs``).
 
 Agreement phase (rounds t > T): exact broadcasts and pure consensus
 averaging without projection, until the per-node relative change drops
@@ -49,10 +51,14 @@ by side, each under its own graph, tolerance and cap.  It steps a fixed
 block of rounds per Python iteration into one buffer and then tests every
 round of the block at once, so a block may step a seed past its stop; the
 seed leaves the stack with its iterates of the round where it stopped, and
-the rounds past it are discarded.  A sweep reads only each seed's round
-count from it and keeps no per-round rows; a single run's
-``_agreement_phase`` is its one-seed call, which records the rows it
-reports, up to the stop, and numbers them from round T + 1.
+the rounds past it are discarded.  The test sums each norm's squares by
+column adds, and again in ``np.linalg.norm``'s order only for the rounds
+whose relative change lies within a relative 1e-12 of the tolerance, so a
+seed stops where a per-round loop of ``np.linalg.norm`` calls stops.  A
+sweep reads only each seed's round count from it and keeps no per-round
+rows; a single run's ``_agreement_phase`` is its one-seed call, which
+records the rows it reports, up to the stop, and numbers them from round
+T + 1.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ import numpy as np
 from .graph import CommGraph
 from .objectives import BoxDomain, LocalDataset, grand_mean, project_box
 from .privacy import NoiseSchedule
-from .rng import derive_rng
+from .rng import seeded_rngs
 
 __all__ = [
     "RunConfig",
@@ -88,21 +94,30 @@ _REL_CHANGE_FLOOR = 1e-12
 
 # Float budget of one block of a batch, S seeds by K rounds of n * p floats
 # each; the block's noise draws, noise, consensus points and iterates take
-# one budget each.  A block holds at most _BLOCK_ROUNDS rounds, so N seeds
-# run as max(1, N // size) near-equal batches, for size = budget // (n * p *
-# _BLOCK_ROUNDS): a batch holds size to 2 * size - 1 seeds (or all N when
-# fewer).  With 10 nodes in 4 dimensions size is 81, and 20 seeds step in
-# blocks of 20 rounds at any T.  Fewer seeds per batch mean more rounds to
-# step in Python, longer blocks more stepping to redo when a seed leaves the
-# box.
+# one budget each.  A block holds at most _BLOCK_ROUNDS rounds.  N seeds run
+# as max(1, N // size) near-equal batches, for size = budget // (n * p *
+# _BATCH_ROUNDS): a batch holds size to 2 * size - 1 seeds (or all N when
+# fewer), and its blocks as many rounds as fit the budget, up to
+# _BLOCK_ROUNDS.  With 10 nodes in 4 dimensions size is 163: 20 seeds step in
+# blocks of 20 rounds at any T, and the audit's 2,000 samples run as 12
+# batches of about 166 seeds, in blocks of 9 rounds.  Each batch steps every
+# round in Python, while each seed draws its noise once per block, so wider
+# batches with shorter blocks step fewer rounds for the same draws; longer
+# blocks mean more stepping to redo when a seed leaves the box.
 _BLOCK_FLOATS = 1 << 16
 _BLOCK_ROUNDS = 20
+_BATCH_ROUNDS = 10
 
 # Rounds the agreement loop steps per Python iteration before it tests them
 # all at once.  It is fixed, so the loop's memory does not depend on the
 # round caps; a block steps every seed still active through all its rounds,
 # up to _AGREEMENT_BLOCK - 1 past the round where a seed stops.
 _AGREEMENT_BLOCK = 16
+
+# Relative distance from a seed's tolerance within which the agreement loop's
+# stopping test sums its norms again in np.linalg.norm's order: far above the
+# few ulps by which two orders of summing p squares can differ.
+_STOP_MARGIN = 1e-12
 
 
 def check_run_settings(config) -> None:
@@ -253,9 +268,9 @@ def _metrics(
 
 def batches(items: Sequence, config: RunConfig) -> Iterator[Sequence]:
     """``items`` in order as max(1, N // size) batches whose lengths differ by
-    at most one, for size = ``_BLOCK_FLOATS`` // (n * p * ``_BLOCK_ROUNDS``)
+    at most one, for size = ``_BLOCK_FLOATS`` // (n * p * ``_BATCH_ROUNDS``)
     of ``config``: the most seeds whose blocks still hold that many rounds."""
-    per_seed = config.n_nodes * config.domain.dimension * _BLOCK_ROUNDS
+    per_seed = config.n_nodes * config.domain.dimension * _BATCH_ROUNDS
     count = max(1, len(items) // max(1, _BLOCK_FLOATS // per_seed))
     for i in range(count):
         yield items[len(items) * i // count:len(items) * (i + 1) // count]
@@ -333,8 +348,9 @@ def gradient_blocks(
 
     K is at most ``_BLOCK_ROUNDS`` and the most rounds whose S * K * n * p
     floats fit ``_BLOCK_FLOATS`` (at least one); the last block may be
-    shorter.  Each seed draws its noise from its own stream, round-major
-    then node-major, a block at a time: the same numbers as one draw of
+    shorter.  Each seed draws its noise from its own stream
+    ``derive_rng(seed)``, seeded in bulk, round-major then node-major, a
+    block at a time: the same numbers as one draw of
     (T+1) * n * p standard normals, so a seed draws alike in any batch and
     any block.  The next block overwrites the arrays of the last one.
     """
@@ -351,18 +367,19 @@ def gradient_blocks(
     if len(configs) == 1:
         weights = first_config.graph.weights
 
-        def mix(y: np.ndarray) -> np.ndarray:
-            return (weights @ y.reshape(n, -1)).reshape(y.shape)
+        def mix(y: np.ndarray, out: np.ndarray) -> None:
+            np.matmul(weights, y.reshape(n, -1), out=out.reshape(n, -1))
     else:
         stacked = np.array([c.graph.weights for c in configs])
 
-        def mix(y: np.ndarray) -> np.ndarray:
-            return (stacked @ y.transpose(2, 0, 1)).transpose(1, 2, 0)
+        # A stacked product into a seed-minor ``out=`` is slower than a copy.
+        def mix(y: np.ndarray, out: np.ndarray) -> None:
+            out[...] = (stacked @ y.transpose(2, 0, 1)).transpose(1, 2, 0)
     # Node counts (n, 1, C) and sums (n, p, C), for one config or one per seed.
     counts = np.array([[d.n_points for d in c.datasets] for c in configs], dtype=float).T[:, None]
     sums = np.array([[d.points.sum(axis=0) for d in c.datasets] for c in configs])
     sums = sums.transpose(1, 2, 0)
-    rngs = [derive_rng(seed) for seed in noise_seeds]
+    rngs = seeded_rngs(noise_seeds)
     # Row k + 1 of the noise buffer belongs to the block's new iterate k;
     # row 0 to the iterate its first round broadcasts: x(0) in the first
     # block, drawn with it, and the last block's last iterate afterwards.
@@ -371,6 +388,7 @@ def gradient_blocks(
     noise = np.empty((block + 1, n, p, n_seeds))
     z, x = np.empty((2, block, n, p, n_seeds))
     start = np.zeros((n, p, n_seeds))  # the iterate the block starts from
+    sent, step_terms = np.empty((2, n, p, n_seeds))  # a round's scratch
     reruns, clipped_seeds = 0, np.zeros(n_seeds, dtype=bool)
     for first in range(1, horizon + 1, block):
         rounds = min(block, horizon + 1 - first)
@@ -391,17 +409,24 @@ def gradient_blocks(
         for project in (False, True):
             previous = start
             with np.errstate(over="ignore", invalid="ignore"):
-                for k, step in enumerate(schedule.step_sizes[first - 1:first - 1 + rounds]):
-                    z[k] = mix(previous + noise[k])
+                steps = schedule.step_sizes[first - 1:first - 1 + rounds].tolist()
+                for k, step in enumerate(steps):
+                    # z = W (previous + noise), x = z - step * (counts * z - sums)
+                    mix(np.add(previous, noise[k], out=sent), z[k])
                     if project:
                         z[k] = _project(z[k], domain, noise_seeds)
-                    x[k] = z[k] - float(step) * (counts * z[k] - sums)
+                    np.multiply(counts, z[k], out=step_terms)
+                    np.subtract(step_terms, sums, out=step_terms)
+                    np.subtract(z[k], np.multiply(step_terms, step, out=step_terms), out=x[k])
                     if project:
                         x[k] = _project(x[k], domain, noise_seeds)
                     previous = x[k]
             if not project:
+                # Two bounds, not abs(): no float copy of the block.
+                half_width = domain.half_width
                 inside = [
-                    (np.abs(a[:rounds]) <= domain.half_width).all(axis=(0, 1, 2)) for a in (z, x)
+                    ((a[:rounds] <= half_width) & (a[:rounds] >= -half_width)).all(axis=(0, 1, 2))
+                    for a in (z, x)
                 ]
                 clipped = ~(inside[0] & inside[1])
                 if not clipped.any():
@@ -462,19 +487,47 @@ def run_gradient_phase(config: RunConfig) -> tuple[np.ndarray, RunMetrics]:
     return x[-1].copy(), _metrics(1, 1, errors)
 
 
+def _column_sums(squares: np.ndarray) -> np.ndarray:
+    """Sums over the last axis by one add per column, in index order."""
+    total = squares[..., 0].copy()
+    for j in range(1, squares.shape[-1]):
+        total += squares[..., j]
+    return total
+
+
+def _exact_sums(squares: np.ndarray) -> np.ndarray:
+    """Sums over the last axis in ``np.linalg.norm``'s order."""
+    return np.add.reduce(squares, axis=-1)
+
+
+def _worst_changes(before: np.ndarray, after: np.ndarray, sums) -> np.ndarray:
+    """max_i ||after_i - before_i|| / max(||before_i||, floor) over the nodes
+    of iterates ``(..., n, p)``, each norm's squares added up by ``sums``."""
+    change = after - before
+    changes = np.sqrt(sums(np.multiply(change, change, out=change)))
+    norms = np.maximum(np.sqrt(sums(np.multiply(before, before, out=change))), _REL_CHANGE_FLOOR)
+    return np.max(changes / norms, axis=-1)
+
+
 def _stop_rows(xs: np.ndarray, tol: np.ndarray, rounds_left: np.ndarray) -> np.ndarray:
     """For a stepped block ``xs`` of agreement rounds, rows 0..K of ``(K+1,
     S, n, p)``, the row of each seed's first stopping round, or 0 where the
     seed runs on: where its relative change drops below ``tol``, or where
     it reaches ``rounds_left``, its cap less the rounds before the block.
-    The norms are the ``sqrt(add.reduce(v * v, axis=-1))`` that
-    ``np.linalg.norm(v, axis=-1)`` computes for real ``v``."""
-    change = xs[1:] - xs[:-1]
-    node_changes = np.sqrt(np.add.reduce(np.multiply(change, change, out=change), axis=-1))
-    squares = np.multiply(xs[:-1], xs[:-1], out=change)
-    node_norms = np.maximum(np.sqrt(np.add.reduce(squares, axis=-1)), _REL_CHANGE_FLOOR)
-    block = np.arange(1, len(change) + 1)[:, None]
-    done = (np.max(node_changes / node_norms, axis=-1) < tol) | (block >= rounds_left)
+
+    The norms' squares are summed by column adds, and summed again in the
+    order of ``np.linalg.norm(v, axis=-1)``, ``sqrt(add.reduce(v * v,
+    axis=-1))``, only for the rounds whose relative change lies within
+    ``_STOP_MARGIN`` of a positive tolerance: the two orders differ by a
+    few ulps at most, so every stopping decision is the exact order's.  No
+    change is below a zero tolerance in either order."""
+    worst = _worst_changes(xs[:-1], xs[1:], _column_sums)
+    near = np.abs(worst - tol) < _STOP_MARGIN * tol
+    if near.any():
+        rows, seeds = np.nonzero(near)
+        worst[rows, seeds] = _worst_changes(xs[rows, seeds], xs[rows + 1, seeds], _exact_sums)
+    block = np.arange(1, len(worst) + 1)[:, None]
+    done = (worst < tol) | (block >= rounds_left)
     return np.where(done.any(axis=0), done.argmax(axis=0) + 1, 0)
 
 
@@ -490,14 +543,14 @@ def _agreement_batch(
     max(||x_i(t-1)||, 1e-12) drops below its tolerance, or at its cap.  The
     seeds still active step ``_AGREEMENT_BLOCK`` rounds at a time, one
     stacked product per round, into one buffer allocated per call; every
-    round of the block is then tested at once, with the norms that
-    ``np.linalg.norm`` computes, and the seeds that stopped in it leave the
-    stack with their iterates of the round where they stopped.  Rounds a
-    block steps past a seed's stop are discarded, so each seed gets exactly
-    the rounds and iterates of its one-seed call.  No per-round rows are
-    kept unless ``rows`` is given to a one-seed call: each block then
-    appends the seed's iterates up to its stop, ``(k, n, p)``, so that
-    their concatenation is its trajectory.
+    round of the block is then tested at once (``_stop_rows``), deciding as
+    the norms that ``np.linalg.norm`` computes do, and the seeds that
+    stopped in it leave the stack with their iterates of the round where
+    they stopped.  Rounds a block steps past a seed's stop are discarded, so
+    each seed gets exactly the rounds and iterates of its one-seed call.  No
+    per-round rows are kept unless ``rows`` is given to a one-seed call:
+    each block then appends the seed's iterates up to its stop, ``(k, n,
+    p)``, so that their concatenation is its trajectory.
     """
     caps = np.array([c.agreement_round_cap() for c in configs])
     rounds, final = np.zeros_like(caps), np.empty_like(states)

@@ -14,9 +14,13 @@ shared prefix is hashed once, and each final index adds only its own
 word's steps and the output words, vectorised over the indices.  A
 vectorised call costs about 35 us whatever the index count, so
 ``derive_rngs`` derives ``_RNG_WINDOW`` streams per call and hands them out
-lazily.  The words and generators are bit-identical to
-``seed_sequence(...)``'s, which NEP 19 keeps stable across numpy releases.
-``numpy.random`` is imported only when a generator is built.
+lazily.  Plain integer seeds with no key (a batch's noise seeds) are
+seeded in bulk by ``seeded_rngs``: ``SeedSequence(seed)`` hashes only the
+seed's one or two words, zero-padded to the pool size, so the whole pool
+is hashed vectorised over the seeds.  The words and generators are
+bit-identical to ``seed_sequence(...)``'s, which NEP 19 keeps stable across
+numpy releases.  ``numpy.random`` is imported only when a generator is
+built.
 """
 
 from __future__ import annotations
@@ -85,6 +89,42 @@ def _mix(x, y):
     return mixed ^ mixed >> 16
 
 
+def _pool(first: list, a: list) -> list:
+    """SeedSequence's pool of four words after its first four entropy words
+    ``first``, zero-padded: each is hashed into its own pool word under
+    constants ``a``, then every pool word is hashed and mixed into each
+    other.  Words are Python ints or uint64 arrays, vectorised alike; this
+    takes ``a[0]`` .. ``a[16]``."""
+    pool = [_hashmix(word, a[k], a[k + 1]) for k, word in enumerate(first)]
+    step = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[step], a[step + 1]))
+                step += 1
+    return pool
+
+
+def _output_words(pools: np.ndarray, n_words: int) -> np.ndarray:
+    """``generate_state(n_words, np.uint64)`` of each row of ``pools``, a
+    uint64 array ``(R, 4)``, as C-contiguous rows ``(R, n_words)``.
+
+    Output word j hashes pool word j mod 4; the 32-bit words pair up
+    little-endian."""
+    b = np.array(_constants(_INIT_B, _MULT_B, 2 * n_words), dtype=np.uint64)
+    pools = np.concatenate([pools] * -(-2 * n_words // _POOL_WORDS), axis=1)[:, :2 * n_words]
+    return _hashmix(pools, b[:-1], b[1:]).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _generators(states: np.ndarray) -> Iterator[np.random.Generator]:
+    """A PCG64 generator seeded with each row of four words of ``states``."""
+    from numpy.random import PCG64, Generator
+
+    from ._state_words import StateWords
+
+    return (Generator(PCG64(StateWords(words))) for words in states)
+
+
 def derive_states(
     master_seed: int, key: Sequence[int], indices: Sequence[int], n_words: int = 4
 ) -> np.ndarray:
@@ -104,32 +144,22 @@ def derive_states(
     # The pool's 4 first hashes and 12 cross-mixes, and 4 steps per later
     # word, take 4 constants per entropy word; an index's words, 8 more.
     a = _constants(_INIT_A, _MULT_A, _POOL_WORDS * len(entropy) + 2 * _POOL_WORDS)
-    pool = [_hashmix(word, a[k], a[k + 1]) for k, word in enumerate(entropy[:_POOL_WORDS])]
-    step = _POOL_WORDS
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[step], a[step + 1]))
-                step += 1
+    pool = _pool(entropy[:_POOL_WORDS], a)
+    step = _POOL_WORDS * _POOL_WORDS
     for word in entropy[_POOL_WORDS:]:
         for dst in range(_POOL_WORDS):
             pool[dst] = _mix(pool[dst], _hashmix(word, a[step], a[step + 1]))
             step += 1
-    a, b = a[step:], _constants(_INIT_B, _MULT_B, 2 * n_words)
     # One row per index, one column per pool word: the four steps of an
     # index word hash it under four consecutive constants.
     index = np.array(indices, dtype=np.uint64).reshape(-1, 1)
-    a, b = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+    a = np.array(a[step:], dtype=np.uint64)
     pool = _mix(np.array(pool, dtype=np.uint64), _hashmix(index & _MASK32, a[:4], a[1:5]))
     high = index >> 32
     if high.any():
         rows = np.flatnonzero(high)
         pool[rows] = _mix(pool[rows], _hashmix(high[rows], a[4:8], a[5:9]))
-    # Output word j hashes pool word j mod 4; the 32-bit words pair up
-    # little-endian, as in generate_state(n_words, np.uint64).
-    pool = np.concatenate([pool] * -(-2 * n_words // _POOL_WORDS), axis=1)[:, :2 * n_words]
-    out = _hashmix(pool, b[:-1], b[1:])
-    return out.astype("<u4").view("<u8").astype(np.uint64)
+    return _output_words(pool, n_words)
 
 
 def derive_rngs(
@@ -140,10 +170,18 @@ def derive_rngs(
     from ``derive_states``, which derives the words of ``_RNG_WINDOW``
     indices at a time, so a caller that stops early hashes at most one
     window past the streams it drew."""
-    from numpy.random import PCG64, Generator
-
-    from ._state_words import StateWords
-
     for start in range(0, len(indices), _RNG_WINDOW):
-        for words in derive_states(master_seed, key, indices[start:start + _RNG_WINDOW]):
-            yield Generator(PCG64(StateWords(words)))
+        yield from _generators(derive_states(master_seed, key, indices[start:start + _RNG_WINDOW]))
+
+
+def seeded_rngs(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """``derive_rng(seed)`` for each integer seed of ``seeds``, bit for bit.
+
+    With no key, SeedSequence hashes only the seed's one or two 32-bit
+    words, zero-padded to the pool size: the pool's first hashes and
+    cross-mixes, vectorised over the seeds, then give every pool at once.
+    """
+    seeds = np.fromiter((seed & _MASK64 for seed in seeds), dtype=np.uint64, count=len(seeds))
+    a = _constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
+    pool = _pool([seeds & _MASK32, seeds >> 32, np.zeros_like(seeds), np.zeros_like(seeds)], a)
+    return list(_generators(_output_words(np.stack(pool, axis=1), 4)))

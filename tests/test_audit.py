@@ -82,15 +82,16 @@ def test_samples_are_deterministic_per_master_seed(audit_setup):
 @pytest.mark.parametrize("seeds_per_batch", [None, 8])
 def test_collect_samples_equals_its_per_sample_losses(audit_setup, monkeypatch, seeds_per_batch):
     """37 samples, which no batch size used here divides: in one batch of 37
-    at the default budget's size of 102 seeds, and in batches of 9 + 9 + 9 +
-    10 at a budget of 8 seeds by 8 rounds."""
+    at the default budget's size of 204 seeds, and in batches of 6 + 6 + 6 +
+    6 + 6 + 7 at a budget of 8 seeds by 8 rounds, which holds 64 // 10 = 6
+    seeds of ``_BATCH_ROUNDS`` = 10 rounds each."""
     config, edit = audit_setup
     expected_lengths = [37]
     if seeds_per_batch is not None:
         per_round = config.n_nodes * config.domain.dimension
         monkeypatch.setattr("dpconsensus.engine._BLOCK_FLOATS", seeds_per_batch**2 * per_round)
         monkeypatch.setattr("dpconsensus.engine._BLOCK_ROUNDS", seeds_per_batch)
-        expected_lengths = [9, 9, 9, 10]
+        expected_lengths = [6, 6, 6, 6, 6, 7]
     assert [len(batch) for batch in batches(range(37), config)] == expected_lengths
     deterministic, noise = collect_samples(config, edit, 37, master_seed=11)
     assert deterministic.shape == noise.shape == (37,)
@@ -105,6 +106,20 @@ def test_collect_samples_equals_its_per_sample_losses(audit_setup, monkeypatch, 
         n = min(total, 37)
         assert np.array_equal(more[0][:n], deterministic[:n])
         assert np.array_equal(more[1][:n], noise[:n])
+
+
+def test_collect_samples_builds_no_seed_sequence(audit_setup, monkeypatch):
+    """The samples' seeds and their noise streams are derived in bulk: with
+    ``SeedSequence`` made to raise, the samples are the same."""
+    config, edit = audit_setup
+    expected = collect_samples(config, edit, 5, master_seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("collect_samples built a SeedSequence")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    for part, expected_part in zip(collect_samples(config, edit, 5, master_seed=3), expected):
+        assert np.array_equal(part, expected_part)
 
 
 @pytest.mark.parametrize("n_samples", [1, 3, 4, 200])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dpconsensus.engine import (
     _AGREEMENT_BLOCK,
+    _BATCH_ROUNDS,
     RunConfig,
     _agreement_batch,
     _agreement_phase,
@@ -371,9 +372,10 @@ def test_batched_gradient_phases_equal_single_runs(monkeypatch):
         )
         for g in range(7)
     ]
-    # A budget of two seeds by two rounds (size 2) splits the seven runs into
+    # A budget of _BATCH_ROUNDS seeds by two rounds holds two seeds of
+    # _BATCH_ROUNDS rounds each (size 2), so it splits the seven runs into
     # batches of 2 + 2 + 3 and each batch into blocks of 2 rounds or fewer.
-    block_rounds(monkeypatch, 2, 2, configs[0])
+    block_rounds(monkeypatch, 2, _BATCH_ROUNDS, configs[0])
     assert [len(batch) for batch in batches(configs, configs[0])] == [2, 2, 3]
     ends = gradient_phases(configs)
     assert ends.shape == (len(configs), 6, 3)
@@ -429,13 +431,13 @@ def test_gradient_phases_group_only_consecutive_configs_that_share_a_batch(monke
 @settings(max_examples=200, deadline=None)
 @given(n_items=st.integers(0, 200), size=st.integers(1, 15))
 def test_batches_split_items_in_order_into_near_equal_lengths(n_items, size):
-    """N items at a budget of ``size`` seeds by ``size`` rounds come in order,
-    each exactly once, as max(1, N // size) batches whose lengths differ by
-    at most one and lie in [min(N, size), 2 * size - 1]."""
+    """N items at a budget of ``size`` seeds by ``_BATCH_ROUNDS`` rounds come
+    in order, each exactly once, as max(1, N // size) batches whose lengths
+    differ by at most one and lie in [min(N, size), 2 * size - 1]."""
     config = make_config(n_nodes=2, dimension=1, horizon=1)
     items = list(range(n_items))
     with pytest.MonkeyPatch.context() as patch:
-        block_rounds(patch, size, size, config)
+        block_rounds(patch, _BATCH_ROUNDS, size, config)
         split = list(batches(items, config))
     assert [item for batch in split for item in batch] == items
     assert len(split) == max(1, n_items // size)
@@ -731,6 +733,41 @@ def test_a_zero_tolerance_runs_every_seed_to_its_cap():
     ]
     rounds = assert_batch_equals_single_runs(gradient_ends(configs), configs)
     assert rounds.tolist() == [c.agreement_round_cap() for c in configs]
+
+
+def column_norms(v):
+    """Norms over the last axis with the squares added in index order."""
+    return np.sqrt(sum(v[..., j] ** 2 for j in range(v.shape[-1])))
+
+
+@pytest.mark.parametrize("dimension", [4, 9])
+def test_a_tolerance_at_a_computed_relative_change_stops_as_the_plain_loop(dimension):
+    """A seed's tolerance set exactly at one of its rounds' relative changes,
+    in the second block.  Column adds sum p squares in index order, as numpy
+    does below 8; in dimension 9 numpy sums pairwise, and at the chosen
+    round the two orders put the change on opposite sides of the tolerance,
+    so only the exact recheck stops where the plain loop does."""
+    config = make_config(dimension=dimension, horizon=8, stage2_rel_tol=0.0, stage2_max_rounds=80)
+    x = run_gradient_phase(config)[0]
+    _, _, trajectory = reference_agreement(x, config)
+    before, after = np.concatenate([x[None], trajectory[:-1]]), trajectory
+    floor = np.maximum(np.linalg.norm(before, axis=-1), 1e-12)
+    exact = np.max(np.linalg.norm(after - before, axis=-1) / floor, axis=-1)
+    column = np.max(column_norms(after - before) / np.maximum(column_norms(before), 1e-12), axis=-1)
+    differ = np.flatnonzero(column != exact)
+    if dimension < 8:
+        assert differ.size == 0
+        k = _AGREEMENT_BLOCK + 1
+    else:
+        k = differ[differ >= _AGREEMENT_BLOCK][0]
+    tol = max(exact[k], column[k])
+    assert np.minimum(exact, column)[:k].min() > tol  # no earlier round stops
+    # Column adds decide round k as the exact order does only below dimension 8.
+    assert ((column[k] < tol) == (exact[k] < tol)) == (dimension < 8)
+    at_tol = replace(config, stage2_rel_tol=tol)
+    other = make_config(dimension=dimension, horizon=8, noise_seed=17, stage2_max_rounds=80)
+    rounds = assert_batch_equals_single_runs([x, gradient_ends([other])[0]], [at_tol, other])
+    assert rounds[0] == k + 1 + (exact[k] >= tol)
 
 
 def test_batched_agreement_memory_does_not_grow_with_the_round_cap():

@@ -7,13 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpconsensus
 from dpconsensus._state_words import StateWords
 from dpconsensus.graph import _MAX_ATTEMPTS
-from dpconsensus.rng import _RNG_WINDOW, derive_rng, derive_rngs, derive_seed, derive_states
+from dpconsensus.rng import (
+    _RNG_WINDOW,
+    derive_rng,
+    derive_rngs,
+    derive_seed,
+    derive_states,
+    seeded_rngs,
+)
 
 EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 words64 = st.sampled_from(EDGES) | st.integers(0, 2**64 - 1)
@@ -51,6 +58,23 @@ def test_bulk_generators_draw_what_derive_rng_draws(master_seed, key, finals):
         single = derive_rng(master_seed, *key, index)
         assert generator.bit_generator.state == single.bit_generator.state
         assert np.array_equal(generator.random(5), single.random(5))
+        assert np.array_equal(generator.standard_normal(3), single.standard_normal(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(words64, max_size=8))
+@example(EDGES)
+def test_seeded_generators_equal_derive_rng(seeds):
+    """Plain seeds of one and of two 32-bit words, mixed in one call: each
+    generator's words are ``SeedSequence(seed)``'s, and it draws what
+    ``derive_rng(seed)`` draws."""
+    generators = seeded_rngs(seeds)
+    assert len(generators) == len(seeds)
+    for generator, seed in zip(generators, seeds):
+        words = generator.bit_generator.seed_seq.generate_state(4, np.uint64)
+        assert np.array_equal(words, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        single = derive_rng(seed)
+        assert generator.bit_generator.state == single.bit_generator.state
         assert np.array_equal(generator.standard_normal(3), single.standard_normal(3))
 
 

@@ -11,17 +11,26 @@ warm-up pass of every workload on each side it runs P pairs (default 40).
 A pair runs one pass of each benchmark workload on each side, back to back,
 REF first in odd-numbered pairs and this checkout first in even-numbered
 ones, so that the machine's load, which drifts over minutes, falls on both
-sides alike.  A pass is one in-process ``dpconsensus.cli.main`` call with
-the workload's command line (``--jobs 1``) at a master seed of the
-development group 42-51, the same on both sides of a pair.  The two sides'
-output files are compared byte for byte in every pair.
+sides alike.  Every ``GENERATION_PAIRS`` pairs both workers are replaced by
+fresh, warmed-up processes: one process can run a workload a steady 1-2%
+faster or slower than another process of the same tree for its whole life,
+so a single pair of workers would carry that bias into every pair.  A pass
+is one in-process ``dpconsensus.cli.main`` call with the workload's command
+line (``--jobs 1``) at a master seed of the development group 42-51, the
+same on both sides of a pair.  The two sides' output files are compared
+byte for byte in every pair.
 
 The record goes to ``BENCH_<N>_interleaved.json`` at the root of this
 checkout: per workload, every pass's wall and CPU time on both sides, the
 paired ratios change/parent of wall time with their median and quartiles,
-the pairs the checkout wins, the median ratio of CPU time, and the number
-of pairs whose outputs differ.  Run with REF at the commit of this checkout
-(two copies of one ``src/``) it measures the protocol's own resolution.
+a seeded bootstrap 95% interval of that median (resampling whole worker
+generations, then pairs within them), the pairs the checkout wins with the
+exact two-sided sign test's p-value on them (ties count for neither side;
+the test takes pairs as independent), the median ratio of CPU time, and
+the number of pairs whose outputs differ.  Each tree is named by its commit
+and by a sha256 of its ``src/``, so a change with uncommitted edits is still
+named by what ran.  Run with REF at the commit of this checkout (two copies
+of one ``src/``) it measures the protocol's own resolution.
 
 Exits 0 when the record is written, and 2 if the archive or a worker fails.
 """
@@ -34,6 +43,8 @@ import gc
 import hashlib
 import io
 import json
+import math
+import random
 import resource
 import statistics
 import subprocess
@@ -42,9 +53,12 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, commit_of, extract_tree, quartiles
+from bench_pairs import ROOT, commit_of, extract_tree, quartiles, src_digest
 
 MASTER_SEEDS = tuple(range(42, 52))
+GENERATION_PAIRS = 5
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 20191
 
 
 def serve(tree: Path) -> None:
@@ -108,17 +122,47 @@ class Worker:
         self.process.wait()
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``: the
+    chance, if each were equally likely, of a split at least this uneven."""
+    n, k = wins + losses, min(wins, losses)
+    tail = sum(math.comb(n, i) for i in range(k + 1)) / 2**n
+    return min(1.0, 2.0 * tail)
+
+
+def bootstrap_interval(ratios: list[float]) -> list[float]:
+    """Percentile bootstrap 95% interval of the median of ``ratios``, in
+    pair order, from ``BOOTSTRAP_RESAMPLES`` resamples drawn with a fixed
+    seed.  A resample draws worker generations, ``GENERATION_PAIRS``
+    consecutive pairs each, with replacement, then pairs within each drawn
+    generation, so a bias that one pair of workers carries widens it."""
+    draw = random.Random(BOOTSTRAP_SEED).choices
+    generations = [
+        ratios[i:i + GENERATION_PAIRS] for i in range(0, len(ratios), GENERATION_PAIRS)
+    ]
+    medians = sorted(
+        statistics.median([
+            r for pairs in draw(generations, k=len(generations)) for r in draw(pairs, k=len(pairs))
+        ])
+        for _ in range(BOOTSTRAP_RESAMPLES)
+    )
+    return [medians[int(0.025 * BOOTSTRAP_RESAMPLES)], medians[int(0.975 * BOOTSTRAP_RESAMPLES) - 1]]
+
+
 def summarize(passes: dict[str, dict[str, list[dict]]]) -> dict:
     summary = {}
     for workload, sides in passes.items():
         parent, change = sides["parent"], sides["change"]
         ratios = [c["wall_s"] / p["wall_s"] for p, c in zip(parent, change)]
+        wins, losses = sum(r < 1.0 for r in ratios), sum(r > 1.0 for r in ratios)
         summary[workload] = {
             "parent_median_s": statistics.median(p["wall_s"] for p in parent),
             "change_median_s": statistics.median(c["wall_s"] for c in change),
             "ratio_median": statistics.median(ratios),
             "ratio_quartiles": quartiles(ratios),
-            "change_better_pairs": sum(r < 1.0 for r in ratios),
+            "ratio_median_95_interval": bootstrap_interval(ratios),
+            "change_better_pairs": wins,
+            "sign_test_p": sign_test(wins, losses),
             "pairs": len(ratios),
             "cpu_ratio_median": statistics.median(
                 c["cpu_s"] / p["cpu_s"] for p, c in zip(parent, change)
@@ -148,12 +192,17 @@ def main(ref: str, number: str, pairs: int) -> int:
             print(f"bench_interleaved: git archive {ref} failed: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
-        workers = {side: Worker(tree) for side, tree in trees.items()}
+        digests = {side: src_digest(tree) for side, tree in trees.items()}
+        workers: dict[str, Worker] = {}
         try:
-            for workload in workloads:  # warm-up, not recorded
-                for worker in workers.values():
-                    worker.run(workload, MASTER_SEEDS[0])
             for i in range(1, pairs + 1):
+                if (i - 1) % GENERATION_PAIRS == 0:
+                    for worker in workers.values():
+                        worker.close()
+                    workers = {side: Worker(tree) for side, tree in trees.items()}
+                    for workload in workloads:  # warm-up, not recorded
+                        for worker in workers.values():
+                            worker.run(workload, MASTER_SEEDS[0])
                 order = ("parent", "change") if i % 2 else ("change", "parent")
                 seed = MASTER_SEEDS[(i - 1) % len(MASTER_SEEDS)]
                 for workload in workloads:
@@ -170,13 +219,16 @@ def main(ref: str, number: str, pairs: int) -> int:
         "command": f"python tools/bench_interleaved.py {ref} {number} --pairs {pairs}",
         "protocol": (
             f"{pairs} pairs of single in-process passes per workload in two persistent "
-            "workers, one per tree, after one warm-up pass each; parent first in "
-            "odd-numbered pairs, change first in even-numbered ones; master seeds 42-51 "
-            "in turn, the same on both sides of a pair"
+            f"workers, one per tree, replaced every {GENERATION_PAIRS} pairs and warmed up "
+            "with one pass of each workload; parent first in odd-numbered pairs, change "
+            "first in even-numbered ones; master seeds 42-51 in turn, the same on both "
+            "sides of a pair"
         ),
         "parent_commit": parent_commit,
+        "parent_src_sha256": digests["parent"],
         "change_commit": change_commit,
         "change_has_uncommitted_src": dirty,
+        "change_src_sha256": digests["change"],
         "summary": summarize(passes),
         "passes": passes,
     }
@@ -187,7 +239,10 @@ def main(ref: str, number: str, pairs: int) -> int:
             f"{workload}: parent {row['parent_median_s'] * 1e3:.1f} ms, change "
             f"{row['change_median_s'] * 1e3:.1f} ms, ratio {row['ratio_median']:.3f} "
             f"[{row['ratio_quartiles'][0]:.3f}, {row['ratio_quartiles'][1]:.3f}], "
-            f"won {row['change_better_pairs']}/{row['pairs']}, "
+            f"95% interval [{row['ratio_median_95_interval'][0]:.3f}, "
+            f"{row['ratio_median_95_interval'][1]:.3f}], "
+            f"won {row['change_better_pairs']}/{row['pairs']} (sign test p "
+            f"{row['sign_test_p']:.2g}), "
             f"{row['output_mismatches']} output mismatches",
             file=sys.stderr,
         )

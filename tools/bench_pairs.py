@@ -14,7 +14,9 @@ to ``BENCH_<N>.json`` at the root of this checkout, in the schema of the
 earlier ``BENCH_*.json`` files: per workload and end-to-end metric of
 ``BENCHMARK.json`` the runs of both sides, their medians and quartiles,
 and the number of pairs the checkout wins, followed by every run's full
-per-workload records.  N only names the file; the protocol takes no
+per-workload records.  Both trees are also named by a sha256 of their
+``src/``, since ``change_commit`` names this checkout's ``HEAD`` even when
+its ``src/`` has uncommitted edits.  N only names the file; the protocol takes no
 options.  A full record takes about 25 minutes on two CPUs.
 
 Exits 0 when the record is written, and 2 if the archive or a run fails.
@@ -22,6 +24,7 @@ Exits 0 when the record is written, and 2 if the archive or a run fails.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import platform
@@ -49,6 +52,18 @@ def extract_tree(ref: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return dest
+
+
+def src_digest(tree: Path) -> str:
+    """sha256 of every file under ``tree/src`` but compiled caches, each by
+    its relative path and its bytes, in path order: names a tree whose
+    ``src/`` has uncommitted edits by what ran."""
+    digest = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(p for p in src.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(path.relative_to(src).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def commit_of(ref: str) -> str:
@@ -131,6 +146,7 @@ def main(ref: str, number: str) -> int:
             print(f"bench_pairs: git archive {ref} failed: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
+        digests = {side: src_digest(tree) for side, tree in trees.items()}
         for i in range(1, PAIRS + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for side in order:
@@ -148,7 +164,9 @@ def main(ref: str, number: str) -> int:
             "change first in even-numbered runs"
         ),
         "parent_commit": parent_commit,
+        "parent_src_sha256": digests["parent"],
         "change_commit": change_commit,
+        "change_src_sha256": digests["change"],
         "failed_passes": {side: failed_passes(runs[side]) for side in ("parent", "change")},
         "summary": summarize(runs, spec["end_to_end"], workloads),
         **runs,
