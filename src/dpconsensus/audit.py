@@ -123,7 +123,7 @@ def coupled_runs(
     grad_shift = _gradient_shift(config, edit)
     node, schedule = edit.node_id, config.schedule
     data = config.datasets[node]
-    count, total = float(data.n_points), data.points.sum(axis=0)
+    count, total = float(data.n_points), data.total
 
     gap_sq, inner = np.empty((2, len(noise_seeds), config.horizon))
     for first, _, noise, z, x in gradient_blocks([config], noise_seeds):

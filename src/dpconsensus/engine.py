@@ -158,7 +158,7 @@ class RunConfig:
         for node, data in enumerate(self.datasets):
             if data.dimension != self.domain.dimension:
                 raise ValueError("dataset dimension does not match the domain")
-            if not self.domain.contains(data.points):
+            if data.extent > self.domain.half_width:
                 raise ValueError(f"dataset of node {node} leaves the domain box")
         check_run_settings(self)
 
@@ -377,7 +377,7 @@ def gradient_blocks(
             out[...] = (stacked @ y.transpose(2, 0, 1)).transpose(1, 2, 0)
     # Node counts (n, 1, C) and sums (n, p, C), for one config or one per seed.
     counts = np.array([[d.n_points for d in c.datasets] for c in configs], dtype=float).T[:, None]
-    sums = np.array([[d.points.sum(axis=0) for d in c.datasets] for c in configs])
+    sums = np.array([[d.total for d in c.datasets] for c in configs])
     sums = sums.transpose(1, 2, 0)
     rngs = seeded_rngs(noise_seeds)
     # Row k + 1 of the noise buffer belongs to the block's new iterate k;

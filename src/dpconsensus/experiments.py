@@ -28,11 +28,12 @@ import numpy as np
 
 from . import engine
 from .analysis import BoundInputs
-from .graph import CommGraph, GraphError, gen_erdos_renyi
+from .graph import CommGraph, GraphError, gen_erdos_renyi, gen_erdos_renyi_graphs
 from .objectives import (
     BoxDomain,
     LocalDataset,
     gen_truncated_gaussian,
+    gen_truncated_gaussian_datasets,
     mean_objective_constants,
 )
 from .privacy import NoiseSchedule, PrivacyBudget, calibrate_noise_schedule, noise_budget
@@ -195,13 +196,6 @@ def preset_sweep(axis: str) -> SweepSpec:
     return SweepSpec(base=ExperimentConfig(**overrides), axis=axis, values=values)
 
 
-def _datasets(base: ExperimentConfig, data_seed: int) -> tuple[LocalDataset, ...]:
-    return tuple(
-        gen_truncated_gaussian(base.points_per_node, base.domain, data_seed, node_id=i)
-        for i in range(base.n_nodes)
-    )
-
-
 def _run_config(
     base: ExperimentConfig,
     graph: CommGraph,
@@ -226,7 +220,10 @@ def build_run_config(
 ) -> engine.RunConfig:
     """Expand a scalar config into a runnable one (graph, data, schedule)."""
     graph = gen_erdos_renyi(base.n_nodes, base.edge_prob, graph_seed)
-    datasets = _datasets(base, data_seed)
+    datasets = tuple(
+        gen_truncated_gaussian(base.points_per_node, base.domain, data_seed, node_id=i)
+        for i in range(base.n_nodes)
+    )
     return _run_config(base, graph, datasets, noise_seed)
 
 
@@ -328,17 +325,21 @@ def _values(
     Every config of a value shares the schedule of its ``spec.configs``.
     Graphs and datasets are built at the first value, and again at each
     later one only when the axis regenerates them: otherwise their streams
-    do not depend on the value, so every value reuses the same inputs.
+    do not depend on the value, so every value reuses the same inputs.  A
+    value's graphs take one batched sampler call, and its datasets another.
     """
     _, regen_graph, regen_data = AXES[spec.axis]
     graphs: list[CommGraph] = []
     data: list[tuple[LocalDataset, ...]] = []
     for value_index, (value, base) in enumerate(zip(spec.values, spec.configs)):
         streams = _value_cell_seeds(master_seed, spec.axis, value_index, seeds)
+        graph_seeds, data_seeds, _ = zip(*streams)
         if regen_graph or not graphs:
-            graphs = [gen_erdos_renyi(base.n_nodes, base.edge_prob, g) for g, _, _ in streams]
+            graphs = gen_erdos_renyi_graphs(base.n_nodes, base.edge_prob, graph_seeds)
         if regen_data or not data:
-            data = [_datasets(base, d) for _, d, _ in streams]
+            data = gen_truncated_gaussian_datasets(
+                base.points_per_node, base.domain, data_seeds, base.n_nodes
+            )
         yield value, [
             _run_config(base, graph, datasets, noise_seed)
             for graph, datasets, (_, _, noise_seed) in zip(graphs, data, streams)

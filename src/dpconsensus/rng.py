@@ -6,21 +6,21 @@ master seed plus a structured key (stream label, axis index, seed index,
 so replays are bit-stable for a fixed numpy build.
 
 Many streams whose keys differ only in their last element (the attempts of
-one graph sample, the samples of one audit) are derived in bulk by
-``derive_states`` and ``derive_rngs``, with no ``SeedSequence`` built.  They
-compute numpy's ``SeedSequence`` hash themselves: its hash constants
-advance once per step whatever the data, so the pool left by the key's
-shared prefix is hashed once, and each final index adds only its own
-word's steps and the output words, vectorised over the indices.  A
-vectorised call costs about 35 us whatever the index count, so
-``derive_rngs`` derives ``_RNG_WINDOW`` streams per call and hands them out
-lazily.  Plain integer seeds with no key (a batch's noise seeds) are
-seeded in bulk by ``seeded_rngs``: ``SeedSequence(seed)`` hashes only the
-seed's one or two words, zero-padded to the pool size, so the whole pool
-is hashed vectorised over the seeds.  The words and generators are
-bit-identical to ``seed_sequence(...)``'s, which NEP 19 keeps stable across
-numpy releases.  ``numpy.random`` is imported only when a generator is
-built.
+a round of graph samples, the nodes of a sweep value's datasets, the
+samples of one audit) are derived in bulk by ``derive_states``, for one
+master seed or for many at once, with no ``SeedSequence`` built.  It
+computes numpy's ``SeedSequence`` hash itself: its hash constants advance
+once per step whatever the data, so the pool left by each master seed and
+the key's shared prefix is hashed once, vectorised over the master seeds,
+and each final index adds only its own word's steps and the output words,
+vectorised over the masters and indices alike.  ``generators`` seeds a
+PCG64 generator from each row of words.  Plain integer seeds with no key
+(a batch's noise seeds) are seeded in bulk by ``seeded_rngs``:
+``SeedSequence(seed)`` hashes only the seed's one or two words,
+zero-padded to the pool size, so the whole pool is hashed vectorised over
+the seeds.  The words and generators are bit-identical to
+``seed_sequence(...)``'s, which NEP 19 keeps stable across numpy releases.
+``numpy.random`` is imported only when a generator is built.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-# Streams ``derive_rngs`` derives per ``derive_states`` call: a graph sample's
-# first twelve chunks, 255 attempts, take one call.
-_RNG_WINDOW = 256
 
 
 def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
@@ -116,62 +112,106 @@ def _output_words(pools: np.ndarray, n_words: int) -> np.ndarray:
     return _hashmix(pools, b[:-1], b[1:]).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _generators(states: np.ndarray) -> Iterator[np.random.Generator]:
-    """A PCG64 generator seeded with each row of four words of ``states``."""
+def generators(states: np.ndarray) -> Iterator[np.random.Generator]:
+    """A PCG64 generator seeded with each row of four words of ``states``,
+    a uint64 array ``(..., 4)`` of ``derive_states`` rows, in row order and
+    built as it is asked for: ``derive_rng``'s generator for the same
+    address, bit for bit."""
     from numpy.random import PCG64, Generator
 
     from ._state_words import StateWords
 
-    return (Generator(PCG64(StateWords(words))) for words in states)
+    return (Generator(PCG64(StateWords(words))) for words in states.reshape(-1, _POOL_WORDS))
 
 
-def derive_states(
-    master_seed: int, key: Sequence[int], indices: Sequence[int], n_words: int = 4
-) -> np.ndarray:
-    """``seed_sequence(master_seed, *key, i).generate_state(n_words, np.uint64)``
-    for every final index ``i`` of ``indices`` (each in [0, 2^64)), as the
-    rows of a uint64 array ``(len(indices), n_words)``.
+def _seed_words(seeds: np.ndarray) -> list:
+    """The four first entropy words of each uint64 seed of ``seeds``: its
+    one or two 32-bit words, zero-padded to the pool size."""
+    return [seeds & _MASK32, seeds >> 32, np.zeros_like(seeds), np.zeros_like(seeds)]
 
-    SeedSequence pads the master seed's words to the pool size (a spawn key
-    is always given here), appends the key's words and hashes them into a
-    pool of four words.  That pool is computed once, in Python ints; each
-    index then mixes in its own word, or two above 2^32, and the output
-    words are hashed from the pool, both vectorised over the indices.  The
-    rows are C-contiguous.
-    """
-    master = _words(master_seed)
-    entropy = master + [0] * (_POOL_WORDS - len(master)) + [w for k in key for w in _words(k)]
+
+def _uint64s(seeds: Sequence[int]) -> np.ndarray:
+    return np.fromiter((seed & _MASK64 for seed in seeds), dtype=np.uint64, count=len(seeds))
+
+
+def _prefix_pools(first: list, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The pools, uint64 ``(M, 4)``, of the stream prefixes ``(m, *key)``
+    whose master seeds give the four first entropy words ``first``: Python
+    ints for one master (M = 1) or uint64 arrays ``(M,)``.  Also returns the
+    8 hash constants that a final index's words take next.
+
+    SeedSequence pads a master seed's words to the pool size (a spawn key
+    is always given here), appends the key's words and hashes them in."""
+    rest = [w for k in key for w in _words(k)]
     # The pool's 4 first hashes and 12 cross-mixes, and 4 steps per later
     # word, take 4 constants per entropy word; an index's words, 8 more.
-    a = _constants(_INIT_A, _MULT_A, _POOL_WORDS * len(entropy) + 2 * _POOL_WORDS)
-    pool = _pool(entropy[:_POOL_WORDS], a)
+    a = _constants(_INIT_A, _MULT_A, _POOL_WORDS * (_POOL_WORDS + len(rest)) + 2 * _POOL_WORDS)
+    pool = _pool(first, a)
     step = _POOL_WORDS * _POOL_WORDS
-    for word in entropy[_POOL_WORDS:]:
+    for word in rest:
         for dst in range(_POOL_WORDS):
             pool[dst] = _mix(pool[dst], _hashmix(word, a[step], a[step + 1]))
             step += 1
-    # One row per index, one column per pool word: the four steps of an
-    # index word hash it under four consecutive constants.
+    pools = np.stack(pool, axis=-1).astype(np.uint64).reshape(-1, _POOL_WORDS)
+    return pools, np.array(a[step:], dtype=np.uint64)
+
+
+def _index_states(
+    pools: np.ndarray, a: np.ndarray, indices: Sequence[int], n_words: int
+) -> np.ndarray:
+    """The words ``(M, len(indices), n_words)`` of each prefix pool of
+    ``pools`` ``(M, 4)`` extended by each final index, its own word or two
+    above 2^32 hashed under the constants ``a``; every row is C-contiguous."""
+    # The four steps of an index word hash it under four consecutive
+    # constants, one per pool word.
     index = np.array(indices, dtype=np.uint64).reshape(-1, 1)
-    a = np.array(a[step:], dtype=np.uint64)
-    pool = _mix(np.array(pool, dtype=np.uint64), _hashmix(index & _MASK32, a[:4], a[1:5]))
+    pools = _mix(pools[:, None], _hashmix(index & _MASK32, a[:4], a[1:5]))
     high = index >> 32
     if high.any():
         rows = np.flatnonzero(high)
-        pool[rows] = _mix(pool[rows], _hashmix(high[rows], a[4:8], a[5:9]))
-    return _output_words(pool, n_words)
+        pools[:, rows] = _mix(pools[:, rows], _hashmix(high[rows], a[4:8], a[5:9]))
+    states = _output_words(pools.reshape(-1, _POOL_WORDS), n_words)
+    return states.reshape(len(pools), len(index), n_words)
 
 
-def derive_rngs(
-    master_seed: int, key: Sequence[int], indices: Sequence[int]
-) -> Iterator[np.random.Generator]:
-    """``derive_rng(master_seed, *key, i)`` for each ``i`` of ``indices`` in
-    turn, bit for bit: each generator is a PCG64 seeded with its four words
-    from ``derive_states``, which derives the words of ``_RNG_WINDOW``
-    indices at a time, so a caller that stops early hashes at most one
-    window past the streams it drew."""
-    for start in range(0, len(indices), _RNG_WINDOW):
-        yield from _generators(derive_states(master_seed, key, indices[start:start + _RNG_WINDOW]))
+def derive_states(
+    master_seed: int | Sequence[int],
+    key: Sequence[int],
+    indices: Sequence[int],
+    n_words: int = 4,
+) -> np.ndarray:
+    """``seed_sequence(m, *key, i).generate_state(n_words, np.uint64)`` for
+    every final index ``i`` of ``indices`` (each in [0, 2^64)): for one
+    master seed ``m``, the rows of a uint64 array ``(len(indices),
+    n_words)``; for a sequence of M master seeds, an array ``(M,
+    len(indices), n_words)``, master-major.
+
+    The pool of each prefix ``(m, *key)`` is computed once, in Python ints
+    for one master and vectorised over many; each index then mixes in its
+    own words, and the output words are hashed from the pools, vectorised
+    over masters and indices.  Every row is C-contiguous.
+    """
+    if isinstance(master_seed, (int, np.integer)):
+        master = _words(int(master_seed))
+        pools = _prefix_pools(master + [0] * (_POOL_WORDS - len(master)), key)
+        return _index_states(*pools, indices, n_words)[0]
+    return StreamPrefixes(master_seed, key).states(range(len(master_seed)), indices, n_words)
+
+
+class StreamPrefixes:
+    """The stream prefixes ``(m, *key)`` of the master seeds ``m`` of
+    ``master_seeds`` and one key, for streams ``(m, *key, i)`` asked for by
+    final index later, as in rounds: each prefix's pool is hashed once, at
+    construction, vectorised over the master seeds."""
+
+    def __init__(self, master_seeds: Sequence[int], key: Sequence[int] = ()) -> None:
+        self.master_seeds = master_seeds
+        self._pools, self._constants = _prefix_pools(_seed_words(_uint64s(master_seeds)), key)
+
+    def states(self, rows: Sequence[int], indices: Sequence[int], n_words: int = 4) -> np.ndarray:
+        """``derive_states(self.master_seeds[r], key, indices, n_words)`` for
+        each r of ``rows``, stacked ``(len(rows), len(indices), n_words)``."""
+        return _index_states(self._pools[list(rows)], self._constants, indices, n_words)
 
 
 def seeded_rngs(seeds: Sequence[int]) -> list[np.random.Generator]:
@@ -181,7 +221,6 @@ def seeded_rngs(seeds: Sequence[int]) -> list[np.random.Generator]:
     words, zero-padded to the pool size: the pool's first hashes and
     cross-mixes, vectorised over the seeds, then give every pool at once.
     """
-    seeds = np.fromiter((seed & _MASK64 for seed in seeds), dtype=np.uint64, count=len(seeds))
     a = _constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
-    pool = _pool([seeds & _MASK32, seeds >> 32, np.zeros_like(seeds), np.zeros_like(seeds)], a)
-    return list(_generators(_output_words(np.stack(pool, axis=1), 4)))
+    pool = _pool(_seed_words(_uint64s(seeds)), a)
+    return list(generators(_output_words(np.stack(pool, axis=1), _POOL_WORDS)))

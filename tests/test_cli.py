@@ -270,9 +270,10 @@ OUT_OF_FLOAT_RANGE = [
 def test_values_out_of_float_range_fail_by_name(tmp_path, capsys, monkeypatch, command, values):
     """Each exits 2 naming epsilon, delta and the gradient bound, writes no
     file, and a sweep samples no graph."""
-    monkeypatch.setattr(
-        "dpconsensus.experiments.gen_erdos_renyi", lambda *a: pytest.fail("sampled a graph")
-    )
+    for name in ("gen_erdos_renyi", "gen_erdos_renyi_graphs"):
+        monkeypatch.setattr(
+            f"dpconsensus.experiments.{name}", lambda *a: pytest.fail("sampled a graph")
+        )
     out = tmp_path / "out.csv"
     overrides = [arg for value in values for arg in ("--set", value)]
     assert run_cli(command, *overrides, "--output", str(out)) == 2
@@ -343,8 +344,13 @@ def test_schedule_builds_no_graph_or_data(tmp_path, monkeypatch):
     def no_sampling(*args, **kwargs):
         pytest.fail("schedule sampled a graph or a dataset")
 
-    monkeypatch.setattr("dpconsensus.experiments.gen_erdos_renyi", no_sampling)
-    monkeypatch.setattr("dpconsensus.experiments.gen_truncated_gaussian", no_sampling)
+    for name in (
+        "gen_erdos_renyi",
+        "gen_erdos_renyi_graphs",
+        "gen_truncated_gaussian",
+        "gen_truncated_gaussian_datasets",
+    ):
+        monkeypatch.setattr(f"dpconsensus.experiments.{name}", no_sampling)
     tables = []
     for edge_prob in ("0.02", "0.6"):
         out = tmp_path / f"schedule_{edge_prob}.csv"

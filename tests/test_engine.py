@@ -923,6 +923,19 @@ def test_config_validation():
             schedule=config.schedule,
             noise_seed=0,
         )
+    # One coordinate a step past the box is enough; the box's faces are in it.
+    points = config.datasets[2].points.copy()
+    points[3, 1] = -np.nextafter(1.0, 2.0)
+
+    def with_node_2(points):
+        datasets = config.datasets[:2] + (LocalDataset(points),) + config.datasets[3:]
+        return replace(config, datasets=datasets)
+
+    with pytest.raises(ValueError, match="dataset of node 2 leaves the domain box"):
+        with_node_2(points)
+    points = points.copy()  # a dataset makes its points read-only
+    points[3, 1], points[0, 0] = -1.0, 1.0
+    assert with_node_2(points).datasets[2].extent == config.domain.half_width
     with pytest.raises(ValueError, match="probe"):
         replace(config, probe_node=17)
     for tol in (-1e-3, 1.0, 2.0):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpconsensus import engine, experiments
+from dpconsensus import engine, experiments, graph
 from dpconsensus.experiments import (
     AXES,
     ExperimentConfig,
@@ -20,6 +20,7 @@ from dpconsensus.experiments import (
     single_run_seeds,
     sweep,
 )
+from dpconsensus.graph import GraphError
 from dpconsensus.rng import derive_seed
 
 TINY = ExperimentConfig(n_nodes=5, points_per_node=20, dimension=2, horizon=8)
@@ -66,9 +67,14 @@ BAD_GRIDS = [
 
 
 def _record_cell_runs(monkeypatch):
-    """The calls that sampling a graph or running a gradient batch makes."""
+    """The calls that sampling a graph, one or a batch, or running a
+    gradient batch makes."""
     calls = []
-    for target in ("dpconsensus.experiments.gen_erdos_renyi", "dpconsensus.engine.gradient_blocks"):
+    for target in (
+        "dpconsensus.experiments.gen_erdos_renyi",
+        "dpconsensus.experiments.gen_erdos_renyi_graphs",
+        "dpconsensus.engine.gradient_blocks",
+    ):
         monkeypatch.setattr(target, lambda *args, **kwargs: calls.append(args) or 1 / 0)
     return calls
 
@@ -287,7 +293,12 @@ def test_parallel_workers_build_every_graph_and_dataset(monkeypatch):
 
         return wrapper
 
-    for name in ("gen_erdos_renyi", "gen_truncated_gaussian"):
+    for name in (
+        "gen_erdos_renyi",
+        "gen_erdos_renyi_graphs",
+        "gen_truncated_gaussian",
+        "gen_truncated_gaussian_datasets",
+    ):
         monkeypatch.setattr(experiments, name, only_in_workers(name))
     assert sweep(spec, master_seed=33, jobs=2).rows == sequential.rows
 
@@ -344,16 +355,40 @@ def test_the_epsilon_preset_runs_all_values_as_one_batch(monkeypatch):
     assert batches == [(spec.n_seeds, int(value)) for value in spec.values]
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    original = getattr(experiments, name)
+def _count_builds(monkeypatch):
+    """Every graph ``(n, p_c, seed)`` and dataset ``(n_points, domain, seed,
+    node)`` a sweep builds, through the one-graph and one-dataset entry
+    points or the batched ones, and the batched calls made."""
+    graphs, datasets, batched = [], [], []
 
-    def counted(*args, **kwargs):
-        calls.append((*args, *sorted(kwargs.items())))
-        return original(*args, **kwargs)
+    def one_graph(n, p_c, seed):
+        graphs.append((n, p_c, seed))
 
-    monkeypatch.setattr(experiments, name, counted)
-    return calls
+    def graph_batch(n, p_c, seeds):
+        batched.append("graphs")
+        graphs.extend((n, p_c, seed) for seed in seeds)
+
+    def one_dataset(n_points, domain, seed, node_id=0):
+        datasets.append((n_points, domain, seed, node_id))
+
+    def dataset_batch(n_points, domain, seeds, n_nodes):
+        batched.append("datasets")
+        datasets.extend((n_points, domain, s, node) for s in seeds for node in range(n_nodes))
+
+    for name, record in (
+        ("gen_erdos_renyi", one_graph),
+        ("gen_erdos_renyi_graphs", graph_batch),
+        ("gen_truncated_gaussian", one_dataset),
+        ("gen_truncated_gaussian_datasets", dataset_batch),
+    ):
+        original = getattr(experiments, name)
+
+        def counted(*args, original=original, record=record, **kwargs):
+            record(*args, **kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    return graphs, datasets, batched
 
 
 @pytest.mark.parametrize(
@@ -367,9 +402,9 @@ def _count_calls(monkeypatch, name):
 def test_sweep_builds_each_graph_and_dataset_once(
     monkeypatch, axis, graphs_per_seed, datasets_per_seed
 ):
-    """Inputs the axis does not regenerate are shared by all its values."""
-    graphs = _count_calls(monkeypatch, "gen_erdos_renyi")
-    datasets = _count_calls(monkeypatch, "gen_truncated_gaussian")
+    """Inputs the axis does not regenerate are shared by all its values, and
+    a value that builds them takes one batched call per kind."""
+    graphs, datasets, batched = _count_builds(monkeypatch)
     n_seeds = 3
     spec = SweepSpec(base=TINY, axis=axis, values=TINY_VALUES[axis], n_seeds=n_seeds)
     sweep(spec, master_seed=4)
@@ -377,6 +412,29 @@ def test_sweep_builds_each_graph_and_dataset_once(
     assert len(datasets) == datasets_per_seed * n_seeds
     assert len(set(graphs)) == len(graphs)
     assert len(set(datasets)) == len(datasets)
+    assert batched.count("graphs") == graphs_per_seed
+    assert batched.count("datasets") == datasets_per_seed // TINY.n_nodes
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_hopeless_edge_probability_fails_a_sweep_by_name(monkeypatch, jobs):
+    """A sweep value whose graphs cannot connect fails with the sampler's
+    error after ``_MAX_ATTEMPTS`` streams per graph, in workers too."""
+    streams = []
+
+    class Recorded(graph.StreamPrefixes):
+        def states(self, rows, indices, n_words=4):
+            streams.extend((self.master_seeds[row], index) for row in rows for index in indices)
+            return super().states(rows, indices, n_words)
+
+    monkeypatch.setattr(graph, "StreamPrefixes", Recorded)
+    monkeypatch.setattr(graph, "_MAX_ATTEMPTS", 25)
+    spec = SweepSpec(base=TINY, axis="p_c", values=(1e-6,), n_seeds=2)
+    with pytest.raises(GraphError, match="in 25 attempts"):
+        sweep(spec, master_seed=5, jobs=jobs)
+    if jobs == 1:  # a worker's streams are recorded in its own process
+        seeds = [cell_seeds(5, "p_c", 0, seed_index)[0] for seed_index in range(2)]
+        assert sorted(streams) == sorted((seed, a) for seed in seeds for a in range(25))
 
 
 def test_axis_table_is_consistent():

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpconsensus.experiments import ExperimentConfig, build_run_config, preset_sweep
-from dpconsensus.graph import CommGraph, GraphError, connected, gen_erdos_renyi
+from dpconsensus.graph import (
+    CommGraph,
+    GraphError,
+    connected,
+    gen_erdos_renyi,
+    gen_erdos_renyi_graphs,
+)
 from dpconsensus.rng import derive_rng
 
 
@@ -88,16 +94,17 @@ def bfs_connected(adjacency):
 
 
 def record_streams(monkeypatch, graph):
-    """The key of every stream ``graph`` draws, in order, recorded as it
-    takes the stream from its lazy bulk entry point ``derive_rngs``."""
-    streams, derive_rngs = [], graph.derive_rngs
+    """The key of every stream ``graph`` draws, in order, recorded as its
+    batched sampler derives each round's streams
+    (``StreamPrefixes.states``)."""
+    streams = []
 
-    def recorded(master_seed, key, indices):
-        for index, generator in zip(indices, derive_rngs(master_seed, key, indices)):
-            streams.append((master_seed, *key, index))
-            yield generator
+    class Recorded(graph.StreamPrefixes):
+        def states(self, rows, indices, n_words=4):
+            streams.extend((self.master_seeds[row], index) for row in rows for index in indices)
+            return super().states(rows, indices, n_words)
 
-    monkeypatch.setattr(graph, "derive_rngs", recorded)
+    monkeypatch.setattr(graph, "StreamPrefixes", Recorded)
     return streams
 
 
@@ -135,6 +142,90 @@ def test_an_accepted_graph_logs_its_attempts(caplog, monkeypatch):
         (logging.DEBUG,
          f"G(10, 0.1) seed 7: connected after {attempt} attempts ({len(streams)} streams drawn)")
     ]
+
+
+def reference_sample(n, p_c, seed):
+    """Attempt streams ``derive_rng(seed, a)`` in chunks of 1, 2, 4 ... 32,
+    tested by breadth-first search: the first connected adjacency, its
+    attempt number and the streams its chunks drew."""
+    drawn, chunk = 0, 1
+    while True:
+        uppers = [
+            np.triu(derive_rng(seed, a).random((n, n)) < p_c, 1)
+            for a in range(drawn, drawn + chunk)
+        ]
+        drawn += chunk
+        for k, upper in enumerate(uppers):
+            if bfs_connected(upper | upper.T):
+                return upper | upper.T, drawn - chunk + k + 1, drawn
+        chunk = min(2 * chunk, 32)
+
+
+SAMPLE_SEEDS = [7, 0, 2**32 - 1, 2**32, 2**64 - 1, *range(100, 111)]
+
+
+@pytest.mark.parametrize("p_c", [0.1, 0.3, 1.0])
+def test_batched_graphs_equal_per_seed_samples(caplog, p_c):
+    """One batched call gives each seed the graph and the DEBUG record of
+    its own ``gen_erdos_renyi`` call, in seed order, and both match the
+    attempt streams tested one by one."""
+    caplog.set_level(logging.DEBUG, logger="dpconsensus.graph")
+    graphs = gen_erdos_renyi_graphs(10, p_c, SAMPLE_SEEDS)
+    batched_records = [(r.levelno, r.getMessage()) for r in caplog.records]
+    caplog.clear()
+    singles = [gen_erdos_renyi(10, p_c, seed) for seed in SAMPLE_SEEDS]
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == batched_records
+    expected_records = []
+    for seed, graph, single in zip(SAMPLE_SEEDS, graphs, singles, strict=True):
+        adjacency, attempt, drawn = reference_sample(10, p_c, seed)
+        assert np.array_equal(graph.adjacency, adjacency)
+        assert np.array_equal(single.adjacency, adjacency)
+        assert graph.weights.tobytes() == single.weights.tobytes()
+        assert graph.beta == single.beta
+        expected_records.append((
+            logging.DEBUG,
+            f"G(10, {p_c:g}) seed {seed}: connected after {attempt} attempts "
+            f"({drawn} streams drawn)",
+        ))
+    assert batched_records == expected_records
+
+
+def test_a_hopeless_batch_fails_by_name_after_max_attempts_per_graph(monkeypatch):
+    """A batch whose edge probability is hopeless stops at the cap: every
+    graph draws exactly ``_MAX_ATTEMPTS`` streams, none past it."""
+    import dpconsensus.graph as graph
+
+    streams = record_streams(monkeypatch, graph)
+    monkeypatch.setattr(graph, "_MAX_ATTEMPTS", 25)
+    seeds = [3, 2**64 - 1, 11]
+    with pytest.raises(GraphError, match="in 25 attempts"):
+        gen_erdos_renyi_graphs(20, 1e-6, seeds)
+    assert sorted(streams) == sorted((seed, a) for seed in seeds for a in range(25))
+
+
+def test_a_small_round_cap_splits_the_pending_graphs_and_keeps_them(monkeypatch):
+    """With the round cap at its floor, ``_CHUNK_CAP`` * n^2 uniforms, the
+    later rounds split the pending graphs into groups of at most that many
+    uniforms, and every graph and record stays the same."""
+    import dpconsensus.graph as graph
+
+    seeds = list(range(40))
+    expected = gen_erdos_renyi_graphs(6, 0.2, seeds)
+    groups = []
+
+    class Recorded(graph.StreamPrefixes):
+        def states(self, rows, indices, n_words=4):
+            groups.append((indices, len(rows) * len(indices) * 36))
+            return super().states(rows, indices, n_words)
+
+    monkeypatch.setattr(graph, "StreamPrefixes", Recorded)
+    monkeypatch.setattr(graph, "_ROUND_FLOATS", 1)
+    graphs = gen_erdos_renyi_graphs(6, 0.2, seeds)
+    assert max(floats for _, floats in groups) <= graph._CHUNK_CAP * 36 < 40 * 36
+    rounds = [indices for indices, _ in groups]
+    assert len(set(rounds)) < len(rounds)  # some round ran in several groups
+    for graph_, reference in zip(graphs, expected, strict=True):
+        assert graph_.adjacency.tobytes() == reference.adjacency.tobytes()
 
 
 @st.composite

@@ -13,6 +13,7 @@ from dpconsensus.objectives import (
     LocalDataset,
     ObjectiveSpec,
     gen_truncated_gaussian,
+    gen_truncated_gaussian_datasets,
     grand_mean,
     mean_objective_constants,
     mean_objective_grad,
@@ -176,6 +177,40 @@ def test_a_dataset_logs_its_draws(caplog, monkeypatch):
             "accepted for 80 coordinates",
         )
     ]
+
+
+@pytest.mark.parametrize("n_points, dimension", [(1, 1), (7, 3), (100, 4)])
+def test_batched_datasets_equal_per_node_datasets(caplog, n_points, dimension):
+    """A batch of data seeds and nodes gives each ``(seed, node)`` the points
+    and the DEBUG record of its own ``gen_truncated_gaussian`` call, byte for
+    byte, seed-major then node-major."""
+    domain = BoxDomain(half_width=1.0, dimension=dimension)
+    seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, 21]
+    caplog.set_level(logging.DEBUG, logger="dpconsensus.objectives")
+    batched = gen_truncated_gaussian_datasets(n_points, domain, seeds, 3)
+    batched_records = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    assert [len(datasets) for datasets in batched] == [3] * len(seeds)
+    for seed, datasets in zip(seeds, batched):
+        for node, data in enumerate(datasets):
+            single = gen_truncated_gaussian(n_points, domain, seed, node_id=node)
+            assert data.points.shape == single.points.shape == (n_points, dimension)
+            assert data.points.tobytes() == single.points.tobytes()
+    assert batched_records == [r.getMessage() for r in caplog.records]
+
+
+def test_a_dataset_is_read_only_and_keeps_its_sum_and_extent():
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(50, 4))
+    data = LocalDataset(points=points)
+    with pytest.raises(ValueError, match="read-only"):
+        data.points[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        data.total[0] = 0.5
+    assert data.total.tobytes() == points.sum(axis=0).tobytes()
+    assert data.extent == np.abs(points).max()
+    neighbor = data.replace_point(0, np.array([0.5, -0.5, 1.0, -1.0]))
+    assert neighbor.total.tobytes() == neighbor.points.sum(axis=0).tobytes()
+    assert neighbor.extent == 1.0
 
 
 def test_truncated_gaussian_distinct_nodes_distinct_points():

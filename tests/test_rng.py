@@ -14,11 +14,11 @@ import dpconsensus
 from dpconsensus._state_words import StateWords
 from dpconsensus.graph import _MAX_ATTEMPTS
 from dpconsensus.rng import (
-    _RNG_WINDOW,
+    StreamPrefixes,
     derive_rng,
-    derive_rngs,
     derive_seed,
     derive_states,
+    generators,
     seeded_rngs,
 )
 
@@ -30,6 +30,12 @@ indices = st.lists(
     st.integers(0, _MAX_ATTEMPTS) | st.sampled_from(EDGES) | st.integers(2**32, 2**64 - 1),
     max_size=8,
 )
+
+
+# Master seeds of one and of two 32-bit words, mixed in one call, in any
+# order and with more masters among them.
+MASTER_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+masters = st.lists(words64, max_size=4).flatmap(lambda extra: st.permutations(MASTER_EDGES + extra))
 
 
 def seed_sequence_words(master_seed, key, index, n_words):
@@ -49,13 +55,32 @@ def test_bulk_words_equal_seed_sequence_words(master_seed, key, finals, n_words)
         assert np.array_equal(row, seed_sequence_words(master_seed, key, index, n_words))
 
 
+@settings(max_examples=100, deadline=None)
+@given(masters, keys, indices, st.sampled_from([1, 2, 4, 5]))
+@example(MASTER_EDGES, [], [0, 1, 2**32], 4)
+@example(MASTER_EDGES, [3, 2**40], [0, 2**64 - 1], 2)
+def test_many_master_words_equal_seed_sequence_words(master_seeds, key, finals, n_words):
+    """Many master seeds in one call, master-major, with empty and non-empty
+    keys: each master's rows are its ``SeedSequence`` words, and those of a
+    one-master call."""
+    states = derive_states(master_seeds, key, finals, n_words)
+    assert states.shape == (len(master_seeds), len(finals), n_words)
+    assert states.dtype == np.uint64
+    for rows, master_seed in zip(states, master_seeds):
+        for row, index in zip(rows, finals):
+            assert np.array_equal(row, seed_sequence_words(master_seed, key, index, n_words))
+        assert np.array_equal(rows, derive_states(master_seed, key, finals, n_words))
+
+
 @settings(max_examples=60, deadline=None)
-@given(words64, keys, indices)
-def test_bulk_generators_draw_what_derive_rng_draws(master_seed, key, finals):
-    generators = list(derive_rngs(master_seed, key, finals))
-    assert len(generators) == len(finals)
-    for generator, index in zip(generators, finals):
-        single = derive_rng(master_seed, *key, index)
+@given(masters, keys, indices)
+def test_bulk_generators_draw_what_derive_rng_draws(master_seeds, key, finals):
+    """``generators`` of many masters' words, in master-major order."""
+    streams = list(generators(derive_states(master_seeds, key, finals)))
+    assert len(streams) == len(master_seeds) * len(finals)
+    addresses = [(m, *key, i) for m in master_seeds for i in finals]
+    for generator, address in zip(streams, addresses):
+        single = derive_rng(*address)
         assert generator.bit_generator.state == single.bit_generator.state
         assert np.array_equal(generator.random(5), single.random(5))
         assert np.array_equal(generator.standard_normal(3), single.standard_normal(3))
@@ -85,20 +110,24 @@ def test_every_attempt_stream_of_a_graph_sample(master_seed):
     states = derive_states(master_seed, (), range(_MAX_ATTEMPTS), n_words=1)
     assert states[:, 0].tolist() == [derive_seed(master_seed, a) for a in range(_MAX_ATTEMPTS)]
     last = range(_MAX_ATTEMPTS - 3, _MAX_ATTEMPTS)
-    for generator, attempt in zip(derive_rngs(master_seed, (), last), last):
+    for generator, attempt in zip(generators(derive_states(master_seed, (), last)), last):
         assert generator.random() == derive_rng(master_seed, attempt).random()
 
 
-def test_lazy_generators_cross_their_windows_in_order():
-    """``derive_rngs`` hands out streams ``_RNG_WINDOW`` at a time; the
-    streams on both sides of each window's edge, and the last, are
-    ``derive_rng``'s."""
-    count = 2 * _RNG_WINDOW + 3
-    generators = derive_rngs(5, (9,), range(count))
-    for index, generator in enumerate(generators):
-        if index % _RNG_WINDOW in (0, _RNG_WINDOW - 1) or index == count - 1:
-            assert generator.random() == derive_rng(5, 9, index).random()
-    assert index == count - 1
+def test_stream_prefixes_hand_out_each_round_in_order():
+    """Rounds of streams from ``StreamPrefixes``, as the graph sampler asks
+    for them (fewer masters each round, later indices): each round's words
+    are ``derive_states``' for its masters, in row order, and its streams
+    draw what ``derive_rng`` draws."""
+    master_seeds = [5, 2**32, 2**64 - 1, 0, 9]
+    prefixes = StreamPrefixes(master_seeds, (9,))
+    for rows, indices in (([0, 1, 2, 3, 4], [0]), ([1, 3, 4], [1, 2]), ([4], range(3, 7))):
+        states = prefixes.states(rows, indices)
+        expected = derive_states([master_seeds[r] for r in rows], (9,), indices)
+        assert np.array_equal(states, expected)
+        addresses = [(master_seeds[r], 9, i) for r in rows for i in indices]
+        for generator, address in zip(generators(states), addresses, strict=True):
+            assert generator.random() == derive_rng(*address).random()
 
 
 def test_state_words_hand_over_only_what_they_hold():
@@ -115,8 +144,8 @@ def test_importing_the_package_leaves_numpy_random_unimported():
     code = (
         "import sys, dpconsensus, dpconsensus.cli\n"
         "assert 'numpy.random' not in sys.modules, 'imported at load'\n"
-        "from dpconsensus.rng import derive_rngs\n"
-        "next(derive_rngs(1, (), range(3)))\n"
+        "from dpconsensus.rng import derive_states, generators\n"
+        "generators(derive_states([1, 2], (), range(3)))\n"
         "assert 'numpy.random' in sys.modules\n"
     )
     src = str(Path(dpconsensus.__file__).resolve().parents[1])
