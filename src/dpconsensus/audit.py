@@ -120,6 +120,15 @@ def coupled_runs(
     final iterate's broadcast noise (scale M_T) is drawn even though the
     agreement phase that follows would send it exactly.
     """
+    deterministic, noise_term, gap_sq = _coupled_losses(config, edit, noise_seeds)
+    return deterministic, noise_term, np.sqrt(gap_sq)
+
+
+def _coupled_losses(
+    config: RunConfig, edit: NeighborEdit, noise_seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``coupled_runs`` with the squared gap norms, which its loss terms
+    are summed from, in place of the norms."""
     grad_shift = _gradient_shift(config, edit)
     node, schedule = edit.node_id, config.schedule
     data = config.datasets[node]
@@ -144,7 +153,7 @@ def coupled_runs(
     variances = schedule.scales**2
     deterministic = np.sum(gap_sq / (2.0 * variances), axis=1)
     noise_term = np.sum(inner / variances, axis=1)
-    return deterministic, noise_term, np.sqrt(gap_sq)
+    return deterministic, noise_term, gap_sq
 
 
 def collect_samples(
@@ -163,7 +172,7 @@ def collect_samples(
         raise ValueError("n_samples must be >= 1")
     seeds = derive_states(master_seed, (_AUDIT_STREAM,), range(n_samples), n_words=1)
     seeds = seeds[:, 0].tolist()
-    parts = [coupled_runs(config, edit, batch)[:2] for batch in batches(seeds, config)]
+    parts = [_coupled_losses(config, edit, batch)[:2] for batch in batches(seeds, config)]
     deterministic, noise = (np.concatenate(part) for part in zip(*parts))
     return deterministic, noise
 

@@ -23,7 +23,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -264,7 +264,10 @@ def _cmd_sweep(args: argparse.Namespace, resolved: dict[str, object]) -> int:
         out,
         _header_lines("sweep", resolved, args.seed),
         "axis,value,seed,normalized_error,probe_error,stage2_rounds,wall_ms",
-        (astuple(row) + ("",) for row in result.rows),  # wall_ms is always blank
+        (  # wall_ms is always blank
+            (r.axis, r.value, r.seed, r.normalized_error, r.probe_error, r.stage2_rounds, "")
+            for r in result.rows
+        ),
     )
     summary_path = out.with_suffix(".summary.json")
     _write_json(summary_path, resolved, args.seed, result.summary())

@@ -54,11 +54,14 @@ seed leaves the stack with its iterates of the round where it stopped, and
 the rounds past it are discarded.  The test sums each norm's squares by
 column adds, and again in ``np.linalg.norm``'s order only for the rounds
 whose relative change lies within a relative 1e-12 of the tolerance, so a
-seed stops where a per-round loop of ``np.linalg.norm`` calls stops.  A
-sweep reads only each seed's round count from it and keeps no per-round
-rows; a single run's ``_agreement_phase`` is its one-seed call, which
-records the rows it reports, up to the stop, and numbers them from round
-T + 1.
+seed stops where a per-round loop of ``np.linalg.norm`` calls stops.  It
+first computes node 0's relative change alone, a lower bound on the
+largest one, and tests every node only of the seeds whose node-0 change
+comes within that margin of the tolerance, or whose cap falls in the
+block; no other seed can stop in it.  A sweep reads only each seed's
+round count from it and keeps no per-round rows; a single run's
+``_agreement_phase`` is its one-seed call, which records the rows it
+reports, up to the stop, and numbers them from round T + 1.
 """
 
 from __future__ import annotations
@@ -514,6 +517,27 @@ def _stop_rows(xs: np.ndarray, tol: np.ndarray, rounds_left: np.ndarray) -> np.n
     S, n, p)``, the row of each seed's first stopping round, or 0 where the
     seed runs on: where its relative change drops below ``tol``, or where
     it reaches ``rounds_left``, its cap less the rounds before the block.
+
+    Node 0's relative change, computed as ``_tested_stop_rows`` computes
+    every node's, is bitwise one of the terms whose max that test compares,
+    so a seed whose node-0 change stays at least ``_STOP_MARGIN`` above its
+    tolerance in every round, and whose cap lies past the block, can
+    neither stop nor reach the near-tolerance recheck.  Only the other
+    seeds are tested in full."""
+    node0 = xs[:, :, :1].copy()  # contiguous: a strided slice steps slowly
+    lower = _worst_changes(node0[:-1], node0[1:], _column_sums)
+    # Where lower - tol >= _STOP_MARGIN * tol, so is worst - tol, rounded
+    # alike: the full test finds that round neither near nor below.
+    may_stop = (lower - tol < _STOP_MARGIN * tol).any(axis=0) | (rounds_left < len(xs))
+    stop = np.zeros(len(tol), dtype=int)
+    if may_stop.any():
+        tested = np.flatnonzero(may_stop)
+        stop[tested] = _tested_stop_rows(xs[:, tested], tol[tested], rounds_left[tested])
+    return stop
+
+
+def _tested_stop_rows(xs: np.ndarray, tol: np.ndarray, rounds_left: np.ndarray) -> np.ndarray:
+    """``_stop_rows`` of every seed, from every node's relative change.
 
     The norms' squares are summed by column adds, and summed again in the
     order of ``np.linalg.norm(v, axis=-1)``, ``sqrt(add.reduce(v * v,

@@ -10,7 +10,10 @@ rounds: each round advances every graph still pending by its next chunk of
 attempts, derives the round's streams with one call over the pending
 graphs' seeds, bit for bit the streams of ``rng.derive_rng(seed,
 attempt)``, and tests them with one ``connected`` call.
-``gen_erdos_renyi`` is its one-seed call.
+``gen_erdos_renyi`` is its one-seed call.  The accepted graphs are checked
+and decomposed as one stack, with one ``connected`` call and one stacked
+``eigvalsh`` of their Laplacians, which gives each graph the bits of its
+own call; ``CommGraph(adjacency)`` is the one-graph case of the same path.
 """
 
 from __future__ import annotations
@@ -72,20 +75,9 @@ class CommGraph:
     beta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        adj = self.adjacency
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise GraphError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.shape[0] < 2:  # the Laplacian rule needs lambda_max(L) > 0
-            raise GraphError(f"adjacency needs >= 2 nodes, got {adj.shape[0]}")
-        if adj.dtype != bool:
-            raise GraphError("adjacency must be boolean")
-        if adj.diagonal().any() or not np.array_equal(adj, adj.T):
-            raise GraphError("adjacency must be symmetric with a zero diagonal")
-        if not connected(adj):
-            raise GraphError("graph must be connected")
-        weights, beta = _laplacian_mixing(adj)
+        (weights,), (beta,) = _laplacian_mixing(self.adjacency[None])
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", float(beta))
 
     @property
     def n_nodes(self) -> int:
@@ -108,23 +100,47 @@ def connected(adjacency: np.ndarray) -> np.ndarray:
     return reach[..., 0, :].all(axis=-1)
 
 
-def _laplacian_mixing(adjacency: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mixing weights W = I - (2 / (3 * lambda_max(L))) * L and their beta.
+def _laplacian_mixing(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mixing weights W = I - (2 / (3 * lambda_max(L))) * L, ``(G, n, n)``,
+    and their betas, ``(G,)``, of a stack of adjacencies ``(G, n, n)``, each
+    checked as ``CommGraph`` requires, all of them at once.
 
     One symmetric eigendecomposition of L = D - A gives both: W's spectrum
     is 1 - scale * eig(L), where eig(L)[0] = 0 is the consensus direction,
     so beta is the largest |1 - scale * lambda| over the other eigenvalues.
+    The stacked ``eigvalsh`` gives each graph the bits of its own call.
+
+    Raises:
+        GraphError: naming the first check that some graph of the stack fails.
     """
+    if adjacency.ndim != 3 or adjacency.shape[1] != adjacency.shape[2]:
+        raise GraphError(f"adjacency must be square, got shape {adjacency.shape[1:]}")
+    if adjacency.shape[1] < 2:  # the Laplacian rule needs lambda_max(L) > 0
+        raise GraphError(f"adjacency needs >= 2 nodes, got {adjacency.shape[1]}")
+    if adjacency.dtype != bool:
+        raise GraphError("adjacency must be boolean")
+    if adjacency.diagonal(axis1=1, axis2=2).any() or not np.array_equal(
+        adjacency, adjacency.swapaxes(1, 2)
+    ):
+        raise GraphError("adjacency must be symmetric with a zero diagonal")
+    if not connected(adjacency).all():
+        raise GraphError("graph must be connected")
     adj = adjacency.astype(float)
-    degrees = adj.sum(axis=1)
-    eigenvalues = np.linalg.eigvalsh(np.diag(degrees) - adj)
-    scale = 2.0 / (3.0 * eigenvalues[-1])
+    degrees = adj.sum(axis=-1)
+    nodes = np.arange(adj.shape[-1])
+    # diag(degrees) - A, as np.diag builds it: a non-edge is 0 - 0 = +0.0
+    # (negating A would make it -0.0 and move the last ulp of some results).
+    laplacian = np.zeros_like(adj)
+    laplacian[:, nodes, nodes] = degrees
+    laplacian -= adj
+    eigenvalues = np.linalg.eigvalsh(laplacian)
+    scale = 2.0 / (3.0 * eigenvalues[:, -1])
     # W = I - scale * (D - A): diagonal 1 - scale*deg, off-diagonal +scale*A.
-    weights = scale * adj
-    np.fill_diagonal(weights, 1.0 - scale * degrees)
+    weights = scale[:, None, None] * adj
+    weights[:, nodes, nodes] = 1.0 - scale[:, None] * degrees
     weights[np.abs(weights) < _ZERO_CLAMP] = 0.0
-    beta = float(np.max(np.abs(1.0 - scale * eigenvalues[1:])))
-    return weights, beta
+    betas = np.max(np.abs(1.0 - scale[:, None] * eigenvalues[:, 1:]), axis=1)
+    return weights, betas
 
 
 def gen_erdos_renyi(n: int, p_c: float, seed: int) -> CommGraph:
@@ -167,8 +183,9 @@ def gen_erdos_renyi_graphs(n: int, p_c: float, seeds: Sequence[int]) -> list[Com
     if not 0.0 < p_c <= 1.0:
         raise GraphError(f"edge probability must lie in (0, 1], got {p_c}")
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    # Per seed, the accepted adjacency and its (attempt, streams drawn).
-    accepted: list[tuple[np.ndarray, int, int] | None] = [None] * len(seeds)
+    stack = np.empty((len(seeds), n, n), dtype=bool)  # the accepted adjacencies
+    # Per seed, the accepted attempt and the streams drawn by then.
+    accepted: list[tuple[int, int] | None] = [None] * len(seeds)
     pending = list(range(len(seeds)))
     prefixes = StreamPrefixes(seeds)
     round_floats = max(_ROUND_FLOATS, _CHUNK_CAP * n * n)
@@ -190,21 +207,33 @@ def gen_erdos_renyi_graphs(n: int, p_c: float, seeds: Sequence[int]) -> list[Com
             hits = connected(adjacency)
             for row, (g, first) in enumerate(zip(group, hits.argmax(axis=1).tolist())):
                 if hits[row, first]:
-                    accepted[g] = (adjacency[row, first].copy(), drawn - chunk + first + 1, drawn)
+                    stack[g] = adjacency[row, first]
+                    accepted[g] = (drawn - chunk + first + 1, drawn)
                 else:
                     pending.append(g)
         chunk = min(2 * chunk, _CHUNK_CAP)
-    graphs = []
     for seed, outcome in zip(seeds, accepted):
         if outcome is None:
             raise GraphError(
                 f"no connected G({n}, {p_c}) sample in {_MAX_ATTEMPTS} attempts; "
                 "edge probability is too small for this node count"
             )
-        adjacency, attempt, streams_drawn = outcome
         _log.debug(
             "G(%d, %g) seed %d: connected after %d attempts (%d streams drawn)",
-            n, p_c, seed, attempt, streams_drawn,
+            n, p_c, seed, *outcome,
         )
-        graphs.append(CommGraph(adjacency))
+    return _comm_graphs(stack)
+
+
+def _comm_graphs(adjacency: np.ndarray) -> list[CommGraph]:
+    """``CommGraph(a)`` for each graph ``a`` of a stack ``(G, n, n)``, with
+    the same checks, errors, weights and betas, all made for the stack at
+    once; each graph holds views of the stack's arrays."""
+    weights, betas = _laplacian_mixing(adjacency)
+    graphs = []
+    for values in zip(adjacency, weights, betas.tolist()):
+        graph = object.__new__(CommGraph)  # checked above: skip __post_init__
+        for name, value in zip(("adjacency", "weights", "beta"), values):
+            object.__setattr__(graph, name, value)
+        graphs.append(graph)
     return graphs

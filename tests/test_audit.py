@@ -129,13 +129,13 @@ def test_collect_samples_draws_the_derive_seed_streams(audit_setup, monkeypatch,
     import dpconsensus.audit as audit
 
     config, edit = audit_setup
-    seeds, runs = [], audit.coupled_runs
+    seeds, runs = [], audit._coupled_losses
 
     def recorded(config, edit, noise_seeds):
         seeds.extend(noise_seeds)
         return runs(config, edit, noise_seeds)
 
-    monkeypatch.setattr(audit, "coupled_runs", recorded)
+    monkeypatch.setattr(audit, "_coupled_losses", recorded)
     collect_samples(config, edit, n_samples, master_seed=2**64 - 5)
     assert seeds == [derive_seed(2**64 - 5, _AUDIT_STREAM, i) for i in range(n_samples)]
     assert all(type(seed) is int for seed in seeds)

@@ -847,6 +847,131 @@ def test_blocked_agreement_matches_the_plain_loop_across_blocks(dimension):
     assert len({r // _AGREEMENT_BLOCK for r in rounds.tolist()}) > 1
 
 
+def assert_screen_keeps_every_stop(monkeypatch, states, configs):
+    """Run ``states`` through the screened agreement loop and through the
+    same loop testing every seed of every block in full, and assert the
+    same round counts and final iterates, and for each seed alone the same
+    rows; returns the round counts and the seed blocks tested in full."""
+    import dpconsensus.engine as engine
+
+    states, tested = np.array(states), []
+    full = engine._tested_stop_rows
+
+    def recorded(xs, tol, rounds_left):
+        tested.append(xs.shape[1])
+        return full(xs, tol, rounds_left)
+
+    def run_both(states, configs, rows=None, other_rows=None):
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_tested_stop_rows", recorded)
+            screened = _agreement_batch(states, configs, rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_stop_rows", full)
+            unscreened = _agreement_batch(states, configs, other_rows)
+        for got, expected in zip(screened, unscreened, strict=True):
+            assert np.array_equal(got, expected)
+        return screened[0]
+
+    rounds = run_both(states, configs)
+    seed_blocks = int(sum(-(-rounds // _AGREEMENT_BLOCK)))
+    screened_tests = sum(tested)
+    for x, config in zip(states, configs):
+        rows, other_rows = [], []
+        run_both(x[None], [config], rows, other_rows)
+        assert np.array_equal(np.concatenate(rows), np.concatenate(other_rows))
+    assert_batch_equals_single_runs(list(states), configs)
+    return rounds, screened_tests, seed_blocks
+
+
+def path_graph(n):
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[np.arange(n - 1), np.arange(1, n)] = True
+    return CommGraph(adjacency | adjacency.T)
+
+
+def test_node_zero_converging_first_stops_no_seed(monkeypatch):
+    """On a path, a disturbance at the far end leaves node 0 unchanged for
+    its first n - 2 rounds: its relative change is 0, below any tolerance,
+    while the far nodes still move.  The screen sends such a seed to the
+    full test, which runs it on."""
+    n = 10
+    config = replace(make_config(n_nodes=n, horizon=4), graph=path_graph(n))
+    state = np.ones((n, 3))
+    state[-1] = 2.0
+    configs = [replace(config, stage2_rel_tol=tol) for tol in (1e-3, 1e-9)]
+    rounds, tested, _ = assert_screen_keeps_every_stop(
+        monkeypatch, [state, state], configs
+    )
+    _, _, trajectory = reference_agreement(state, configs[1])
+    before = np.concatenate([state[None], trajectory[:-1]])
+    changes = np.linalg.norm(trajectory - before, axis=-1) / np.linalg.norm(before, axis=-1)
+    assert changes[:n - 2, 0].max() < 1e-9 < 1e-3 < changes[:n - 2].max(axis=-1).min()
+    assert (rounds > n).all() and tested > 0
+
+
+def test_a_cap_inside_a_block_is_tested_in_full(monkeypatch):
+    """Seeds whose node-0 change stays far above their tolerance are
+    screened out, except in the block their cap falls in."""
+    caps = [_AGREEMENT_BLOCK + 5, 2 * _AGREEMENT_BLOCK, 3 * _AGREEMENT_BLOCK - 1]
+    configs = [
+        make_config(horizon=8, graph_seed=g, noise_seed=g + 1, stage2_rel_tol=1e-300,
+                    stage2_max_rounds=cap)
+        for g, cap in enumerate(caps)
+    ]
+    rounds, tested, seed_blocks = assert_screen_keeps_every_stop(
+        monkeypatch, gradient_ends(configs), configs
+    )
+    assert rounds.tolist() == caps
+    assert tested == len(caps) < seed_blocks  # only each cap's block
+
+
+def test_a_zero_tolerance_is_screened_out_until_the_cap(monkeypatch):
+    configs = [
+        make_config(horizon=8, graph_seed=g, noise_seed=g + 1, stage2_rel_tol=0.0,
+                    stage2_max_rounds=cap)
+        for g, cap in enumerate((5, 2 * _AGREEMENT_BLOCK + 3, 40))
+    ]
+    rounds, tested, seed_blocks = assert_screen_keeps_every_stop(
+        monkeypatch, gradient_ends(configs), configs
+    )
+    assert rounds.tolist() == [5, 2 * _AGREEMENT_BLOCK + 3, 40]
+    assert tested == 3 < seed_blocks
+
+
+def test_a_change_near_the_tolerance_stops_as_unscreened(monkeypatch):
+    """Nine coordinates: numpy sums a norm's squares pairwise, column adds
+    in index order.  With nodes 0 and 1 swapped, node 0 has the largest
+    change of round 64, the last of its block, in both orders, and they put
+    it on opposite sides of a tolerance set at its column-order value: only
+    the exact recheck stops the seed there, and only if the screen lets a
+    node-0 change equal to the tolerance through.  Two more seeds have node
+    0's smallest change of the second block half a ``_STOP_MARGIN`` and two
+    of them above their tolerance."""
+    import dpconsensus.engine as engine
+
+    config = make_config(dimension=9, horizon=8, noise_seed=8, stage2_rel_tol=0.0,
+                         stage2_max_rounds=80)
+    swap = [1, 0, *range(2, config.n_nodes)]
+    x = run_gradient_phase(config)[0][swap]
+    config = replace(config, graph=CommGraph(config.graph.adjacency[np.ix_(swap, swap)]))
+    _, _, trajectory = reference_agreement(x, config)
+    before = np.concatenate([x[None], trajectory[:-1]])
+    exact = np.linalg.norm(trajectory - before, axis=-1) / np.maximum(
+        np.linalg.norm(before, axis=-1), 1e-12
+    )
+    column = column_norms(trajectory - before) / np.maximum(column_norms(before), 1e-12)
+    k = 4 * _AGREEMENT_BLOCK - 1
+    assert exact[k].argmax() == column[k].argmax() == 0
+    assert exact[k, 0] < column[k, 0]
+    assert np.minimum(exact, column)[:k].max(axis=-1).min() > column[k, 0]
+    node0 = column[_AGREEMENT_BLOCK:2 * _AGREEMENT_BLOCK, 0].min()
+    tolerances = [column[k, 0], *(node0 / (1.0 + m * engine._STOP_MARGIN) for m in (0.5, 2.0))]
+    configs = [replace(config, stage2_rel_tol=float(tol)) for tol in tolerances]
+    rounds, _, _ = assert_screen_keeps_every_stop(monkeypatch, [x] * 3, configs)
+    assert rounds[0] == k + 1
+    assert (rounds[1:] > 2 * _AGREEMENT_BLOCK).all()
+
+
 def test_full_run_concatenates_phases():
     config = make_config(horizon=12)
     metrics = run(config)

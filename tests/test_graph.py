@@ -291,14 +291,52 @@ def test_model_types_compare_by_identity():
     assert len({config, config, twin}) == 2
 
 
+def reference_mixing(adjacency):
+    """Weights and beta of one graph by the per-matrix formulas, with
+    L = diag(degrees) - A."""
+    adj = adjacency.astype(float)
+    degrees = adj.sum(axis=1)
+    eigenvalues = np.linalg.eigvalsh(np.diag(degrees) - adj)
+    scale = 2.0 / (3.0 * eigenvalues[-1])
+    weights = scale * adj
+    np.fill_diagonal(weights, 1.0 - scale * degrees)
+    weights[np.abs(weights) < 1e-15] = 0.0
+    return weights, float(np.max(np.abs(1.0 - scale * eigenvalues[1:])))
+
+
 def test_a_graph_is_determined_by_its_adjacency():
-    for p_c in PRESET_EDGE_PROBS:
-        for seed in range(5):
-            graph = gen_erdos_renyi(10, p_c, seed=seed)
-            rebuilt = CommGraph(graph.adjacency)
-            assert rebuilt.n_nodes == graph.n_nodes == 10
-            assert rebuilt.weights.tobytes() == graph.weights.tobytes()
-            assert rebuilt.beta == graph.beta
+    """A value's graphs, checked and decomposed as one stack, have the
+    weights and beta of each graph rebuilt alone as ``CommGraph`` and of
+    the per-matrix formulas, bit for bit, at every edge probability of the
+    preset sweep."""
+    graphs = [g for p_c in PRESET_EDGE_PROBS for g in gen_erdos_renyi_graphs(10, p_c, range(100))]
+    for graph in graphs:
+        rebuilt = CommGraph(graph.adjacency)
+        weights, beta = reference_mixing(graph.adjacency)
+        assert rebuilt.n_nodes == graph.n_nodes == 10
+        assert np.array_equal(rebuilt.adjacency, graph.adjacency)
+        assert rebuilt.weights.tobytes() == graph.weights.tobytes() == weights.tobytes()
+        assert rebuilt.beta == graph.beta == beta
+
+
+def test_the_stacked_laplacian_is_zero_off_its_edges_as_diag_minus_a():
+    """A Laplacian built as -A with the degrees on its diagonal has -0.0 at
+    every non-edge, which moves eigvalsh's last ulp for some sparse graphs;
+    on those graphs the stack keeps the bits of diag(degrees) - A."""
+    graphs = gen_erdos_renyi_graphs(10, 0.1, list(range(40)))
+    sensitive = []
+    for graph in graphs:
+        adj = graph.adjacency.astype(float)
+        negated = -adj
+        np.fill_diagonal(negated, adj.sum(axis=1))
+        laplacian = np.diag(adj.sum(axis=1)) - adj
+        if np.linalg.eigvalsh(negated).tobytes() != np.linalg.eigvalsh(laplacian).tobytes():
+            sensitive.append(graph)
+    assert sensitive
+    for graph in sensitive:
+        weights, beta = reference_mixing(graph.adjacency)
+        assert graph.weights.tobytes() == weights.tobytes()
+        assert graph.beta == beta
 
 
 def test_beta_shrinks_with_connectivity_on_average():
@@ -346,3 +384,40 @@ def test_commgraph_rejects_disconnected_adjacency():
     adjacency[2, 3] = adjacency[3, 2] = True
     with pytest.raises(GraphError, match="connected"):
         CommGraph(adjacency)
+
+
+def _with_second(bad):
+    """A stack of the complete graph on the nodes of ``bad``, then ``bad``."""
+    complete = ~np.eye(len(bad), dtype=bool)
+    return np.array([complete.astype(bad.dtype), bad])
+
+
+def _edited(edges):
+    adjacency = np.zeros((4, 4), dtype=bool)
+    for i, j in edges:
+        adjacency[i, j] = True
+    return adjacency
+
+
+@pytest.mark.parametrize(
+    "stack,match",
+    [
+        (np.ones((2, 3, 4), dtype=bool), r"must be square, got shape \(3, 4\)"),
+        (np.zeros((2, 1, 1), dtype=bool), "needs >= 2 nodes, got 1"),
+        (_with_second(np.array([[0, 1], [1, 0]])), "must be boolean"),
+        (_with_second(_edited([(0, 1), (1, 0), (1, 2), (2, 1), (2, 3)])), "symmetric"),
+        (_with_second(_edited([(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)])),
+         "zero diagonal"),
+        (_with_second(_edited([(0, 1), (1, 0), (2, 3), (3, 2)])), "connected"),
+    ],
+)
+def test_an_invalid_stack_fails_by_name(stack, match):
+    """The stacked path checks every graph of a value's stack, not only the
+    first, with ``CommGraph``'s errors."""
+    import dpconsensus.graph as graph
+
+    with pytest.raises(GraphError, match=match):
+        graph._comm_graphs(stack)
+    if stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
+        with pytest.raises(GraphError, match=match):
+            CommGraph(stack[-1])
