@@ -165,8 +165,9 @@ def collect_samples(
     length ``n_samples``; their sum is the privacy loss of each sample.
     Samples run in max(1, n_samples // size) kernel batches of near-equal
     length (``engine.batches``); sample i draws the same stream whatever
-    its batch or ``n_samples``: its noise seed is ``derive_seed(master_seed,
-    _AUDIT_STREAM, i)``, derived for all samples in one bulk call.
+    its batch or ``n_samples``: its noise seed is the one word of the
+    stream ``(master_seed, _AUDIT_STREAM, i)``, derived for all samples in
+    one bulk call.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

@@ -44,7 +44,7 @@ from .experiments import (
     sweep,
 )
 from .privacy import budget_check
-from .rng import derive_seed
+from .rng import derive_states
 
 __all__ = ["CliError", "main", "entrypoint"]
 
@@ -307,10 +307,8 @@ def _cmd_bound(args: argparse.Namespace, resolved: dict[str, object]) -> int:
     config = build_run_config(base, *single_run_seeds(args.seed))
     inputs = bound_inputs(base, config)
     n_runs = resolved["bound.n_runs"]
-    configs = [
-        replace(config, noise_seed=derive_seed(args.seed, _BOUND_NOISE_STREAM, i))
-        for i in range(n_runs)
-    ]
+    seeds = derive_states(args.seed, (_BOUND_NOISE_STREAM,), range(n_runs), n_words=1)
+    configs = [replace(config, noise_seed=seed) for seed in seeds[:, 0].tolist()]
     report = mean_error_bound(inputs)
     comparison = empirical_vs_bound(gradient_phases(configs), inputs, report)
     payload = {

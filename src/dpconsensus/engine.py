@@ -351,8 +351,8 @@ def gradient_blocks(
 
     K is at most ``_BLOCK_ROUNDS`` and the most rounds whose S * K * n * p
     floats fit ``_BLOCK_FLOATS`` (at least one); the last block may be
-    shorter.  Each seed draws its noise from its own stream
-    ``derive_rng(seed)``, seeded in bulk, round-major then node-major, a
+    shorter.  Each seed draws its noise from its own stream, the one
+    ``rng.seeded_rngs`` seeds from it in bulk, round-major then node-major, a
     block at a time: the same numbers as one draw of
     (T+1) * n * p standard normals, so a seed draws alike in any batch and
     any block.  The next block overwrites the arrays of the last one.

@@ -37,7 +37,7 @@ from .objectives import (
     mean_objective_constants,
 )
 from .privacy import NoiseSchedule, PrivacyBudget, calibrate_noise_schedule, noise_budget
-from .rng import derive_seed, derive_states
+from .rng import derive_states
 
 __all__ = [
     "AXES",
@@ -247,8 +247,8 @@ def cell_seeds(
     Noise streams are unique per cell.  Graph and data streams depend on the
     axis value only when the axis regenerates them, so e.g. the privacy axis
     sees identical graphs and datasets across its values and isolates the
-    budget effect.  Each seed is ``derive_seed(master_seed, label,
-    value_index or 0, seed_index)`` for its stream label.
+    budget effect.  Each seed is the one word of the stream ``(master_seed,
+    label, value_index or 0, seed_index)`` for its stream label.
     """
     return _value_cell_seeds(master_seed, axis, value_index, [seed_index])[0]
 
@@ -271,12 +271,9 @@ def _value_cell_seeds(
 
 
 def single_run_seeds(master_seed: int) -> tuple[int, int, int]:
-    """Stream triple for a standalone (non-sweep) run."""
-    return (
-        derive_seed(master_seed, _GRAPH_STREAM, 0, 0),
-        derive_seed(master_seed, _DATA_STREAM, 0, 0),
-        derive_seed(master_seed, _NOISE_STREAM, 0, 0),
-    )
+    """Stream triple for a standalone (non-sweep) run: a sweep's first cell,
+    whose three streams are ``(master_seed, label, 0, 0)`` on every axis."""
+    return cell_seeds(master_seed, "T", 0, 0)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ largest eigenvalue magnitude of W, strictly below one iff the graph is
 connected.  ``gen_erdos_renyi_graphs`` samples many graphs by rejection, in
 rounds: each round advances every graph still pending by its next chunk of
 attempts, derives the round's streams with one call over the pending
-graphs' seeds, bit for bit the streams of ``rng.derive_rng(seed,
-attempt)``, and tests them with one ``connected`` call.
+graphs' seeds, the streams ``(seed, attempt)`` of ``rng.derive_states``,
+and tests them with one ``connected`` call.
 ``gen_erdos_renyi`` is its one-seed call.  The accepted graphs are checked
 and decomposed as one stack, with one ``connected`` call and one stacked
 ``eigvalsh`` of their Laplacians, which gives each graph the bits of its
@@ -149,7 +149,7 @@ def gen_erdos_renyi(n: int, p_c: float, seed: int) -> CommGraph:
     Each unordered pair is an edge independently with probability ``p_c``.
     Disconnected samples are rejected and redrawn, so the law is Erdos-Renyi
     conditioned on connectivity.  Attempt a draws its uniforms from its own
-    stream ``derive_rng(seed, a)``, and the first connected attempt is
+    stream ``(seed, a)``, and the first connected attempt is
     accepted, so the graph is deterministic given ``(n, p_c, seed)``.  This
     is the one-seed call of ``gen_erdos_renyi_graphs``.
 

@@ -5,21 +5,21 @@ master seed plus a structured key (stream label, axis index, seed index,
 ...).  Streams are PCG64 generators; normal variates use numpy's ziggurat,
 so replays are bit-stable for a fixed numpy build.
 
-Many streams whose keys differ only in their last element (the attempts of
-a round of graph samples, the nodes of a sweep value's datasets, the
-samples of one audit) are derived in bulk by ``derive_states``, for one
-master seed or for many at once, with no ``SeedSequence`` built.  It
-computes numpy's ``SeedSequence`` hash itself: its hash constants advance
-once per step whatever the data, so the pool left by each master seed and
-the key's shared prefix is hashed once, vectorised over the master seeds,
-and each final index adds only its own word's steps and the output words,
-vectorised over the masters and indices alike.  ``generators`` seeds a
-PCG64 generator from each row of words.  Plain integer seeds with no key
-(a batch's noise seeds) are seeded in bulk by ``seeded_rngs``:
-``SeedSequence(seed)`` hashes only the seed's one or two words,
-zero-padded to the pool size, so the whole pool is hashed vectorised over
-the seeds.  The words and generators are bit-identical to
-``seed_sequence(...)``'s, which NEP 19 keeps stable across numpy releases.
+Every stream is derived by this module's own copy of numpy's
+``SeedSequence`` hash, with no ``SeedSequence`` built.  Many streams whose
+keys differ only in their last element (the attempts of a round of graph
+samples, the nodes of a sweep value's datasets, the samples of one audit)
+are derived in one ``derive_states`` call, for one master seed or for many
+at once: the hash constants advance once per step whatever the data, so
+the pool left by each master seed and the key's shared prefix is hashed
+once, vectorised over the master seeds, and each final index adds only its
+own word's steps and the output words, vectorised over the masters and
+indices alike.  ``generators`` seeds a PCG64 generator from each row of
+words, and ``derive_rng`` is the one-stream call.  Plain integer seeds with
+no key (a batch's noise seeds) are seeded in bulk by ``seeded_rngs``, from
+the same pools with no key.  The words are those of numpy's
+``SeedSequence(m, spawn_key=key)``, which NEP 19 keeps stable across numpy
+releases; the tests hold that class as the oracle of every derivation.
 ``numpy.random`` is imported only when a generator is built.
 """
 
@@ -38,23 +38,6 @@ _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
-    """SeedSequence for ``master_seed`` refined by an integer key path."""
-    return np.random.SeedSequence(
-        entropy=master_seed & _MASK64, spawn_key=tuple(k & _MASK64 for k in key)
-    )
-
-
-def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Generator owning the stream addressed by ``(master_seed, *key)``."""
-    return np.random.default_rng(seed_sequence(master_seed, *key))
-
-
-def derive_seed(master_seed: int, *key: int) -> int:
-    """Collapse a stream address into a plain 64-bit integer seed."""
-    return int(seed_sequence(master_seed, *key).generate_state(1, np.uint64)[0])
 
 
 def _words(value: int) -> list[int]:
@@ -85,22 +68,6 @@ def _mix(x, y):
     return mixed ^ mixed >> 16
 
 
-def _pool(first: list, a: list) -> list:
-    """SeedSequence's pool of four words after its first four entropy words
-    ``first``, zero-padded: each is hashed into its own pool word under
-    constants ``a``, then every pool word is hashed and mixed into each
-    other.  Words are Python ints or uint64 arrays, vectorised alike; this
-    takes ``a[0]`` .. ``a[16]``."""
-    pool = [_hashmix(word, a[k], a[k + 1]) for k, word in enumerate(first)]
-    step = _POOL_WORDS
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[step], a[step + 1]))
-                step += 1
-    return pool
-
-
 def _output_words(pools: np.ndarray, n_words: int) -> np.ndarray:
     """``generate_state(n_words, np.uint64)`` of each row of ``pools``, a
     uint64 array ``(R, 4)``, as C-contiguous rows ``(R, n_words)``.
@@ -115,8 +82,8 @@ def _output_words(pools: np.ndarray, n_words: int) -> np.ndarray:
 def generators(states: np.ndarray) -> Iterator[np.random.Generator]:
     """A PCG64 generator seeded with each row of four words of ``states``,
     a uint64 array ``(..., 4)`` of ``derive_states`` rows, in row order and
-    built as it is asked for: ``derive_rng``'s generator for the same
-    address, bit for bit."""
+    built as it is asked for: bit for bit the generator numpy seeds from the
+    ``SeedSequence`` of the same address."""
     from numpy.random import PCG64, Generator
 
     from ._state_words import StateWords
@@ -140,14 +107,21 @@ def _prefix_pools(first: list, key: Sequence[int]) -> tuple[np.ndarray, np.ndarr
     ints for one master (M = 1) or uint64 arrays ``(M,)``.  Also returns the
     8 hash constants that a final index's words take next.
 
-    SeedSequence pads a master seed's words to the pool size (a spawn key
-    is always given here), appends the key's words and hashes them in."""
+    SeedSequence pads a master seed's words to the pool size and hashes
+    each into its own pool word, then every pool word into each other; a
+    spawn key's words are appended and hashed in after them.  With no key,
+    the pools are those of ``SeedSequence(m)``."""
     rest = [w for k in key for w in _words(k)]
     # The pool's 4 first hashes and 12 cross-mixes, and 4 steps per later
     # word, take 4 constants per entropy word; an index's words, 8 more.
     a = _constants(_INIT_A, _MULT_A, _POOL_WORDS * (_POOL_WORDS + len(rest)) + 2 * _POOL_WORDS)
-    pool = _pool(first, a)
-    step = _POOL_WORDS * _POOL_WORDS
+    pool = [_hashmix(word, a[k], a[k + 1]) for k, word in enumerate(first)]
+    step = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[step], a[step + 1]))
+                step += 1
     for word in rest:
         for dst in range(_POOL_WORDS):
             pool[dst] = _mix(pool[dst], _hashmix(word, a[step], a[step + 1]))
@@ -180,8 +154,9 @@ def derive_states(
     indices: Sequence[int],
     n_words: int = 4,
 ) -> np.ndarray:
-    """``seed_sequence(m, *key, i).generate_state(n_words, np.uint64)`` for
-    every final index ``i`` of ``indices`` (each in [0, 2^64)): for one
+    """``SeedSequence(m, spawn_key=(*key, i)).generate_state(n_words,
+    np.uint64)`` for every final index ``i`` of ``indices`` (each in
+    [0, 2^64); the master seeds and key elements are taken mod 2^64): for one
     master seed ``m``, the rows of a uint64 array ``(len(indices),
     n_words)``; for a sequence of M master seeds, an array ``(M,
     len(indices), n_words)``, master-major.
@@ -214,13 +189,17 @@ class StreamPrefixes:
         return _index_states(self._pools[list(rows)], self._constants, indices, n_words)
 
 
-def seeded_rngs(seeds: Sequence[int]) -> list[np.random.Generator]:
-    """``derive_rng(seed)`` for each integer seed of ``seeds``, bit for bit.
+def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
+    """Generator owning the stream addressed by ``(master_seed, *key)``, a
+    key of one or more elements, each taken mod 2^64: the one stream of a
+    ``derive_states`` call."""
+    *prefix, index = key
+    return next(generators(derive_states(master_seed, prefix, [index & _MASK64])))
 
-    With no key, SeedSequence hashes only the seed's one or two 32-bit
-    words, zero-padded to the pool size: the pool's first hashes and
-    cross-mixes, vectorised over the seeds, then give every pool at once.
-    """
-    a = _constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
-    pool = _pool(_seed_words(_uint64s(seeds)), a)
-    return list(generators(_output_words(np.stack(pool, axis=1), _POOL_WORDS)))
+
+def seeded_rngs(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """The generator numpy seeds from each integer seed of ``seeds``, taken
+    mod 2^64, through ``SeedSequence(seed)``, bit for bit: the generators of
+    the pools of the prefixes with no key, every pool at once."""
+    pools, _ = _prefix_pools(_seed_words(_uint64s(seeds)), ())
+    return list(generators(_output_words(pools, _POOL_WORDS)))

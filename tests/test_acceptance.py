@@ -53,11 +53,16 @@ from dpconsensus.privacy import (
     noise_budget,
     noiseless_schedule,
 )
-from dpconsensus.rng import derive_seed
+from dpconsensus.rng import derive_states
 
 MASTER_SEED = 42
 FP_SLACK = 1e-12
 UNIT_SPEC = ObjectiveSpec(grad_bound=1.0, smoothness=1.0, strong_convexity=1.0, dimension=1)
+
+
+def _stream_seeds(key: tuple[int, ...], indices) -> list[int]:
+    """The one-word seeds of the streams ``(MASTER_SEED, *key, i)``."""
+    return derive_states(MASTER_SEED, key, indices, n_words=1)[:, 0].tolist()
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -81,7 +86,7 @@ def bound_runs():
     for horizon in (100, 1000):
         config, inputs = _default_cell(horizon)
         configs = [
-            replace(config, noise_seed=derive_seed(MASTER_SEED, 6, horizon, i)) for i in range(50)
+            replace(config, noise_seed=seed) for seed in _stream_seeds((6, horizon), range(50))
         ]
         out[horizon] = (config, inputs, gradient_phases(configs))
     return out
@@ -143,12 +148,11 @@ def test_criterion_3_complete_graph_spectral_gap():
 
 @pytest.fixture(scope="module")
 def zero_noise_run():
-    graph = gen_erdos_renyi(10, 1.0, seed=derive_seed(MASTER_SEED, 4, 0))
+    graph_seed, data_seed = _stream_seeds((4,), [0, 1])
+    graph = gen_erdos_renyi(10, 1.0, seed=graph_seed)
     base = ExperimentConfig(edge_prob=1.0)
     datasets = tuple(
-        gen_truncated_gaussian(
-            base.points_per_node, base.domain, derive_seed(MASTER_SEED, 4, 1), node_id=i
-        )
+        gen_truncated_gaussian(base.points_per_node, base.domain, data_seed, node_id=i)
         for i in range(10)
     )
     spec = mean_objective_constants(base.points_per_node, base.domain)
@@ -176,15 +180,11 @@ def test_criterion_4_zero_noise_convergence(zero_noise_run):
 def test_criterion_5_agreement_invariants_on_every_run(bound_runs, zero_noise_run):
     checked = [zero_noise_run[1]]
     config_100, _, _ = bound_runs[100]
-    for i in range(5):
-        checked.append(
-            run(replace(config_100, noise_seed=derive_seed(MASTER_SEED, 5, i)))
-        )
+    for seed in _stream_seeds((5,), range(5)):
+        checked.append(run(replace(config_100, noise_seed=seed)))
     sparse = build_run_config(
         ExperimentConfig(horizon=50, edge_prob=0.3, epsilon=1.0),
-        derive_seed(MASTER_SEED, 5, 100),
-        derive_seed(MASTER_SEED, 5, 101),
-        derive_seed(MASTER_SEED, 5, 102),
+        *_stream_seeds((5,), [100, 101, 102]),
     )
     checked.append(run(sparse))
     worst_drift = max(float(np.nanmax(m.mean_drift)) for m in checked)

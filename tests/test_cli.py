@@ -322,6 +322,51 @@ def test_run_seed_changes_the_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+# Every command at a small size; a sweep along a shared-input axis and
+# along the axis that regenerates graphs.  ``run`` has no --T.
+SMALL_COMMAND_LINES = {
+    "run": ["run", "--set", "experiment.horizon=20"],
+    "schedule": ["schedule", "--T", "20"],
+    "sweep_T": ["sweep", "--axis", "T", "--set", "sweep.n_seeds=2"],
+    "sweep_p_c": ["sweep", "--axis", "p_c", "--set", "sweep.n_seeds=2"],
+    "audit": ["audit", "--T", "10", "--samples", "1000"],
+    "bound": ["bound", "--set", "bound.n_runs=3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_COMMAND_LINES))
+def test_commands_build_no_seed_sequence(tmp_path, monkeypatch, name):
+    """Every seed and stream comes from the package's own derivation: with
+    numpy's ``SeedSequence`` and ``default_rng`` made to raise, each command
+    completes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} seeded a stream through numpy")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    argv = SMALL_COMMAND_LINES[name]
+    assert run_cli(*argv, "--output", str(tmp_path / name)) == 0
+
+
+@pytest.mark.parametrize("name", ["run", "sweep_p_c", "audit", "bound"])
+def test_a_negative_master_seed_is_taken_mod_2_64(tmp_path, name):
+    """``--seed -1`` writes what ``--seed 2^64 - 1`` writes, apart from the
+    echoed master seed."""
+    outputs = []
+    for seed in ("-1", str(2**64 - 1)):
+        out_dir = tmp_path / seed
+        out_dir.mkdir()
+        argv = SMALL_COMMAND_LINES[name]
+        assert run_cli(*argv, "--seed", seed, "--output", str(out_dir / name)) == 0
+        files = {path.name: path.read_text().splitlines() for path in out_dir.iterdir()}
+        for lines in files.values():
+            echoes = [line for line in lines if "master_seed" in line]
+            assert len(echoes) == 1 and echoes[0].rstrip(",").endswith(seed)
+            lines.remove(echoes[0])
+        outputs.append(files)
+    assert outputs[0] == outputs[1]
+
+
 def test_schedule_command_writes_table_and_budget_line(tmp_path, capsys):
     out = tmp_path / "sched.csv"
     code = run_cli(

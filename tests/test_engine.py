@@ -49,7 +49,6 @@ from dpconsensus.privacy import (
     calibrate_noise_schedule,
     noiseless_schedule,
 )
-from dpconsensus.rng import derive_rng
 
 
 def trajectory(configs, noise_seeds):
@@ -188,7 +187,7 @@ def test_noise_stream_is_node_major_per_round():
     config = make_config(horizon=3)
     end, _ = run_gradient_phase(config)
     n, p = config.n_nodes, config.domain.dimension
-    rng = derive_rng(config.noise_seed)
+    rng = np.random.default_rng(config.noise_seed)
     x = np.zeros((n, p))
     for t in range(1, 4):
         # The round-t broadcast carries x(t-1) under M_{t-1}; x(0) under M_1.
@@ -212,7 +211,7 @@ def test_noise_rows_pair_each_iterate_with_its_scale():
         config = make_config(horizon=horizon, strict_first_broadcast=strict)
         n, p = config.n_nodes, config.domain.dimension
         scales = config.schedule.scales
-        replay = derive_rng(config.noise_seed)
+        replay = np.random.default_rng(config.noise_seed)
         noise, z, _ = (a[0] for a in trajectory([config], [config.noise_seed]))
         draws = [replay.standard_normal((n, p)) for _ in range(horizon + 1)]
         assert noise.shape == (horizon, n, p)
@@ -256,7 +255,7 @@ def projected_reference(config, seed):
     n, p = config.n_nodes, config.domain.dimension
     scales = config.schedule.scales
     first = 0.0 if config.strict_first_broadcast else scales[0]
-    noise = derive_rng(seed).standard_normal((config.horizon + 1, n, p))
+    noise = np.random.default_rng(seed).standard_normal((config.horizon + 1, n, p))
     noise *= np.concatenate([[first], scales])[:, None, None]
     counts = np.array([[d.n_points] for d in config.datasets], dtype=float)
     sums = np.array([d.points.sum(axis=0) for d in config.datasets])
@@ -552,7 +551,7 @@ def pathwise_end(config, noise_seed):
     eta = 1.0 / (n_pts * t)
     np.testing.assert_allclose(config.schedule.step_sizes, eta, rtol=1e-14, atol=0.0)
     eigenvalues, basis = np.linalg.eigh(config.graph.weights)
-    draws = derive_rng(noise_seed).standard_normal((horizon + 1, n, p))
+    draws = np.random.default_rng(noise_seed).standard_normal((horizon + 1, n, p))
     noise = draws[1:horizon] * config.schedule.scales[:horizon - 1, None, None]  # nu(t-1), t >= 2
     later = t[1:]
     noise_coeff = ((later - 1) / horizon)[:, None] * eigenvalues ** (horizon - later + 1)[:, None]
@@ -598,7 +597,7 @@ def test_a_diverging_batch_member_is_named_by_its_noise_seed(monkeypatch):
     config = replace(config, schedule=replace(config.schedule, scales=huge))
 
     def overflowing_rows(seed):
-        draws = derive_rng(seed).standard_normal((horizon + 1, n, p))[:horizon]
+        draws = np.random.default_rng(seed).standard_normal((horizon + 1, n, p))[:horizon]
         with np.errstate(over="ignore"):
             return np.isinf(draws * 1e308).any(axis=(1, 2))
 

@@ -16,8 +16,8 @@ from dpconsensus.graph import (
     gen_erdos_renyi,
     gen_erdos_renyi_graphs,
 )
-from dpconsensus.rng import derive_rng
 
+from test_rng import oracle_rng
 
 def test_two_node_graph_is_the_single_edge():
     graph = gen_erdos_renyi(2, 1.0, seed=123)
@@ -132,7 +132,7 @@ def test_an_accepted_graph_logs_its_attempts(caplog, monkeypatch):
     accepted = gen_erdos_renyi(10, 0.1, seed=7)
     attempt = 0
     while True:
-        upper = np.triu(derive_rng(7, attempt).random((10, 10)) < 0.1, 1)
+        upper = np.triu(oracle_rng(7, attempt).random((10, 10)) < 0.1, 1)
         attempt += 1
         if bfs_connected(upper | upper.T):
             break
@@ -145,13 +145,13 @@ def test_an_accepted_graph_logs_its_attempts(caplog, monkeypatch):
 
 
 def reference_sample(n, p_c, seed):
-    """Attempt streams ``derive_rng(seed, a)`` in chunks of 1, 2, 4 ... 32,
+    """Numpy's attempt streams ``(seed, a)`` in chunks of 1, 2, 4 ... 32,
     tested by breadth-first search: the first connected adjacency, its
     attempt number and the streams its chunks drew."""
     drawn, chunk = 0, 1
     while True:
         uppers = [
-            np.triu(derive_rng(seed, a).random((n, n)) < p_c, 1)
+            np.triu(oracle_rng(seed, a).random((n, n)) < p_c, 1)
             for a in range(drawn, drawn + chunk)
         ]
         drawn += chunk

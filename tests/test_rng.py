@@ -1,4 +1,4 @@
-"""Stream derivation: the bulk path equals numpy's SeedSequence bit for bit."""
+"""Stream derivation: every path equals numpy's SeedSequence, the oracle, bit for bit."""
 
 import os
 import subprocess
@@ -16,7 +16,6 @@ from dpconsensus.graph import _MAX_ATTEMPTS
 from dpconsensus.rng import (
     StreamPrefixes,
     derive_rng,
-    derive_seed,
     derive_states,
     generators,
     seeded_rngs,
@@ -42,6 +41,23 @@ def seed_sequence_words(master_seed, key, index, n_words):
     return np.random.SeedSequence(master_seed, spawn_key=(*key, index)).generate_state(
         n_words, np.uint64
     )
+
+
+def oracle(master_seed, *key):
+    """Numpy's ``SeedSequence`` for the stream ``(master_seed, *key)``, every
+    element taken mod 2^64."""
+    mask = 2**64 - 1
+    return np.random.SeedSequence(master_seed & mask, spawn_key=[k & mask for k in key])
+
+
+def oracle_seed(master_seed, *key):
+    """The first word of the stream ``(master_seed, *key)``, as a seed."""
+    return int(oracle(master_seed, *key).generate_state(1, np.uint64)[0])
+
+
+def oracle_rng(master_seed, *key):
+    """Numpy's generator for the stream ``(master_seed, *key)``."""
+    return np.random.default_rng(oracle(master_seed, *key))
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,12 +91,13 @@ def test_many_master_words_equal_seed_sequence_words(master_seeds, key, finals, 
 @settings(max_examples=60, deadline=None)
 @given(masters, keys, indices)
 def test_bulk_generators_draw_what_derive_rng_draws(master_seeds, key, finals):
-    """``generators`` of many masters' words, in master-major order."""
+    """``generators`` of many masters' words, in master-major order, draw
+    what numpy's generators of the same streams draw."""
     streams = list(generators(derive_states(master_seeds, key, finals)))
     assert len(streams) == len(master_seeds) * len(finals)
     addresses = [(m, *key, i) for m in master_seeds for i in finals]
     for generator, address in zip(streams, addresses):
-        single = derive_rng(*address)
+        single = oracle_rng(*address)
         assert generator.bit_generator.state == single.bit_generator.state
         assert np.array_equal(generator.random(5), single.random(5))
         assert np.array_equal(generator.standard_normal(3), single.standard_normal(3))
@@ -92,33 +109,53 @@ def test_bulk_generators_draw_what_derive_rng_draws(master_seeds, key, finals):
 def test_seeded_generators_equal_derive_rng(seeds):
     """Plain seeds of one and of two 32-bit words, mixed in one call: each
     generator's words are ``SeedSequence(seed)``'s, and it draws what
-    ``derive_rng(seed)`` draws."""
+    ``np.random.default_rng(seed)`` draws."""
     generators = seeded_rngs(seeds)
     assert len(generators) == len(seeds)
     for generator, seed in zip(generators, seeds):
         words = generator.bit_generator.seed_seq.generate_state(4, np.uint64)
         assert np.array_equal(words, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-        single = derive_rng(seed)
+        single = np.random.default_rng(seed)
         assert generator.bit_generator.state == single.bit_generator.state
         assert np.array_equal(generator.standard_normal(3), single.standard_normal(3))
+
+
+# Integers on both sides of [0, 2^64), which ``derive_rng`` takes mod 2^64.
+WRAPPED = [-(2**64), -(2**32), -1, 0, 2**32, 2**64, 2**64 + 2**32, 2**65 - 1]
+wrapped = st.sampled_from(WRAPPED) | st.integers(-(2**66), 2**66)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wrapped, st.lists(wrapped, min_size=1, max_size=3))
+@example(-1, [-1])
+@example(2**64, [0, 2**64])
+@example(0, [-(2**32), 2**32, 2**64 + 2**32])
+def test_derive_rng_draws_what_numpy_draws(master_seed, key):
+    """``derive_rng(m, *key)`` is numpy's generator of ``SeedSequence(m,
+    spawn_key=key)`` with every element taken mod 2^64, the last key element
+    included."""
+    ours, oracle = derive_rng(master_seed, *key), oracle_rng(master_seed, *key)
+    assert ours.bit_generator.state == oracle.bit_generator.state
+    assert np.array_equal(ours.random(3), oracle.random(3))
+    assert np.array_equal(ours.standard_normal(3), oracle.standard_normal(3))
 
 
 @pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**64 - 1])
 def test_every_attempt_stream_of_a_graph_sample(master_seed):
     """All ``_MAX_ATTEMPTS`` attempt streams of one graph seed in one call,
-    as ``derive_seed`` words and as first draws of ``derive_rng``."""
+    as first words and as first draws of numpy's streams."""
     states = derive_states(master_seed, (), range(_MAX_ATTEMPTS), n_words=1)
-    assert states[:, 0].tolist() == [derive_seed(master_seed, a) for a in range(_MAX_ATTEMPTS)]
+    assert states[:, 0].tolist() == [oracle_seed(master_seed, a) for a in range(_MAX_ATTEMPTS)]
     last = range(_MAX_ATTEMPTS - 3, _MAX_ATTEMPTS)
     for generator, attempt in zip(generators(derive_states(master_seed, (), last)), last):
-        assert generator.random() == derive_rng(master_seed, attempt).random()
+        assert generator.random() == oracle_rng(master_seed, attempt).random()
 
 
 def test_stream_prefixes_hand_out_each_round_in_order():
     """Rounds of streams from ``StreamPrefixes``, as the graph sampler asks
     for them (fewer masters each round, later indices): each round's words
     are ``derive_states``' for its masters, in row order, and its streams
-    draw what ``derive_rng`` draws."""
+    draw what numpy's generators of the same streams draw."""
     master_seeds = [5, 2**32, 2**64 - 1, 0, 9]
     prefixes = StreamPrefixes(master_seeds, (9,))
     for rows, indices in (([0, 1, 2, 3, 4], [0]), ([1, 3, 4], [1, 2]), ([4], range(3, 7))):
@@ -127,7 +164,7 @@ def test_stream_prefixes_hand_out_each_round_in_order():
         assert np.array_equal(states, expected)
         addresses = [(master_seeds[r], 9, i) for r in rows for i in indices]
         for generator, address in zip(generators(states), addresses, strict=True):
-            assert generator.random() == derive_rng(*address).random()
+            assert generator.random() == oracle_rng(*address).random()
 
 
 def test_state_words_hand_over_only_what_they_hold():
